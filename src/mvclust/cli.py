@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import logging
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,14 +28,12 @@ from .dataio import (
     save_report,
 )
 from .errors import MvclustError
-from .fitting import FitResult, fit, fit_with_restarts
+from .fitting import FitResult, RestartSummary, fit, fit_with_restarts
 from .metrics import accuracy, nmi, purity
 from .spectral import cluster_graph
 from .types import FitConfig, LayerSpec, MultiViewDataset
 
 log = logging.getLogger(__name__)
-
-JOBS_ENV_VAR = "MVCLUST_JOBS"
 
 DEFAULT_BETA_EXPONENTS = (-7, -5, -3, -1, 1, 3, 5, 7)
 
@@ -60,6 +57,16 @@ def positive_beta(text: str) -> float:
     value = parse_beta(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"beta must be positive, got {value}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -110,7 +117,7 @@ def _metrics_dict(pred, truth) -> dict:
     }
 
 
-def _make_config(args, layers: list[int], beta: float, seed: int | None = None) -> FitConfig:
+def _make_config(args, layers: list[int], beta: float) -> FitConfig:
     return FitConfig(
         beta=beta,
         layers=LayerSpec(layers),
@@ -118,46 +125,32 @@ def _make_config(args, layers: list[int], beta: float, seed: int | None = None) 
         pretrain_iters=args.pretrain_iters,
         tol_rel_objective=args.tol,
         restarts=args.restarts,
-        rng_seed=args.seed if seed is None else seed,
+        rng_seed=args.seed,
     )
 
 
-def _cluster_once(ds, cfg: FitConfig, k: int, kmeans_restarts: int):
-    result = fit(ds, cfg)
-    part = cluster_graph(result.state.S, k, restarts=kmeans_restarts, seed=cfg.rng_seed)
-    return result, part
-
-
-def _select_restart(ds, cfg: FitConfig, k: int, kmeans_restarts: int, select_by: str):
-    """Best run across restarts: by final objective (default) or, with
-    labels available, by accuracy (mirrors best-of-repeats reporting)."""
+def _fit_and_cluster(ds, cfg: FitConfig, k: int, kmeans_restarts: int, select_by: str = "objective"):
+    """Fit runs with seeds seed, seed+1, ... and cluster the winning run's
+    graph with that run's seed. The winner has the lowest final objective
+    or, with select_by="acc" and labels available, the highest accuracy
+    (mirrors best-of-repeats reporting). Every run is summarized."""
     if select_by == "objective":
         result = fit_with_restarts(ds, cfg)
-        part = cluster_graph(result.state.S, k, restarts=kmeans_restarts, seed=result_seed(result, cfg))
-        return result, part
+        return result, cluster_graph(result.state.S, k, restarts=kmeans_restarts, seed=result.seed)
     if ds.labels is None:
         raise MvclustError("--select-by acc needs a labelled dataset")
     best = None
+    summaries = []
     for r in range(cfg.restarts):
-        run_cfg = _clone_with_seed(cfg, cfg.rng_seed + r)
-        result, part = _cluster_once(ds, run_cfg, k, kmeans_restarts)
+        result = fit(ds, replace(cfg, rng_seed=cfg.rng_seed + r, restarts=1))
+        part = cluster_graph(result.state.S, k, restarts=kmeans_restarts, seed=result.seed)
+        summaries.append(RestartSummary.of(result))
         acc = accuracy(part, ds.labels)
         if best is None or acc > best[0]:
             best = (acc, result, part)
-    return best[1], best[2]
-
-
-def _clone_with_seed(cfg: FitConfig, seed: int) -> FitConfig:
-    return replace(cfg, rng_seed=seed, restarts=1)
-
-
-def result_seed(result: FitResult, cfg: FitConfig) -> int:
-    if result.restart_summaries:
-        final = result.final_objective
-        for s in result.restart_summaries:
-            if s.final_objective == final:
-                return s.seed
-    return cfg.rng_seed
+    _, result, part = best
+    result.restart_summaries = summaries
+    return result, part
 
 
 def _build_report(name, ds, cfg, result: FitResult, part, t_start) -> ClusteringReport:
@@ -171,15 +164,7 @@ def _build_report(name, ds, cfg, result: FitResult, part, t_start) -> Clustering
         labels=[int(x) for x in part.labels],
         alpha=[float(a) for a in result.state.alpha],
         objective_history=[float(x) for x in result.objective_history],
-        config={
-            "beta": cfg.beta,
-            "layers": list(cfg.layers.sizes),
-            "max_outer_iters": cfg.max_outer_iters,
-            "pretrain_iters": cfg.pretrain_iters,
-            "tol_rel_objective": cfg.tol_rel_objective,
-            "restarts": cfg.restarts,
-            "rng_seed": cfg.rng_seed,
-        },
+        config={**asdict(cfg), "layers": list(cfg.layers.sizes)},
         timing={"fit_seconds": result.wall_time, "total_seconds": time.perf_counter() - t_start},
         metrics=metrics,
         restarts=restarts,
@@ -197,7 +182,7 @@ def cmd_cluster(args) -> int:
     ds = _load_normalized(args)
     k = _resolve_k(ds, args.layers, None)
     cfg = _make_config(args, args.layers, args.beta)
-    result, part = _select_restart(ds, cfg, k, args.kmeans_restarts, args.select_by)
+    result, part = _fit_and_cluster(ds, cfg, k, args.kmeans_restarts, args.select_by)
     report = _build_report(Path(args.data).name, ds, cfg, result, part, t_start)
     save_report(report, args.out)
     if args.curve:
@@ -225,8 +210,7 @@ def _layer_grid(k: int, depth: int) -> list[list[int]]:
 def _sweep_cell(payload):
     (ds, args_ns, layers, beta, k) = payload
     cfg = _make_config(args_ns, layers, beta)
-    result = fit_with_restarts(ds, cfg)
-    part = cluster_graph(result.state.S, k, restarts=args_ns.kmeans_restarts, seed=cfg.rng_seed)
+    result, part = _fit_and_cluster(ds, cfg, k, args_ns.kmeans_restarts)
     metrics = None if ds.labels is None else _metrics_dict(part, ds.labels)
     return {
         "beta": beta,
@@ -314,8 +298,7 @@ def cmd_ablate(args) -> int:
     lines = ["depth\tlayers\tacc\tnmi\tpur\tfinal_objective"]
     for spec in depths:
         cfg = _make_config(args, spec, args.beta)
-        result = fit_with_restarts(ds, cfg)
-        part = cluster_graph(result.state.S, k, restarts=args.kmeans_restarts, seed=cfg.rng_seed)
+        result, part = _fit_and_cluster(ds, cfg, k, args.kmeans_restarts)
         m = _metrics_dict(part, ds.labels)
         lines.append(
             f"{len(spec)}\t{','.join(str(s) for s in spec)}\t"
@@ -326,14 +309,6 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _add_fit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--max-iter", type=int, default=150, help="outer iterations (default 150)")
@@ -341,7 +316,7 @@ def _add_fit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-6, help="relative objective tolerance")
     p.add_argument("--restarts", type=int, default=1, help="independent fits, best kept")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--kmeans-restarts", type=int, default=10, help="k-means restarts")
+    p.add_argument("--kmeans-restarts", type=positive_int, default=10, help="k-means restarts")
     p.add_argument(
         "--normalize", choices=("sample", "minmax", "none"), default="sample",
         help="feature normalization (default: unit-norm sample columns)",
@@ -381,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer-grid", type=parse_int_list, action="append", default=None,
                    help="explicit layer spec, repeatable; overrides --depth")
     p.add_argument("--k", type=int, default=None, help="cluster count for unlabelled data")
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help=f"worker processes (default ${JOBS_ENV_VAR} or 1)")
+    p.add_argument("--jobs", type=positive_int, default=1, help="worker processes (default 1)")
     p.add_argument("--out", required=True, help="results TSV path")
     p.set_defaults(func=cmd_sweep)
 

@@ -116,6 +116,10 @@ def read_manifest(directory) -> DatasetManifest:
                 raw = json.loads(p.read_text())
             except json.JSONDecodeError as e:
                 raise ParseError(p, e.lineno, e.colno, reason=e.msg)
+            if not isinstance(raw, dict):
+                raise ParseError(p, reason="manifest must be a JSON object")
+            if not isinstance(raw.get("view_files"), list):
+                raise ParseError(p, reason="'view_files' must be a list of file names")
             return DatasetManifest(
                 name=raw.get("name", directory.name),
                 view_files=list(raw["view_files"]),

@@ -5,10 +5,7 @@ multiplicative update of the hidden representations H_i, and a
 graph-coupled multiplicative update of the top representation H_m that
 pulls the view's Gram similarity toward the consensus graph.
 
-Chain products are recomputed from the current factors for every update
-(correctness first); `sweep_view(use_cache=True)` offers an incremental
-prefix/suffix path that produces bitwise-identical factors and is validated
-against the recompute path in the test suite.
+Chain products are recomputed from the current factors for every update.
 """
 
 from __future__ import annotations
@@ -47,14 +44,8 @@ class ChainCache:
             hhat = Z @ hhat
         return cls(phi=phi, Phi=Phi, hhat=hhat)
 
-    def check(self, stack, i: int, atol: float = 1e-10) -> None:
-        if self.phi is not None and self.Phi is not None:
-            assert np.allclose(self.phi @ stack.mappings[i], self.Phi, atol=atol)
-        if i == stack.depth - 1 and self.hhat is not None:
-            assert self.hhat is stack.top or np.array_equal(self.hhat, stack.top)
 
-
-def update_mapping(state: ModelState, v: int, i: int, cache: ChainCache | None = None) -> Array:
+def update_mapping(state: ModelState, v: int, i: int) -> Array:
     """Exact minimizer of ||X - phi Z_i hhat_i||_F over Z_i.
 
     Z_i = phi^+ X hhat^+ with Moore-Penrose pseudo-inverses (these reduce
@@ -63,8 +54,7 @@ def update_mapping(state: ModelState, v: int, i: int, cache: ChainCache | None =
     handles exactly, with a RankDeficientWarning recorded).
     """
     stack = state.stacks[v]
-    if cache is None:
-        cache = ChainCache.compute(stack, i)
+    cache = ChainCache.compute(stack, i)
     X = state.views[v]
     widths = [Z.shape[1] for Z in stack.mappings]
     hhat_rank = min(min(widths[i:]), cache.hhat.shape[1])
@@ -78,7 +68,7 @@ def update_mapping(state: ModelState, v: int, i: int, cache: ChainCache | None =
     return (left @ X) @ right
 
 
-def update_hidden(state: ModelState, v: int, i: int, cache: ChainCache | None = None) -> Array:
+def update_hidden(state: ModelState, v: int, i: int) -> Array:
     """Multiplicative update of H_i against the prefix product Phi = Z_1..Z_i.
 
     H_i <- H_i * sqrt(([Phi^T X]+ + [Phi^T Phi]- H_i) /
@@ -89,8 +79,7 @@ def update_hidden(state: ModelState, v: int, i: int, cache: ChainCache | None = 
     coupled update is `update_top`.
     """
     stack = state.stacks[v]
-    if cache is None:
-        cache = ChainCache.compute(stack, i)
+    cache = ChainCache.compute(stack, i)
     Phi = cache.Phi
     X = state.views[v]
     H = stack.representations[i]
@@ -101,23 +90,22 @@ def update_hidden(state: ModelState, v: int, i: int, cache: ChainCache | None = 
     return H * np.sqrt(num / np.maximum(den, EPS_DENOM))
 
 
-def _cross_view_gram_product(state: ModelState, v: int, H: Array, tops: list[Array]) -> Array:
+def _cross_view_gram_product(state: ModelState, v: int, H: Array) -> Array:
     """H @ G where G = sum_{o != v} alpha_o H_o^T H_o, without forming G."""
     HG = np.zeros_like(H)
-    for o, (a, Ho) in enumerate(zip(state.alpha, tops)):
+    for o, (a, st) in enumerate(zip(state.alpha, state.stacks)):
         if o == v:
             continue
-        HG += a * ((H @ Ho.T) @ Ho)
+        HG += a * ((H @ st.top.T) @ st.top)
     return HG
 
 
-def update_top(state: ModelState, v: int, top_snapshot: list[Array] | None = None) -> Array:
+def update_top(state: ModelState, v: int) -> Array:
     """Graph-coupled multiplicative update of the top representation H_m.
 
     Targets ||X - Phi H||_F^2 + beta ||S - alpha_v H^T H - G||_F^2 with
-    G the other views' weighted Gram mix. `top_snapshot` supplies the other
-    views' H_m values (pre-sweep snapshot mode); by default the freshest
-    state values are used.
+    G the other views' weighted Gram mix, built from the other views'
+    current H_m values.
     """
     stack = state.stacks[v]
     cache = ChainCache.compute(stack, stack.depth - 1)
@@ -127,7 +115,6 @@ def update_top(state: ModelState, v: int, top_snapshot: list[Array] | None = Non
     S = state.S
     a_v = float(state.alpha[v])
     beta = state.beta
-    tops = top_snapshot if top_snapshot is not None else [st.top for st in state.stacks]
 
     xp, xm = pos_neg_split(Phi.T @ X)
     gram_p, gram_m = pos_neg_split(Phi.T @ Phi)
@@ -135,7 +122,7 @@ def update_top(state: ModelState, v: int, top_snapshot: list[Array] | None = Non
     # of those products is one-sided; it is kept for robustness to dust
     sp, sm = pos_neg_split(H @ S)
     stp, stm = pos_neg_split(H @ S.T)
-    gp, gm = pos_neg_split(2.0 * _cross_view_gram_product(state, v, H, tops))
+    gp, gm = pos_neg_split(2.0 * _cross_view_gram_product(state, v, H))
     qp, qm = pos_neg_split((2.0 * a_v) * ((H @ H.T) @ H))
 
     num = xp + gram_m @ H + a_v * beta * (sp + stp + gm + qm)
@@ -156,8 +143,7 @@ def top_kkt_residual(state: ModelState, v: int) -> float:
     H = stack.top
     a_v = float(state.alpha[v])
     beta = state.beta
-    tops = [st.top for st in state.stacks]
-    HG = _cross_view_gram_product(state, v, H, tops)
+    HG = _cross_view_gram_product(state, v, H)
     g = (
         -(Phi.T @ X)
         + (Phi.T @ Phi) @ H
@@ -168,37 +154,13 @@ def top_kkt_residual(state: ModelState, v: int) -> float:
     return float(np.abs(np.minimum(g, 0.0) * H * H).max())
 
 
-def sweep_view(
-    state: ModelState,
-    v: int,
-    top_snapshot: list[Array] | None = None,
-    use_cache: bool = False,
-) -> None:
+def sweep_view(state: ModelState, v: int) -> None:
     """One fine-tuning pass over view v: (Z_i, H_i) for every layer in
-    order, then the graph-coupled top update. Mutates the view's stack."""
+    order, then the graph-coupled top update. Mutates the view's stack, so
+    views swept in turn see each other's freshest top representations."""
     stack = state.stacks[v]
     m = stack.depth
-    if not use_cache:
-        for i in range(m):
-            stack.mappings[i] = update_mapping(state, v, i)
-            stack.representations[i] = update_hidden(state, v, i)
-        stack.representations[m - 1] = update_top(state, v, top_snapshot=top_snapshot)
-        return
-
-    # incremental path: suffix products from pre-sweep factors, prefix grown
-    # with freshly updated mappings; association order matches ChainCache
-    suffix: list[Array] = [None] * m
-    suffix[m - 1] = stack.top
-    for i in range(m - 2, -1, -1):
-        suffix[i] = stack.mappings[i + 1] @ suffix[i + 1]
-    phi: Array | None = None
     for i in range(m):
-        stack.mappings[i] = update_mapping(
-            state, v, i, cache=ChainCache(phi=phi, Phi=None, hhat=suffix[i])
-        )
-        Phi = stack.mappings[i] if phi is None else phi @ stack.mappings[i]
-        stack.representations[i] = update_hidden(
-            state, v, i, cache=ChainCache(phi=phi, Phi=Phi, hhat=suffix[i])
-        )
-        phi = Phi
-    stack.representations[m - 1] = update_top(state, v, top_snapshot=top_snapshot)
+        stack.mappings[i] = update_mapping(state, v, i)
+        stack.representations[i] = update_hidden(state, v, i)
+    stack.representations[m - 1] = update_top(state, v)

@@ -56,16 +56,29 @@ class RestartSummary:
     converged: bool
     wall_time: float
 
+    @classmethod
+    def of(cls, result: "FitResult") -> "RestartSummary":
+        return cls(
+            seed=result.seed,
+            final_objective=result.final_objective,
+            iters_run=result.iters_run,
+            converged=result.converged,
+            wall_time=result.wall_time,
+        )
+
 
 @dataclass
 class FitResult:
-    """Outcome of one fit: final state, objective trace, and bookkeeping."""
+    """Outcome of one fit: final state, objective trace, and bookkeeping.
+
+    `seed` is the RNG seed of the run that produced `state`."""
 
     state: ModelState
     objective_history: Array
     iters_run: int
     converged: bool
     wall_time: float
+    seed: int
     restart_summaries: list[RestartSummary] | None = None
 
     @property
@@ -73,12 +86,7 @@ class FitResult:
         return float(self.objective_history[-1])
 
 
-def fit(
-    ds: MultiViewDataset,
-    cfg: FitConfig,
-    on_iteration=None,
-    check_invariants: bool = True,
-) -> FitResult:
+def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     """Run the full alternating optimization from a pretrained start.
 
     Convergence is declared when the relative objective change stays below
@@ -92,16 +100,14 @@ def fit(
     cfg.layers.validate(k=ds.k, min_view_dim=min(ds.view_dims))
     t0 = time.perf_counter()
     state = initialize_state(ds, cfg)
-    if check_invariants:
-        state.validate()
+    state.validate()
     history = [objective(state)]
     converged = False
     small_steps = 0
     iters_run = 0
     for it in range(1, cfg.max_outer_iters + 1):
-        snapshot = [st.top.copy() for st in state.stacks] if cfg.use_gram_snapshot else None
         for v in range(state.num_views):
-            sweep_view(state, v, top_snapshot=snapshot)
+            sweep_view(state, v)
         state.S = update_consensus_graph(compute_Q(state))
         state.alpha = update_view_weights(state)
 
@@ -118,8 +124,7 @@ def fit(
             "iter=%d objective=%.6e recon=%.6e graph=%.6e alpha=%s",
             it, obj, recon, graph, np.array2string(state.alpha, precision=4),
         )
-        if check_invariants:
-            state.validate()
+        state.validate()
         if on_iteration is not None:
             on_iteration(state, it, obj)
         rel_change = abs(prev - obj) / max(abs(prev), 1e-300)
@@ -133,31 +138,19 @@ def fit(
         iters_run=iters_run,
         converged=converged,
         wall_time=time.perf_counter() - t0,
+        seed=cfg.rng_seed,
     )
 
 
-def fit_with_restarts(
-    ds: MultiViewDataset,
-    cfg: FitConfig,
-    on_iteration=None,
-    check_invariants: bool = True,
-) -> FitResult:
+def fit_with_restarts(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     """Run cfg.restarts fits with seeds seed, seed+1, ...; keep the lowest
     final objective. Summaries of every run are attached to the result."""
     best: FitResult | None = None
     summaries: list[RestartSummary] = []
     for r in range(cfg.restarts):
         run_cfg = replace(cfg, rng_seed=cfg.rng_seed + r, restarts=1)
-        res = fit(ds, run_cfg, on_iteration=on_iteration, check_invariants=check_invariants)
-        summaries.append(
-            RestartSummary(
-                seed=run_cfg.rng_seed,
-                final_objective=res.final_objective,
-                iters_run=res.iters_run,
-                converged=res.converged,
-                wall_time=res.wall_time,
-            )
-        )
+        res = fit(ds, run_cfg, on_iteration=on_iteration)
+        summaries.append(RestartSummary.of(res))
         if best is None or res.final_objective < best.final_objective:
             best = res
     best.restart_summaries = summaries

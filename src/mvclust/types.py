@@ -9,7 +9,7 @@ sums 1, zero diagonal, nonnegative) and the simplex weight vector alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -242,9 +242,6 @@ class FitConfig:
     tol_rel_objective: float = 1e-6
     restarts: int = 1
     rng_seed: int = 0
-    # Jacobi-style cross-view coupling: compute each view's cross-view Gram
-    # from a pre-sweep snapshot instead of the freshest values.
-    use_gram_snapshot: bool = field(default=False)
 
     def __post_init__(self):
         if not isinstance(self.layers, LayerSpec):

@@ -122,7 +122,27 @@ def test_cluster_select_by_acc(tmp_path):
         "--select-by", "acc", "--out", str(out),
     ])
     assert code == 0
-    assert load_report(out).metrics["acc"] >= 0.5
+    report = load_report(out)
+    assert report.metrics["acc"] >= 0.5
+    assert len(report.restarts) == 2
+    assert [r["seed"] for r in report.restarts] == [0, 1]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("cluster", "--kmeans-restarts", "0"),
+    ("sweep", "--jobs", "-4"),
+])
+def test_counts_below_one_rejected_at_parse_time(tmp_path, command, flag, value):
+    data = make_dataset_dir(tmp_path)
+    out = tmp_path / "out"
+    argv = [command, "--data", str(data), "--max-iter", "2", "--pretrain-iters", "5",
+            flag, value, "--out", str(out)]
+    if command == "cluster":
+        argv += ["--layers", "9,3", "--beta", "0.5"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_sweep_small_grid(tmp_path):
@@ -208,20 +228,18 @@ def test_layer_grid_defaults():
 
 
 def test_ablate_depth_one_matches_cluster(tmp_path):
+    # with several restarts both commands must cluster the winning run's graph
     data = make_dataset_dir(tmp_path)
-    table = tmp_path / "abl.tsv"
-    assert main([
-        "ablate", "--data", str(data), "--layers", "12,6,3", "--beta", "0.5",
-        "--max-iter", "8", "--pretrain-iters", "20", "--seed", "3",
-        "--out", str(table),
-    ]) == 0
-    report_path = tmp_path / "depth1.json"
-    assert main([
-        "cluster", "--data", str(data), "--layers", "3", "--beta", "0.5",
-        "--max-iter", "8", "--pretrain-iters", "20", "--seed", "3",
-        "--out", str(report_path),
-    ]) == 0
-    depth1_row = table.read_text().strip().splitlines()[1].split("\t")
-    report = load_report(report_path)
-    assert float(depth1_row[2]) == pytest.approx(report.metrics["acc"], abs=1e-12)
-    assert float(depth1_row[5]) == pytest.approx(report.objective_history[-1])
+    for restarts in ("1", "3"):
+        common = ["--beta", "0.5", "--max-iter", "8", "--pretrain-iters", "20",
+                  "--seed", "3", "--restarts", restarts]
+        table = tmp_path / f"abl{restarts}.tsv"
+        assert main(["ablate", "--data", str(data), "--layers", "12,6,3", *common,
+                     "--out", str(table)]) == 0
+        report_path = tmp_path / f"depth1_{restarts}.json"
+        assert main(["cluster", "--data", str(data), "--layers", "3", *common,
+                     "--out", str(report_path)]) == 0
+        depth1_row = table.read_text().strip().splitlines()[1].split("\t")
+        report = load_report(report_path)
+        assert float(depth1_row[2]) == pytest.approx(report.metrics["acc"], abs=1e-12)
+        assert float(depth1_row[5]) == pytest.approx(report.objective_history[-1])

@@ -72,6 +72,23 @@ def test_manifest_referencing_absent_file(tmp_path):
     assert "gone.txt" in str(exc.value)
 
 
+def test_manifest_without_view_files(tmp_path):
+    # a bare string would otherwise be split into one-letter file names
+    for raw in ({"name": "nv", "k": 2}, {"view_files": "view0.txt"}):
+        (tmp_path / "manifest.json").write_text(json.dumps(raw))
+        with pytest.raises(ParseError) as exc:
+            load_dataset(tmp_path)
+        assert exc.value.path == str(tmp_path / "manifest.json")
+        assert "view_files" in str(exc.value)
+
+
+def test_manifest_not_an_object(tmp_path):
+    (tmp_path / "manifest.json").write_text("[1, 2]")
+    with pytest.raises(ParseError) as exc:
+        load_dataset(tmp_path)
+    assert exc.value.path == str(tmp_path / "manifest.json")
+
+
 def test_matrix_parse_error_location(tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("1 2 3\n4 oops 6\n7 8 9\n")

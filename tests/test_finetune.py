@@ -26,7 +26,8 @@ def test_chain_cache_products():
     stack = state.stacks[0]
     for i in range(3):
         cache = ChainCache.compute(stack, i)
-        cache.check(stack, i)
+        if cache.phi is not None:
+            assert np.allclose(cache.phi @ stack.mappings[i], cache.Phi, atol=1e-10)
         full = stack.mappings[0]
         for Z in stack.mappings[1:]:
             full = full @ Z
@@ -190,30 +191,16 @@ def test_one_sweep_never_increases_objective():
         assert after <= before * (1 + 1e-8)
 
 
-def test_cached_sweep_matches_recompute_sweep():
-    base = random_state(dims=(9, 6), layer_sizes=(5, 4, 2), n=13, seed=11, beta=0.8)
-    plain = copy.deepcopy(base)
-    cached = copy.deepcopy(base)
-    for v in range(2):
-        sweep_view(plain, v, use_cache=False)
-        sweep_view(cached, v, use_cache=True)
-    for v in range(2):
-        for Za, Zb in zip(plain.stacks[v].mappings, cached.stacks[v].mappings):
-            assert np.array_equal(Za, Zb)
-        for Ha, Hb in zip(plain.stacks[v].representations, cached.stacks[v].representations):
-            assert np.array_equal(Ha, Hb)
-
-
-def test_snapshot_vs_fresh_cross_view_coupling():
+def test_sweep_sees_other_views_fresh_tops():
+    # views are swept in turn: view 1's sweep couples to view 0's post-sweep top
     base = random_state(dims=(7, 6), layer_sizes=(3,), n=10, seed=12, beta=1.5)
+    seq = copy.deepcopy(base)
+    sweep_view(seq, 0)
     fresh = copy.deepcopy(base)
-    for v in range(2):
-        sweep_view(fresh, v)
-    snap = copy.deepcopy(base)
-    tops = [st.top.copy() for st in snap.stacks]
-    for v in range(2):
-        sweep_view(snap, v, top_snapshot=tops)
-    # view 0 sees identical inputs either way; view 1 differs because the
-    # fresh pass has already replaced view 0's top representation
-    assert np.array_equal(fresh.stacks[0].top, snap.stacks[0].top)
-    assert not np.array_equal(fresh.stacks[1].top, snap.stacks[1].top)
+    fresh.stacks[0] = copy.deepcopy(seq.stacks[0])
+    sweep_view(seq, 1)
+    sweep_view(fresh, 1)
+    assert np.array_equal(seq.stacks[1].top, fresh.stacks[1].top)
+    stale = copy.deepcopy(base)
+    sweep_view(stale, 1)
+    assert not np.array_equal(seq.stacks[1].top, stale.stacks[1].top)

@@ -132,6 +132,7 @@ def test_restarts_one_equals_fit():
     assert np.array_equal(single.objective_history, multi.objective_history)
     assert len(multi.restart_summaries) == 1
     assert multi.restart_summaries[0].seed == 11
+    assert single.seed == multi.seed == 11
 
 
 def test_restarts_pick_minimum_objective():
@@ -142,6 +143,7 @@ def test_restarts_pick_minimum_objective():
     assert len(finals) == 5
     assert res.final_objective == min(finals)
     assert [s.seed for s in res.restart_summaries] == list(range(5))
+    assert res.seed == int(np.argmin(finals))
 
 
 def test_restarts_tie_returns_a_tied_run(monkeypatch):
@@ -151,7 +153,7 @@ def test_restarts_tie_returns_a_tied_run(monkeypatch):
 
     calls = []
 
-    def fake_fit(ds, cfg, on_iteration=None, check_invariants=True):
+    def fake_fit(ds, cfg, on_iteration=None):
         calls.append(cfg.rng_seed)
         state = random_state(seed=0)
         return fitting.FitResult(
@@ -160,6 +162,7 @@ def test_restarts_tie_returns_a_tied_run(monkeypatch):
             iters_run=1,
             converged=True,
             wall_time=0.0,
+            seed=cfg.rng_seed,
         )
 
     monkeypatch.setattr(fitting, "fit", fake_fit)
@@ -170,6 +173,7 @@ def test_restarts_tie_returns_a_tied_run(monkeypatch):
     assert finals == [2.5, 2.5, 2.5]
     assert res.final_objective == 2.5
     assert calls == [20, 21, 22]
+    assert res.seed == 20
     assert [s.seed for s in res.restart_summaries] == [20, 21, 22]
 
 
