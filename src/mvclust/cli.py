@@ -72,9 +72,12 @@ def positive_int(text: str) -> int:
 
 def parse_int_list(text: str) -> list[int]:
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        values = [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError("empty integer list")
+    return values
 
 
 def default_beta_grid() -> list[float]:
@@ -109,12 +112,25 @@ def _load_normalized(args) -> MultiViewDataset:
     return ds
 
 
-def _metrics_dict(pred, truth) -> dict:
+def _metrics_dict(pred, truth) -> dict | None:
+    if truth is None:
+        return None
     return {
         "acc": accuracy(pred, truth),
         "nmi": nmi(pred, truth),
         "pur": purity(pred, truth),
     }
+
+
+def _metric_cells(pred, truth) -> list[str]:
+    """TSV cells for acc, nmi, pur to 4 decimals; blank without labels."""
+    m = _metrics_dict(pred, truth)
+    return ["", "", ""] if m is None else [f"{x:.4f}" for x in m.values()]
+
+
+def _write_tsv(path, header: list[str], rows) -> None:
+    lines = ["\t".join(header)] + ["\t".join(row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _make_config(args, layers: list[int], beta: float) -> FitConfig:
@@ -154,7 +170,6 @@ def _fit_and_cluster(ds, cfg: FitConfig, k: int, kmeans_restarts: int, select_by
 
 
 def _build_report(name, ds, cfg, result: FitResult, part, t_start) -> ClusteringReport:
-    metrics = None if ds.labels is None else _metrics_dict(part, ds.labels)
     restarts = None
     if result.restart_summaries is not None:
         restarts = [asdict(s) for s in result.restart_summaries]
@@ -166,15 +181,9 @@ def _build_report(name, ds, cfg, result: FitResult, part, t_start) -> Clustering
         objective_history=[float(x) for x in result.objective_history],
         config={**asdict(cfg), "layers": list(cfg.layers.sizes)},
         timing={"fit_seconds": result.wall_time, "total_seconds": time.perf_counter() - t_start},
-        metrics=metrics,
+        metrics=_metrics_dict(part, ds.labels),
         restarts=restarts,
     )
-
-
-def _write_curve(path, history) -> None:
-    lines = ["iteration\tobjective"]
-    lines += [f"{i}\t{float(v)!r}" for i, v in enumerate(history)]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def cmd_cluster(args) -> int:
@@ -186,7 +195,8 @@ def cmd_cluster(args) -> int:
     report = _build_report(Path(args.data).name, ds, cfg, result, part, t_start)
     save_report(report, args.out)
     if args.curve:
-        _write_curve(args.curve, result.objective_history)
+        rows = [[str(i), repr(float(v))] for i, v in enumerate(result.objective_history)]
+        _write_tsv(args.curve, ["iteration", "objective"], rows)
     if report.metrics:
         log.info(
             "acc=%.4f nmi=%.4f pur=%.4f", report.metrics["acc"],
@@ -207,71 +217,45 @@ def _layer_grid(k: int, depth: int) -> list[list[int]]:
     raise MvclustError(f"sweep depth must be 1, 2, or 3, got {depth}")
 
 
-def _sweep_cell(payload):
+def _sweep_cell(payload) -> list[str]:
+    """Fit and cluster one (beta, layers) cell; returns its TSV cells."""
     (ds, args_ns, layers, beta, k) = payload
     cfg = _make_config(args_ns, layers, beta)
     result, part = _fit_and_cluster(ds, cfg, k, args_ns.kmeans_restarts)
-    metrics = None if ds.labels is None else _metrics_dict(part, ds.labels)
-    return {
-        "beta": beta,
-        "layers": layers,
-        "final_objective": result.final_objective,
-        "iters": result.iters_run,
-        "converged": result.converged,
-        "metrics": metrics,
-    }
+    return [
+        repr(beta),
+        ",".join(str(s) for s in layers),
+        repr(result.final_objective),
+        str(result.iters_run),
+        str(result.converged),
+        *_metric_cells(part, ds.labels),
+    ]
 
 
 def cmd_sweep(args) -> int:
     ds = _load_normalized(args)
-    if args.layer_grid:
-        layer_grid = [spec for spec in args.layer_grid]
-    else:
+    layer_grid = args.layer_grid
+    if not layer_grid:
         probe_k = ds.k if ds.k is not None else args.k
         if probe_k is None:
             raise MvclustError("need labels, --k, or --layer-grid to size the sweep")
         layer_grid = _layer_grid(probe_k, args.depth)
     k = _resolve_k(ds, layer_grid[0], args.k)
     for spec in layer_grid:
-        if spec[-1] != k:
-            raise MvclustError(f"grid cell {spec} does not end in the cluster count {k}")
         LayerSpec(spec).validate(k=k, min_view_dim=min(ds.view_dims))
-    if not args.beta_grid:
-        raise MvclustError("empty beta grid")
-    cells = [(beta, layers) for beta, layers in itertools.product(args.beta_grid, layer_grid)]
-    payloads = [(ds, args, layers, beta, k) for beta, layers in cells]
+    payloads = [(ds, args, l, b, k) for b, l in itertools.product(args.beta_grid, layer_grid)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_cell, payloads))
     else:
         rows = [_sweep_cell(p) for p in payloads]
     header = ["cell", "beta", "layers", "final_objective", "iters", "converged", "acc", "nmi", "pur"]
-    lines = ["\t".join(header)]
-    for idx, row in enumerate(rows):
-        m = row["metrics"]
-        lines.append(
-            "\t".join(
-                [
-                    str(idx),
-                    repr(row["beta"]),
-                    ",".join(str(s) for s in row["layers"]),
-                    repr(row["final_objective"]),
-                    str(row["iters"]),
-                    str(row["converged"]),
-                    "" if m is None else f"{m['acc']:.4f}",
-                    "" if m is None else f"{m['nmi']:.4f}",
-                    "" if m is None else f"{m['pur']:.4f}",
-                ]
-            )
-        )
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    _write_tsv(args.out, header, ([str(idx), *row] for idx, row in enumerate(rows)))
     log.info("sweep table (%d cells) written to %s", len(rows), args.out)
     return 0
 
 
 def cmd_synth(args) -> int:
-    if args.k < 1:
-        raise MvclustError(f"k must be >= 1, got {args.k}")
     ds = generate_synthetic(
         n=args.n,
         k=args.k,
@@ -292,19 +276,17 @@ def cmd_ablate(args) -> int:
     ds = _load_normalized(args)
     if ds.labels is None:
         raise MvclustError("depth ablation needs a labelled dataset")
-    l1, l2, k = args.layers
+    l1, l2, _ = args.layers
     k = _resolve_k(ds, args.layers, None)
-    depths = [[k], [l2, k], [l1, l2, k]]
-    lines = ["depth\tlayers\tacc\tnmi\tpur\tfinal_objective"]
-    for spec in depths:
+    rows = []
+    for spec in [[k], [l2, k], [l1, l2, k]]:
         cfg = _make_config(args, spec, args.beta)
         result, part = _fit_and_cluster(ds, cfg, k, args.kmeans_restarts)
-        m = _metrics_dict(part, ds.labels)
-        lines.append(
-            f"{len(spec)}\t{','.join(str(s) for s in spec)}\t"
-            f"{m['acc']:.4f}\t{m['nmi']:.4f}\t{m['pur']:.4f}\t{result.final_objective!r}"
-        )
-    Path(args.out).write_text("\n".join(lines) + "\n")
+        rows.append([
+            str(len(spec)), ",".join(str(s) for s in spec),
+            *_metric_cells(part, ds.labels), repr(result.final_objective),
+        ])
+    _write_tsv(args.out, ["depth", "layers", "acc", "nmi", "pur", "final_objective"], rows)
     log.info("ablation table written to %s", args.out)
     return 0
 

@@ -37,8 +37,8 @@ def compute_Q(state) -> Array:
     return Q
 
 
-def project_rows_to_simplex(V: Array, total: float = 1.0) -> Array:
-    """Euclidean projection of every row of V onto {x >= 0, sum(x) = total}.
+def project_rows_to_simplex(V: Array) -> Array:
+    """Euclidean projection of every row of V onto {x >= 0, sum(x) = 1}.
 
     Sort-based exact algorithm; vectorized over rows.
     """
@@ -47,15 +47,15 @@ def project_rows_to_simplex(V: Array, total: float = 1.0) -> Array:
     u = -np.sort(-V, axis=1)
     css = np.cumsum(u, axis=1)
     j = np.arange(1, p + 1)
-    # the index set where u_j > (css_j - total)/j is a prefix; its length is rho
-    rho = np.count_nonzero(u * j > css - total, axis=1)
-    theta = (css[np.arange(V.shape[0]), rho - 1] - total) / rho
+    # the index set where u_j > (css_j - 1)/j is a prefix; its length is rho
+    rho = np.count_nonzero(u * j > css - 1.0, axis=1)
+    theta = (css[np.arange(V.shape[0]), rho - 1] - 1.0) / rho
     return np.maximum(V - theta[:, None], 0.0)
 
 
-def project_to_simplex(v: Array, total: float = 1.0) -> Array:
+def project_to_simplex(v: Array) -> Array:
     """Euclidean projection of one vector onto the probability simplex."""
-    return project_rows_to_simplex(v[None, :], total=total)[0]
+    return project_rows_to_simplex(v[None, :])[0]
 
 
 def update_consensus_graph(Q: Array) -> Array:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     InfeasibleGeometryError,
     MissingFileError,
     MissingManifestError,
@@ -40,13 +41,6 @@ class DatasetManifest:
     view_files: list[str]
     labels_file: str | None = None
     k: int | None = None
-
-    def validate(self) -> "DatasetManifest":
-        if not self.view_files:
-            raise ParseError("manifest", reason="at least one view file is required")
-        if self.k is not None and self.k < 2:
-            raise ParseError("manifest", reason=f"k must be >= 2, got {self.k}")
-        return self
 
 
 def _split_line(line: str) -> list[str]:
@@ -120,12 +114,17 @@ def read_manifest(directory) -> DatasetManifest:
                 raise ParseError(p, reason="manifest must be a JSON object")
             if not isinstance(raw.get("view_files"), list):
                 raise ParseError(p, reason="'view_files' must be a list of file names")
+            if not raw["view_files"]:
+                raise ParseError(p, reason="at least one view file is required")
+            k = raw.get("k")
+            if k is not None and (type(k) is not int or k < 2):
+                raise ParseError(p, reason=f"k must be an integer >= 2, got {k!r}")
             return DatasetManifest(
                 name=raw.get("name", directory.name),
                 view_files=list(raw["view_files"]),
                 labels_file=raw.get("labels_file"),
-                k=raw.get("k"),
-            ).validate()
+                k=k,
+            )
     raise MissingManifestError(f"no manifest file in {directory}")
 
 
@@ -215,11 +214,13 @@ def generate_synthetic(
     `separation` (needs every view dimension >= k - 1); each view gets an
     independent random rotation and independent Gaussian noise. Labels are
     balanced and every class is non-empty. Deterministic for a fixed seed.
+    Raises InfeasibleGeometryError when k < 1, n < 2k or a view is too
+    narrow, and DimensionMismatchError unless `dims` has one entry per view.
     """
-    if n < 2 * k:
-        raise ValueError(f"need n >= 2k, got n={n}, k={k}")
+    if k < 1 or n < 2 * k:
+        raise InfeasibleGeometryError(f"need k >= 1 and n >= 2k, got n={n}, k={k}")
     if len(dims) != n_views:
-        raise ValueError(f"need one dimension per view, got {len(dims)} for {n_views} views")
+        raise DimensionMismatchError(f"got {len(dims)} dimensions for {n_views} views")
     short = [d for d in dims if d < k - 1]
     if short:
         raise InfeasibleGeometryError(

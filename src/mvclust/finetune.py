@@ -3,7 +3,9 @@
 Three rules per view: an exact least-squares update of each mapping Z_i, a
 multiplicative update of the hidden representations H_i, and a
 graph-coupled multiplicative update of the top representation H_m that
-pulls the view's Gram similarity toward the consensus graph.
+pulls the view's Gram similarity toward the consensus graph. The hidden
+and top updates reuse `seminmf`'s multiplicative rule; the top update adds
+the graph terms to its numerator and denominator.
 
 Chain products are recomputed from the current factors for every update.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seminmf import EPS_DENOM, mp_pinv, pos_neg_split
+from .seminmf import mp_pinv, multiplicative_step, multiplicative_terms, update_representation
 from .types import ModelState
 
 Array = np.ndarray
@@ -69,25 +71,11 @@ def update_mapping(state: ModelState, v: int, i: int) -> Array:
 
 
 def update_hidden(state: ModelState, v: int, i: int) -> Array:
-    """Multiplicative update of H_i against the prefix product Phi = Z_1..Z_i.
-
-    H_i <- H_i * sqrt(([Phi^T X]+ + [Phi^T Phi]- H_i) /
-                      ([Phi^T X]- + [Phi^T Phi]+ H_i))
-    The sign split acts on the Gram matrix (see update_representation for
-    why). Nonnegativity is preserved exactly; zero entries stay zero. At
-    the top layer this is the plain (graph-free) rule used mid-sweep; the
-    coupled update is `update_top`.
-    """
+    """The semi-NMF step of H_i against the prefix product Phi = Z_1..Z_i; at
+    the top layer, the graph-free rule used mid-sweep."""
     stack = state.stacks[v]
-    cache = ChainCache.compute(stack, i)
-    Phi = cache.Phi
-    X = state.views[v]
-    H = stack.representations[i]
-    xp, xm = pos_neg_split(Phi.T @ X)
-    gram_p, gram_m = pos_neg_split(Phi.T @ Phi)
-    num = xp + gram_m @ H
-    den = xm + gram_p @ H
-    return H * np.sqrt(num / np.maximum(den, EPS_DENOM))
+    Phi = ChainCache.compute(stack, i).Phi
+    return update_representation(state.views[v], Phi, stack.representations[i])
 
 
 def _cross_view_gram_product(state: ModelState, v: int, H: Array) -> Array:
@@ -108,26 +96,17 @@ def update_top(state: ModelState, v: int) -> Array:
     current H_m values.
     """
     stack = state.stacks[v]
-    cache = ChainCache.compute(stack, stack.depth - 1)
-    Phi = cache.Phi
-    X = state.views[v]
+    Phi = ChainCache.compute(stack, stack.depth - 1).Phi
     H = stack.top
-    S = state.S
     a_v = float(state.alpha[v])
-    beta = state.beta
-
-    xp, xm = pos_neg_split(Phi.T @ X)
-    gram_p, gram_m = pos_neg_split(Phi.T @ Phi)
-    # S, G, and H H^T H are all elementwise nonnegative, so the sign split
-    # of those products is one-sided; it is kept for robustness to dust
-    sp, sm = pos_neg_split(H @ S)
-    stp, stm = pos_neg_split(H @ S.T)
-    gp, gm = pos_neg_split(2.0 * _cross_view_gram_product(state, v, H))
-    qp, qm = pos_neg_split((2.0 * a_v) * ((H @ H.T) @ H))
-
-    num = xp + gram_m @ H + a_v * beta * (sp + stp + gm + qm)
-    den = xm + gram_p @ H + a_v * beta * (sm + stm + gp + qp)
-    return H * np.sqrt(num / np.maximum(den, EPS_DENOM))
+    num, den = multiplicative_terms(state.views[v], Phi, H)
+    # H, S, alpha and the other views' tops are nonnegative, so every graph
+    # product below is too: each goes whole into num or den
+    num = num + a_v * state.beta * (H @ state.S + H @ state.S.T)
+    den = den + a_v * state.beta * (
+        2.0 * _cross_view_gram_product(state, v, H) + (2.0 * a_v) * ((H @ H.T) @ H)
+    )
+    return multiplicative_step(H, num, den)
 
 
 def top_kkt_residual(state: ModelState, v: int) -> float:

@@ -14,25 +14,18 @@ import numpy as np
 from .consensus import gram_similarity, update_consensus_graph
 from .errors import RankDeficientError
 from .seminmf import fit_seminmf
-from .types import FactorStack, FitConfig, LayerSpec, ModelState, MultiViewDataset
+from .types import FactorStack, FitConfig, ModelState, MultiViewDataset
 
 Array = np.ndarray
 
 
-def pretrain_view(
-    X: Array,
-    layers: LayerSpec,
-    cfg: FitConfig,
-    seed_seq: np.random.SeedSequence | None = None,
-) -> FactorStack:
-    """Greedy layer-wise semi-NMF initialization of one view's stack."""
-    if seed_seq is None:
-        seed_seq = np.random.SeedSequence(cfg.rng_seed)
-    layer_seeds = seed_seq.spawn(layers.depth)
+def pretrain_view(X: Array, cfg: FitConfig, seed_seq: np.random.SeedSequence) -> FactorStack:
+    """Greedy layer-wise semi-NMF initialization of one view's stack, widths cfg.layers."""
+    layer_seeds = seed_seq.spawn(cfg.layers.depth)
     mappings: list[Array] = []
     reps: list[Array] = []
     current = np.asarray(X, dtype=np.float64)
-    for i, width in enumerate(layers.sizes):
+    for i, width in enumerate(cfg.layers.sizes):
         try:
             res = fit_seminmf(current, width, iters=cfg.pretrain_iters, seed=layer_seeds[i])
         except RankDeficientError as e:
@@ -50,7 +43,7 @@ def initialize_state(ds: MultiViewDataset, cfg: FitConfig) -> ModelState:
     stacks = []
     for v, X in enumerate(ds.views):
         try:
-            stacks.append(pretrain_view(X, cfg.layers, cfg, seed_seq=view_seqs[v]))
+            stacks.append(pretrain_view(X, cfg, view_seqs[v]))
         except RankDeficientError as e:
             raise RankDeficientError(f"view {v}: {e}") from e
     alpha = np.full(ds.num_views, 1.0 / ds.num_views)

@@ -28,6 +28,9 @@ EPS_DENOM = 1e-12
 # pseudo-inverses.
 RCOND = 1e-10
 
+# Relative change of the reconstruction error at which fit_seminmf stops.
+SEMINMF_TOL = 1e-6
+
 
 def pos_neg_split(A: Array) -> tuple[Array, Array]:
     """Split A into elementwise nonnegative parts with A = plus - minus."""
@@ -80,23 +83,26 @@ def update_basis(X: Array, H: Array) -> Array:
     return X @ mp_pinv(H, warn_context="update_basis")
 
 
-def update_representation(X: Array, Z: Array, H: Array) -> Array:
-    """One multiplicative sweep of the nonnegative representation.
+def multiplicative_terms(X: Array, Z: Array, H: Array) -> tuple[Array, Array]:
+    """num = [Z^T X]+ + [Z^T Z]- H and den = [Z^T X]- + [Z^T Z]+ H for ||X - Z H||_F^2.
 
-    H' = H * sqrt(([Z^T X]+ + [Z^T Z]- H) / ([Z^T X]- + [Z^T Z]+ H))
-    with zero denominators floored at EPS_DENOM. The sign split is applied
-    to the Gram matrix, then multiplied by the nonnegative H: the Gram
-    diagonal keeps the denominator positive wherever H is, which bounds the
-    step and gives monotone descent; splitting the product instead admits
-    vanishing denominators and diverges. Preserves H >= 0; zero entries of
-    H stay zero.
+    The Gram matrix is split before it multiplies the nonnegative H, so its
+    diagonal keeps den positive wherever H is: that bounds the step and gives
+    monotone descent (splitting the product admits vanishing denominators).
     """
-    ZtX = Z.T @ X
+    xp, xm = pos_neg_split(Z.T @ X)
     gram_p, gram_m = pos_neg_split(Z.T @ Z)
-    xp, xm = pos_neg_split(ZtX)
-    num = xp + gram_m @ H
-    den = xm + gram_p @ H
+    return xp + gram_m @ H, xm + gram_p @ H
+
+
+def multiplicative_step(H: Array, num: Array, den: Array) -> Array:
+    """H * sqrt(num / den), den floored at EPS_DENOM; H stays >= 0 and its zeros stay zero."""
     return H * np.sqrt(num / np.maximum(den, EPS_DENOM))
+
+
+def update_representation(X: Array, Z: Array, H: Array) -> Array:
+    """Ding, Li & Jordan's semi-NMF multiplicative step of H for ||X - Z H||_F^2."""
+    return multiplicative_step(H, *multiplicative_terms(X, Z, H))
 
 
 @dataclass
@@ -118,17 +124,11 @@ def _init_representation(X: Array, l: int, rng: np.random.Generator) -> Array:
     return (1.0 - rng.random((l, X.shape[1]))) * scale
 
 
-def fit_seminmf(
-    X: Array,
-    l: int,
-    iters: int,
-    seed,
-    tol: float = 1e-6,
-) -> SemiNmfResult:
+def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
     """Alternate basis/representation updates from a seeded random H.
 
     Runs at most `iters` sweeps, stopping early when the relative change of
-    the reconstruction error drops below `tol`. `l` must not exceed the
+    the reconstruction error drops below SEMINMF_TOL. `l` must not exceed the
     sample count; widths above the feature count are permitted (the basis
     update only needs H to have full row rank).
     """
@@ -148,7 +148,7 @@ def fit_seminmf(
         H = update_representation(X, Z, H)
         res = float(np.linalg.norm(X - Z @ H))
         history.append(res)
-        if prev < np.inf and abs(prev - res) <= tol * max(prev, EPS_DENOM):
+        if prev < np.inf and abs(prev - res) <= SEMINMF_TOL * max(prev, EPS_DENOM):
             break
         prev = res
     hist = np.asarray(history)

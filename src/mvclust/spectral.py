@@ -21,6 +21,9 @@ Array = np.ndarray
 
 DEGREE_FLOOR = 1e-12
 
+# Lloyd iterations per k-means run; runs stop earlier once labels settle.
+KMEANS_MAX_ITER = 300
+
 
 @dataclass
 class Partition:
@@ -85,10 +88,10 @@ def _kmeans_pp_centers(X: Array, k: int, rng: np.random.Generator) -> Array:
     return centers
 
 
-def _lloyd(X: Array, centers: Array, rng: np.random.Generator, max_iter: int) -> tuple[Array, float]:
+def _lloyd(X: Array, centers: Array) -> tuple[Array, float]:
     n, k = X.shape[0], centers.shape[0]
     labels = np.full(n, -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         for j in range(k):
@@ -110,7 +113,7 @@ def _lloyd(X: Array, centers: Array, rng: np.random.Generator, max_iter: int) ->
     return labels, wcss
 
 
-def kmeans(points: Array, k: int, restarts: int = 10, seed=0, max_iter: int = 300) -> Partition:
+def kmeans(points: Array, k: int, restarts: int = 10, seed=0) -> Partition:
     """Seeded k-means++ / Lloyd; best of `restarts` runs by within-cluster
     sum of squares. Deterministic for a fixed seed."""
     X = np.asarray(points, dtype=np.float64)
@@ -123,7 +126,7 @@ def kmeans(points: Array, k: int, restarts: int = 10, seed=0, max_iter: int = 30
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
         centers = _kmeans_pp_centers(X, k, rng)
-        labels, wcss = _lloyd(X, centers, rng, max_iter)
+        labels, wcss = _lloyd(X, centers)
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     return Partition(labels=best_labels, k=k)

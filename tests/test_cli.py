@@ -46,6 +46,15 @@ def test_synth_rejects_bad_k(tmp_path):
     assert code != 0
 
 
+@pytest.mark.parametrize("n,views,dims", [("4", "1", "5"), ("30", "2", "5")])
+def test_synth_infeasible_arguments_exit_cleanly(tmp_path, n, views, dims):
+    out = tmp_path / "x"
+    code = main(["synth", "--n", n, "--k", "3", "--views", views, "--dims", dims,
+                 "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+
+
 def test_cluster_end_to_end(tmp_path):
     data = make_dataset_dir(tmp_path)
     out = tmp_path / "r.json"
@@ -131,6 +140,7 @@ def test_cluster_select_by_acc(tmp_path):
 @pytest.mark.parametrize("command,flag,value", [
     ("cluster", "--kmeans-restarts", "0"),
     ("sweep", "--jobs", "-4"),
+    ("sweep", "--layer-grid", ""),
 ])
 def test_counts_below_one_rejected_at_parse_time(tmp_path, command, flag, value):
     data = make_dataset_dir(tmp_path)

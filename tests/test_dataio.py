@@ -82,6 +82,21 @@ def test_manifest_without_view_files(tmp_path):
         assert "view_files" in str(exc.value)
 
 
+def test_manifest_with_empty_view_files_names_the_file(tmp_path):
+    (tmp_path / "manifest.json").write_text(json.dumps({"view_files": []}))
+    with pytest.raises(ParseError) as exc:
+        load_dataset(tmp_path)
+    assert exc.value.path == str(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("k", [1, "3"])
+def test_manifest_with_bad_k_names_the_file(tmp_path, k):
+    (tmp_path / "manifest.json").write_text(json.dumps({"view_files": ["a.txt"], "k": k}))
+    with pytest.raises(ParseError) as exc:
+        load_dataset(tmp_path)
+    assert exc.value.path == str(tmp_path / "manifest.json")
+
+
 def test_manifest_not_an_object(tmp_path):
     (tmp_path / "manifest.json").write_text("[1, 2]")
     with pytest.raises(ParseError) as exc:

@@ -18,7 +18,7 @@ def test_depth_one_equals_single_seminmf():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((8, 20))
     cfg = simple_config([3], pretrain_iters=60, rng_seed=4)
-    stack = pretrain_view(X, cfg.layers, cfg)
+    stack = pretrain_view(X, cfg, np.random.SeedSequence(cfg.rng_seed))
     seed = np.random.SeedSequence(cfg.rng_seed).spawn(1)[0]
     ref = fit_seminmf(X, 3, iters=cfg.pretrain_iters, seed=seed)
     assert np.array_equal(stack.mappings[0], ref.Z)
@@ -29,7 +29,7 @@ def test_depth_three_stack_is_valid():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((20, 60))
     cfg = simple_config([12, 6, 3], pretrain_iters=40)
-    stack = pretrain_view(X, cfg.layers, cfg)
+    stack = pretrain_view(X, cfg, np.random.SeedSequence(cfg.rng_seed))
     stack.validate(d=20, n=60)
     assert [Z.shape for Z in stack.mappings] == [(20, 12), (12, 6), (6, 3)]
     assert all(H.min() >= 0 for H in stack.representations)
@@ -39,8 +39,8 @@ def test_pretrain_deterministic():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((10, 30))
     cfg = simple_config([6, 3], pretrain_iters=30, rng_seed=9)
-    a = pretrain_view(X, cfg.layers, cfg)
-    b = pretrain_view(X, cfg.layers, cfg)
+    a = pretrain_view(X, cfg, np.random.SeedSequence(cfg.rng_seed))
+    b = pretrain_view(X, cfg, np.random.SeedSequence(cfg.rng_seed))
     for Za, Zb in zip(a.mappings, b.mappings):
         assert np.array_equal(Za, Zb)
 
@@ -48,7 +48,7 @@ def test_pretrain_deterministic():
 def test_hierarchical_top_gram_separates_superclusters():
     ds = hierarchical_dataset(n=120, n_views=1, dims=(18,), seed=3)
     cfg = simple_config([6, 3], pretrain_iters=80, rng_seed=0)
-    stack = pretrain_view(ds.views[0], cfg.layers, cfg)
+    stack = pretrain_view(ds.views[0], cfg, np.random.SeedSequence(cfg.rng_seed))
     G = gram_similarity(stack.representations[-1])
     same = ds.labels[:, None] == ds.labels[None, :]
     off = ~np.eye(ds.n, dtype=bool)
@@ -92,7 +92,7 @@ def test_pretrain_error_carries_layer_and_view():
     zeros = np.zeros((5, 10))
     cfg = simple_config([3], pretrain_iters=10)
     with pytest.raises(RankDeficientError, match="layer 0"):
-        pretrain_view(zeros, cfg.layers, cfg)
+        pretrain_view(zeros, cfg, np.random.SeedSequence(cfg.rng_seed))
     ds = MultiViewDataset(views=[np.random.default_rng(0).random((5, 10)), zeros])
     with pytest.raises(RankDeficientError, match="view 1"):
         initialize_state(validate_dataset(ds), cfg)
