@@ -25,8 +25,8 @@ QP_MAX_ITERS = 100_000
 
 def gram_similarity(H: Array) -> Array:
     """Sample-by-sample inner-product similarity H^T H (symmetric PSD)."""
-    M = H.T @ H
-    return (M + M.T) * 0.5
+    H = np.ascontiguousarray(H)
+    return H.T @ H
 
 
 def compute_Q(state) -> Array:
@@ -44,7 +44,7 @@ def project_rows_to_simplex(V: Array) -> Array:
     """
     V = np.asarray(V, dtype=np.float64)
     p = V.shape[1]
-    u = -np.sort(-V, axis=1)
+    u = np.sort(V, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1)
     j = np.arange(1, p + 1)
     # the index set where u_j > (css_j - 1)/j is a prefix; its length is rho
@@ -65,17 +65,13 @@ def update_consensus_graph(Q: Array) -> Array:
     Every row of the result sums to 1 exactly (to float precision), is
     nonnegative, and has a zero diagonal entry.
     """
-    Q = np.asarray(Q, dtype=np.float64)
-    n = Q.shape[0]
-    if n < 2:
+    Q = np.array(Q, dtype=np.float64)
+    if Q.shape[0] < 2:
         raise ValueError("graph projection needs at least 2 samples")
     if not np.isfinite(Q).all():
         raise ValueError("graph projection needs a finite Q")
-    off = ~np.eye(n, dtype=bool)
-    rows = Q[off].reshape(n, n - 1)
-    S = np.zeros_like(Q)
-    S[off] = project_rows_to_simplex(rows).ravel()
-    return S
+    np.fill_diagonal(Q, -np.inf)
+    return project_rows_to_simplex(Q)
 
 
 @dataclass
@@ -122,7 +118,7 @@ def solve_simplex_qp(
     V = f.shape[0]
     alpha = np.full(V, 1.0 / V)
     grad = A @ alpha - f
-    lam_max = float(np.linalg.eigvalsh((A + A.T) * 0.5)[-1]) if V > 1 else 0.0
+    lam_max = float(np.linalg.eigvalsh(A)[-1]) if V > 1 else 0.0
     base_step = 1.0 / lam_max if lam_max > 0 else 1.0
     step = base_step
     for _ in range(max_iters):
