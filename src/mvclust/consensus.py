@@ -25,6 +25,7 @@ QP_MAX_ITERS = 100_000
 
 def gram_similarity(H: Array) -> Array:
     """Sample-by-sample inner-product similarity H^T H (symmetric PSD)."""
+    # on one contiguous buffer numpy uses syrk, which mirrors a triangle exactly
     H = np.ascontiguousarray(H)
     return H.T @ H
 
@@ -43,6 +44,8 @@ def project_rows_to_simplex(V: Array) -> Array:
     Sort-based exact algorithm; vectorized over rows.
     """
     V = np.asarray(V, dtype=np.float64)
+    # shift-invariant; a row maximum of 0 keeps huge sums from absorbing the 1
+    V = V - V.max(axis=1, keepdims=True)
     p = V.shape[1]
     u = np.sort(V, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1)
@@ -70,6 +73,7 @@ def update_consensus_graph(Q: Array) -> Array:
         raise ValueError("graph projection needs at least 2 samples")
     if not np.isfinite(Q).all():
         raise ValueError("graph projection needs a finite Q")
+    # a -inf entry sorts last, never enters the support, and projects to 0.0
     np.fill_diagonal(Q, -np.inf)
     return project_rows_to_simplex(Q)
 
@@ -112,6 +116,7 @@ def solve_simplex_qp(
     Terminates at KKT stationarity: on the support the gradient equals a
     common multiplier within `tol`, off the support it is no smaller.
     Raises SolverStallError if the tolerance is not met within the budget.
+    A must be symmetric, as the gradient A a - f and the step bound assume.
     """
     A = np.asarray(A, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)

@@ -112,16 +112,19 @@ def read_manifest(directory) -> DatasetManifest:
                 raise ParseError(p, e.lineno, e.colno, reason=e.msg)
             if not isinstance(raw, dict):
                 raise ParseError(p, reason="manifest must be a JSON object")
-            if not isinstance(raw.get("view_files"), list):
+            files = raw.get("view_files")
+            if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
                 raise ParseError(p, reason="'view_files' must be a list of file names")
-            if not raw["view_files"]:
+            if not files:
                 raise ParseError(p, reason="at least one view file is required")
+            if not isinstance(raw.get("labels_file"), (str, type(None))):
+                raise ParseError(p, reason="'labels_file' must be a file name or null")
             k = raw.get("k")
             if k is not None and (type(k) is not int or k < 2):
                 raise ParseError(p, reason=f"k must be an integer >= 2, got {k!r}")
             return DatasetManifest(
                 name=raw.get("name", directory.name),
-                view_files=list(raw["view_files"]),
+                view_files=list(files),
                 labels_file=raw.get("labels_file"),
                 k=k,
             )

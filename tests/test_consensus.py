@@ -27,10 +27,16 @@ def test_gram_of_zero_is_zero():
 
 def test_gram_symmetric_psd():
     rng = np.random.default_rng(0)
-    H = rng.standard_normal((3, 5))
-    G = gram_similarity(H)
-    assert np.array_equal(G, G.T)
-    assert np.linalg.eigvalsh(G).min() >= -1e-10
+    for H in (
+        rng.standard_normal((3, 5)),
+        rng.standard_normal((9, 500)),
+        np.asfortranarray(rng.standard_normal((9, 500))),
+        # a strided view: without a contiguous copy its product is not symmetric
+        rng.standard_normal((9, 1000))[:, ::2],
+    ):
+        G = gram_similarity(H)
+        assert np.array_equal(G, G.T)
+        assert np.linalg.eigvalsh(G).min() >= -1e-10
 
 
 def test_compute_q_single_view():
@@ -93,6 +99,13 @@ def test_projection_matches_active_set_oracle():
         i = rng.integers(n)
         oracle = brute_force_row_projection(Q[i], i)
         assert np.linalg.norm(S[i] - oracle) <= 1e-8
+
+
+def test_projection_leaves_its_argument_unchanged():
+    Q = np.random.default_rng(9).standard_normal((6, 6))
+    before = Q.copy()
+    update_consensus_graph(Q)
+    assert np.array_equal(Q, before)
 
 
 def test_projection_feasibility_and_idempotence():

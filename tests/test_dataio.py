@@ -97,6 +97,24 @@ def test_manifest_with_bad_k_names_the_file(tmp_path, k):
     assert exc.value.path == str(tmp_path / "manifest.json")
 
 
+def test_manifest_with_non_string_view_file_names_the_file(tmp_path):
+    (tmp_path / "manifest.json").write_text(json.dumps({"view_files": ["a.txt", 0]}))
+    with pytest.raises(ParseError) as exc:
+        load_dataset(tmp_path)
+    assert exc.value.path == str(tmp_path / "manifest.json")
+    assert "view_files" in str(exc.value)
+
+
+def test_manifest_with_non_string_labels_file_names_the_file(tmp_path):
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"view_files": ["a.txt"], "labels_file": 5})
+    )
+    with pytest.raises(ParseError) as exc:
+        load_dataset(tmp_path)
+    assert exc.value.path == str(tmp_path / "manifest.json")
+    assert "labels_file" in str(exc.value)
+
+
 def test_manifest_not_an_object(tmp_path):
     (tmp_path / "manifest.json").write_text("[1, 2]")
     with pytest.raises(ParseError) as exc:

@@ -4,6 +4,9 @@ import pytest
 from mvclust import (
     FactorStack,
     ModelState,
+    MultiViewDataset,
+    accuracy,
+    cluster_graph,
     compute_Q,
     fit,
     fit_with_restarts,
@@ -198,3 +201,15 @@ def test_fit_rejects_layer_label_mismatch():
     cfg = simple_config([4, 2], max_outer_iters=2, pretrain_iters=10)
     with pytest.raises(LayerSpecError):
         fit(ds, cfg)
+
+
+def test_fit_on_unnormalized_data_at_scale_1e10():
+    # Q entries reach about 1e20, where adding 1 to a partial sum is lost
+    ds = generate_synthetic(
+        n=60, k=3, n_views=2, dims=(8, 9), separation=10.0, noise_sigma=0.5, seed=0
+    )
+    ds = MultiViewDataset(views=[1e10 * X for X in ds.views], labels=ds.labels)
+    res = fit(ds, simple_config([3]))
+    S = res.state.S
+    assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-9
+    assert accuracy(ds.labels, cluster_graph(S, 3).labels) == 1.0

@@ -1,12 +1,13 @@
-"""Property tests of the multiplicative representation updates."""
+"""Property tests of the multiplicative representation updates and of the
+graph projection."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvclust import ChainCache, update_representation, update_top
+from mvclust import ChainCache, update_consensus_graph, update_representation, update_top
 
-from conftest import random_state
+from conftest import brute_force_row_projection, random_state
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -79,3 +80,28 @@ def test_update_top_equals_four_split_formula(dims, layer_sizes, n, beta, zero_w
     state.stacks[0].top[0] = 0.0
     for v in range(state.num_views):
         assert np.array_equal(update_top(state, v), _update_top_four_splits(state, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    distinct=st.integers(1, 36),
+    exponents=st.tuples(st.integers(-150, 150), st.integers(-150, 150)),
+    constant_rows=st.integers(0, 6),
+    seed=SEEDS,
+)
+def test_graph_projection_feasible_and_exact(n, distinct, exponents, constant_rows, seed):
+    rng = np.random.default_rng(seed)
+    # few distinct values give ties; each value has its own magnitude
+    lo, hi = sorted(exponents)
+    values = rng.standard_normal(distinct) * 10.0 ** rng.integers(lo, hi + 1, size=distinct)
+    Q = values[rng.integers(distinct, size=(n, n))]
+    Q[:constant_rows] = Q[:constant_rows, :1]
+    S = update_consensus_graph(Q)
+    assert np.isfinite(S).all()
+    assert S.min() >= 0
+    assert np.all(np.diag(S) == 0)
+    assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-12
+    if np.abs(Q).max() <= 1e3:
+        for i in range(n):
+            assert np.abs(S[i] - brute_force_row_projection(Q[i], i)).max() <= 1e-8
