@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import logging
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -44,19 +45,18 @@ def parse_beta(text: str) -> float:
     if text.startswith("2^"):
         try:
             return float(2.0 ** int(text[2:]))
-        except ValueError:
+        except (ValueError, OverflowError):
             raise argparse.ArgumentTypeError(f"bad exponent in {text!r}")
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad beta {text!r}")
-    return value
 
 
 def positive_beta(text: str) -> float:
     value = parse_beta(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"beta must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"beta must be positive and finite, got {value}")
     return value
 
 

@@ -31,11 +31,8 @@ def gram_similarity(H: Array) -> Array:
 
 
 def compute_Q(state) -> Array:
-    """Weighted mix of per-view Gram similarities: Q = sum_v alpha_v H_v^T H_v."""
-    Q = np.zeros((state.n, state.n))
-    for a, st in zip(state.alpha, state.stacks):
-        Q += a * gram_similarity(st.top)
-    return Q
+    """Q = sum_v alpha_v H_v^T H_v, the Gram of the stacked sqrt(alpha_v) H_v (needs alpha >= 0)."""
+    return gram_similarity(np.vstack([np.sqrt(a) * st.top for a, st in zip(state.alpha, state.stacks)]))
 
 
 def project_rows_to_simplex(V: Array) -> Array:
@@ -82,8 +79,9 @@ def update_consensus_graph(Q: Array) -> Array:
 class WeightQp:
     """Quadratic program data for the view weights.
 
-    A[p, q] = Tr(H_p^T H_p H_q^T H_q), f[v] = Tr(S^T H_v^T H_v); A is PSD,
-    and the weights minimize 0.5 a^T A a - f^T a over the simplex.
+    A[p, q] = Tr(H_p^T H_p H_q^T H_q) = ||H_p H_q^T||_F^2 and f[v] = Tr(S^T H_v^T H_v)
+    = <H_v S, H_v>, both formed from the k x n tops without an n x n Gram. A is
+    PSD, and the weights minimize 0.5 a^T A a - f^T a over the simplex.
     """
 
     A: Array
@@ -91,13 +89,13 @@ class WeightQp:
 
     @classmethod
     def from_state(cls, state) -> "WeightQp":
-        grams = [gram_similarity(st.top) for st in state.stacks]
-        V = len(grams)
+        tops = [st.top for st in state.stacks]
+        V = len(tops)
         A = np.empty((V, V))
         for p in range(V):
             for q in range(p, V):
-                A[p, q] = A[q, p] = float(np.vdot(grams[p], grams[q]))
-        f = np.array([float(np.vdot(state.S, G)) for G in grams])
+                A[p, q] = A[q, p] = float(np.square(tops[p] @ tops[q].T).sum())
+        f = np.array([float(np.vdot(H @ state.S, H)) for H in tops])
         return cls(A=A, f=f)
 
     def objective(self, alpha: Array) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InfeasibleGeometryError,
+    LabelRangeError,
     MissingFileError,
     MissingManifestError,
     ParseError,
@@ -139,7 +140,10 @@ def load_dataset(directory) -> MultiViewDataset:
     labels = None
     if manifest.labels_file is not None:
         labels = _read_labels(directory / manifest.labels_file)
-    return validate_dataset(MultiViewDataset(views=views, labels=labels))
+    ds = validate_dataset(MultiViewDataset(views=views, labels=labels))
+    if None not in (ds.k, manifest.k) and ds.k != manifest.k:
+        raise LabelRangeError(f"{directory}: manifest k={manifest.k}, labels have {ds.k} classes")
+    return ds
 
 
 def save_dataset(ds: MultiViewDataset, directory, name: str | None = None) -> DatasetManifest:

@@ -47,8 +47,6 @@ def initialize_state(ds: MultiViewDataset, cfg: FitConfig) -> ModelState:
         except RankDeficientError as e:
             raise RankDeficientError(f"view {v}: {e}") from e
     alpha = np.full(ds.num_views, 1.0 / ds.num_views)
-    Q = np.zeros((ds.n, ds.n))
-    for a, st in zip(alpha, stacks):
-        Q += a * gram_similarity(st.top)
+    Q = gram_similarity(np.vstack([np.sqrt(a) * st.top for a, st in zip(alpha, stacks)]))
     S = update_consensus_graph(Q)
     return ModelState(views=list(ds.views), stacks=stacks, S=S, alpha=alpha, beta=cfg.beta)

@@ -1,9 +1,9 @@
 """Spectral clustering on the learned graph, plus k-means utilities.
 
-Normalized-cut variant: symmetrize the graph, form the symmetric normalized
-Laplacian, embed each sample with the eigenvectors of the k smallest
-eigenvalues (rows scaled to unit length), and run seeded k-means++ / Lloyd
-on the embedding. The k-means routine doubles as the trivial per-view /
+Normalized-cut variant: symmetrize the graph, embed each sample with the
+eigenvectors of the symmetric normalized Laplacian's k smallest eigenvalues
+(rows scaled to unit length), and run seeded k-means++ / Lloyd on the
+embedding. The k-means routine doubles as the trivial per-view /
 concatenated baselines.
 """
 
@@ -43,15 +43,15 @@ class Partition:
 def spectral_embed(S: Array, k: int) -> Array:
     """(n, k) embedding from the k smallest eigenvectors of L_sym.
 
-    W = (S + S^T)/2; L_sym = I - D^{-1/2} W D^{-1/2} with D the degree
-    diagonal. Rows of the eigenvector block are normalized to unit length;
-    all-zero rows are left as zero. Isolated samples (zero degree) trigger a
-    DegenerateGraphWarning and have their degree floored.
+    W = (S + S^T)/2; L_sym = I - N with N = D^{-1/2} W D^{-1/2} and D the
+    degree diagonal, so these are the k largest eigenvectors of N. Rows of
+    the eigenvector block are normalized to unit length; all-zero rows are
+    left as zero. Isolated samples (zero degree) trigger a DegenerateGraphWarning
+    and have their degree floored.
     """
     S = np.asarray(S, dtype=np.float64)
-    n = S.shape[0]
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    if not 2 <= k <= S.shape[0]:
+        raise ValueError(f"need 2 <= k <= n, got k={k}, n={S.shape[0]}")
     W = (S + S.T) * 0.5
     deg = W.sum(axis=1)
     if deg.min() <= 0:
@@ -62,10 +62,9 @@ def spectral_embed(S: Array, k: int) -> Array:
         )
         deg = np.maximum(deg, DEGREE_FLOOR)
     d_isqrt = 1.0 / np.sqrt(deg)
-    L = np.eye(n) - d_isqrt[:, None] * W * d_isqrt[None, :]
-    L = (L + L.T) * 0.5
-    _, U = np.linalg.eigh(L)
-    E = U[:, :k]
+    # L_sym = I - N shares N's eigenvectors in reverse order; eigh reads one triangle
+    _, U = np.linalg.eigh(d_isqrt[:, None] * W * d_isqrt[None, :])
+    E = U[:, ::-1][:, :k]
     norms = np.linalg.norm(E, axis=1)
     nz = norms > 0
     E[nz] /= norms[nz, None]

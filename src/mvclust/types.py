@@ -249,8 +249,8 @@ class FitConfig:
         self.validate()
 
     def validate(self) -> "FitConfig":
-        if not (self.beta > 0):
-            raise MvclustError(f"beta must be positive, got {self.beta}")
+        if not 0 < self.beta < np.inf:
+            raise MvclustError(f"beta must be positive and finite, got {self.beta}")
         if self.max_outer_iters < 0:
             raise MvclustError("max_outer_iters must be >= 0")
         if self.pretrain_iters < 1:

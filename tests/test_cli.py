@@ -94,11 +94,17 @@ def test_cluster_deterministic(tmp_path):
 
 
 def test_cluster_rejects_negative_beta(tmp_path):
+    # one loop keeps one dataset; every case fails at parse time, before loading it
     data = make_dataset_dir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["cluster", "--data", str(data), "--layers", "9,3", "--beta", "-1",
-              "--out", str(tmp_path / "r.json")])
-    assert exc.value.code != 0
+    out = tmp_path / "out"
+    betas = ("-1", "inf", "1e400", "nan", "2^2000")
+    cases = [["cluster", "--layers", "9,3", "--beta", b] for b in betas]
+    cases.append(["sweep", "--beta-grid", "0.5,2^1025"])
+    for argv in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--data", str(data), "--out", str(out)])
+        assert exc.value.code == 2, argv
+        assert not out.exists()
 
 
 def test_cluster_depth_two_accepted(tmp_path):

@@ -17,6 +17,7 @@ from mvclust import (
 from mvclust.dataio import read_manifest, read_matrix
 from mvclust.errors import (
     InfeasibleGeometryError,
+    LabelRangeError,
     MissingFileError,
     MissingManifestError,
     ParseError,
@@ -113,6 +114,16 @@ def test_manifest_with_non_string_labels_file_names_the_file(tmp_path):
         load_dataset(tmp_path)
     assert exc.value.path == str(tmp_path / "manifest.json")
     assert "labels_file" in str(exc.value)
+
+
+def test_manifest_k_contradicting_labels(tmp_path):
+    save_dataset(toy_dataset(), tmp_path / "d")
+    manifest = tmp_path / "d" / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "k": 4}))
+    with pytest.raises(LabelRangeError) as exc:
+        load_dataset(tmp_path / "d")
+    assert str(tmp_path / "d") in str(exc.value)
+    assert "k=4" in str(exc.value) and "3 classes" in str(exc.value)
 
 
 def test_manifest_not_an_object(tmp_path):

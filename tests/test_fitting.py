@@ -67,6 +67,20 @@ def test_objective_matches_independent_evaluation():
     assert objective(state) == pytest.approx(total, rel=1e-10)
 
 
+def test_graph_term_accurate_on_clique_graph():
+    # S is three 1000-cliques and Q almost equals it, so graph/||S||^2 = 1/1000;
+    # the expansion ||S||^2 - 2 f.alpha + alpha.A.alpha is 1.1e-9 relative off here
+    size, k = 1000, 3
+    blocks = np.repeat(np.arange(k), size)
+    H = (np.arange(k)[:, None] == blocks[None, :]) / np.sqrt(size)
+    S = (blocks[:, None] == blocks[None, :]) / (size - 1.0)
+    np.fill_diagonal(S, 0.0)
+    stack = FactorStack(mappings=[np.eye(k)], representations=[H])
+    state = ModelState(views=[H.copy()], stacks=[stack], S=S, alpha=np.array([1.0]), beta=1.0)
+    _, graph = objective_terms(state)
+    assert graph == pytest.approx(k / (size - 1.0), rel=1e-10, abs=0)
+
+
 def _small_dataset(seed=0):
     ds = generate_synthetic(
         n=48, k=3, n_views=2, dims=(10, 12), separation=8.0, noise_sigma=0.6, seed=seed

@@ -1,11 +1,20 @@
-"""Property tests of the multiplicative representation updates and of the
-graph projection."""
+"""Property tests of the multiplicative representation updates, the graph
+projection, the Gram-free consensus quantities and the spectral embedding."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import subspace_angles
 
-from mvclust import ChainCache, update_consensus_graph, update_representation, update_top
+from mvclust import (
+    ChainCache,
+    WeightQp,
+    compute_Q,
+    spectral_embed,
+    update_consensus_graph,
+    update_representation,
+    update_top,
+)
 
 from conftest import brute_force_row_projection, random_state
 
@@ -105,3 +114,70 @@ def test_graph_projection_feasible_and_exact(n, distinct, exponents, constant_ro
     if np.abs(Q).max() <= 1e3:
         for i in range(n):
             assert np.abs(S[i] - brute_force_row_projection(Q[i], i)).max() <= 1e-8
+
+
+def _dense_Q(state):
+    """Q as the sum of per-view n x n Grams, as it was formed before the one-Gram form."""
+    Q = np.zeros((state.n, state.n))
+    for a, stack in zip(state.alpha, state.stacks):
+        Q += a * (stack.top.T @ stack.top)
+    return Q
+
+
+def _dense_weight_qp(state):
+    """The weight QP's A and f as inner products of per-view n x n Grams."""
+    grams = [stack.top.T @ stack.top for stack in state.stacks]
+    A = np.array([[np.vdot(Gp, Gq) for Gq in grams] for Gp in grams])
+    f = np.array([np.vdot(state.S, G) for G in grams])
+    return A, f
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dims=st.lists(st.integers(2, 6), min_size=1, max_size=4),
+    layer_sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    n=st.integers(2, 30),
+    zero_weight=st.booleans(),
+    seed=SEEDS,
+)
+def test_consensus_quantities_equal_per_view_grams(dims, layer_sizes, n, zero_weight, seed):
+    alpha = None
+    if zero_weight and len(dims) > 1:
+        alpha = np.full(len(dims), 1.0 / (len(dims) - 1))
+        alpha[seed % len(dims)] = 0.0
+    state = random_state(dims=dims, layer_sizes=layer_sizes, n=n, seed=seed, alpha=alpha)
+    scales = 10.0 ** np.random.default_rng(seed).uniform(-6, 3, size=len(dims))
+    for stack, c in zip(state.stacks, scales):
+        stack.representations[-1] = c * stack.top
+    # every term of every entry is positive, so each entry is accurate on its own
+    Q = compute_Q(state)
+    assert np.array_equal(Q, Q.T)
+    assert np.all(np.abs(Q - _dense_Q(state)) <= 1e-12 * _dense_Q(state))
+    qp = WeightQp.from_state(state)
+    A, f = _dense_weight_qp(state)
+    assert np.array_equal(qp.A, qp.A.T)
+    assert np.all(np.abs(qp.A - A) <= 1e-12 * A)
+    assert np.all(np.abs(qp.f - f) <= 1e-12 * f)
+
+
+def _laplacian_embed(S, k):
+    """The embedding from the k smallest eigenvectors of a formed L = I - N."""
+    W = (S + S.T) * 0.5
+    d_isqrt = 1.0 / np.sqrt(W.sum(axis=1))
+    L = np.eye(S.shape[0]) - d_isqrt[:, None] * W * d_isqrt[None, :]
+    w, U = np.linalg.eigh((L + L.T) * 0.5)
+    E = U[:, :k]
+    return E / np.linalg.norm(E, axis=1, keepdims=True), w
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(4, 40), k=st.integers(2, 4), seed=SEEDS)
+@example(n=4, k=4, seed=0)
+def test_spectral_embed_spans_laplacian_eigenvectors(n, k, seed):
+    S = update_consensus_graph(np.random.default_rng(seed).random((n, n)))
+    E_oracle, w = _laplacian_embed(S, k)
+    assume(k == n or w[k] - w[k - 1] >= 1e-6)
+    E = spectral_embed(S, k)
+    assert E.shape == (n, k)
+    # row normalization commutes with a rotation inside the eigenspace
+    assert subspace_angles(E, E_oracle).max() <= 1e-8

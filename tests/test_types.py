@@ -88,8 +88,9 @@ def test_fit_config_validation():
     layers = LayerSpec([4, 2])
     FitConfig(beta=0.5, layers=layers)
     FitConfig(beta=0.5, layers=layers, max_outer_iters=0)
-    with pytest.raises(MvclustError):
-        FitConfig(beta=0.0, layers=layers)
+    for beta in (0.0, np.inf, np.nan):
+        with pytest.raises(MvclustError):
+            FitConfig(beta=beta, layers=layers)
     with pytest.raises(MvclustError):
         FitConfig(beta=1.0, layers=layers, max_outer_iters=-1)
     with pytest.raises(MvclustError):
