@@ -28,19 +28,12 @@ from .dataio import (
     save_dataset,
     save_report,
 )
-from .finetune import ChainCache, sweep_view, top_kkt_residual, update_hidden, update_mapping, update_top
+from .finetune import ChainCache, sweep_view, update_hidden, update_mapping, update_top
 from .fitting import FitResult, RestartSummary, fit, fit_with_restarts, objective, objective_terms
 from .metrics import accuracy, contingency_table, hungarian, nmi, purity
 from .pretrain import initialize_state, pretrain_view
 from .seminmf import SemiNmfResult, fit_seminmf, pos_neg_split, update_basis, update_representation
-from .spectral import (
-    Partition,
-    cluster_graph,
-    concatenated_kmeans,
-    kmeans,
-    per_view_kmeans,
-    spectral_embed,
-)
+from .spectral import Partition, cluster_graph, kmeans, spectral_embed
 from .types import FactorStack, FitConfig, LayerSpec, ModelState, MultiViewDataset, validate_dataset
 
 __all__ = [
@@ -60,7 +53,6 @@ __all__ = [
     "accuracy",
     "cluster_graph",
     "compute_Q",
-    "concatenated_kmeans",
     "contingency_table",
     "fit",
     "fit_seminmf",
@@ -76,7 +68,6 @@ __all__ = [
     "normalize_views",
     "objective",
     "objective_terms",
-    "per_view_kmeans",
     "pos_neg_split",
     "pretrain_view",
     "project_rows_to_simplex",
@@ -87,7 +78,6 @@ __all__ = [
     "solve_simplex_qp",
     "spectral_embed",
     "sweep_view",
-    "top_kkt_residual",
     "update_basis",
     "update_consensus_graph",
     "update_hidden",

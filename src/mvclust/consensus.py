@@ -3,24 +3,21 @@
 The consensus graph S approximates the alpha-weighted mix Q of per-view
 Gram similarities H_m^T H_m. Its update is an exact row-wise Euclidean
 projection onto {s >= 0, s.1 = 1, s_i = 0}; the view weights alpha solve a
-small simplex-constrained quadratic program.
+V-dimensional simplex-constrained quadratic program exactly, by trying every
+support. That costs 2^V small solves, so the view count is capped.
 """
 
 from __future__ import annotations
 
-import logging
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverStallError
-
 Array = np.ndarray
 
-log = logging.getLogger(__name__)
-
-QP_KKT_TOL = 1e-6
-QP_MAX_ITERS = 100_000
+# Most views the exact weight solver takes: 2^10 - 1 supports per solve.
+MAX_VIEWS = 10
 
 
 def gram_similarity(H: Array) -> Array:
@@ -102,58 +99,40 @@ class WeightQp:
         return float(0.5 * alpha @ self.A @ alpha - self.f @ alpha)
 
 
-def solve_simplex_qp(
-    A: Array,
-    f: Array,
-    tol: float = QP_KKT_TOL,
-    max_iters: int = QP_MAX_ITERS,
-) -> Array:
-    """Minimize 0.5 a^T A a - f^T a over the probability simplex.
+def solve_simplex_qp(A: Array, f: Array) -> Array:
+    """Exact minimizer of 0.5 a^T A a - f^T a over the probability simplex.
 
-    Projected gradient with a Barzilai-Borwein step from the uniform start.
-    Terminates at KKT stationarity: on the support the gradient equals a
-    common multiplier within `tol`, off the support it is no smaller.
-    Raises SolverStallError if the tolerance is not met within the budget.
-    A must be symmetric, as the gradient A a - f and the step bound assume.
+    A must be symmetric PSD, so the problem is convex and some minimizer is
+    the unique KKT point of its own support s: A_ss a_s - f_s = mu 1 and
+    1^T a_s = 1. Every support is tried, largest first, by solving that
+    bordered system with lstsq (which takes singular A_ss, e.g. identical
+    views); the nonnegative solution with the lowest objective is kept and
+    replaced only on a strict improvement, so ties keep the widest support.
     """
     A = np.asarray(A, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     V = f.shape[0]
-    alpha = np.full(V, 1.0 / V)
-    grad = A @ alpha - f
-    lam_max = float(np.linalg.eigvalsh(A)[-1]) if V > 1 else 0.0
-    base_step = 1.0 / lam_max if lam_max > 0 else 1.0
-    step = base_step
-    for _ in range(max_iters):
-        mu = grad.min()
-        support = alpha > 1e-12
-        kkt = float((grad[support] - mu).max()) if support.any() else 0.0
-        if kkt <= tol:
-            return alpha
-        new_alpha = project_to_simplex(alpha - step * grad)
-        new_grad = A @ new_alpha - f
-        d_a = new_alpha - alpha
-        d_g = new_grad - grad
-        curv = float(d_a @ d_g)
-        step = float(d_a @ d_a) / curv if curv > 1e-18 else base_step
-        if not np.isfinite(step) or step <= 0:
-            step = base_step
-        alpha, grad = new_alpha, new_grad
-    raise SolverStallError(
-        f"view-weight QP did not reach KKT tolerance {tol} in {max_iters} iterations"
-    )
+    # the minimizer is scale-free; unit scale keeps lstsq's rank cut relative to A and f
+    scale = max(np.abs(A).max(), np.abs(f).max()) or 1.0
+    qp = WeightQp(A=A / scale, f=f / scale)
+    best, best_obj = None, np.inf
+    for r in range(V, 0, -1):
+        for s in map(list, itertools.combinations(range(V), r)):
+            K = np.ones((r + 1, r + 1))
+            K[:r, :r] = qp.A[np.ix_(s, s)]
+            K[r, r] = 0.0
+            a_s = np.linalg.lstsq(K, np.append(qp.f[s], 1.0), rcond=None)[0][:r]
+            if a_s.min() < 0:
+                continue
+            alpha = np.zeros(V)
+            alpha[s] = a_s
+            obj = qp.objective(alpha)
+            if obj < best_obj:
+                best, best_obj = alpha, obj
+    return best
 
 
 def update_view_weights(state) -> Array:
-    """Optimal simplex weights for the current S and top representations.
-
-    The QP is convex, so the solution never fits S worse than the incumbent
-    alpha; the incumbent is kept on the (float-level) off chance it scores
-    better.
-    """
+    """Optimal simplex weights for the current S and top representations."""
     qp = WeightQp.from_state(state)
-    alpha = solve_simplex_qp(qp.A, qp.f)
-    if qp.objective(alpha) > qp.objective(state.alpha):
-        log.debug("view-weight QP returned a worse point than incumbent; keeping incumbent")
-        return state.alpha.copy()
-    return alpha
+    return solve_simplex_qp(qp.A, qp.f)

@@ -31,8 +31,8 @@ class RankDeficientError(MvclustError):
     """A Gram matrix collapsed completely; no usable pseudo-inverse exists."""
 
 
-class SolverStallError(MvclustError):
-    """An iterative solver failed to reach its tolerance within its budget."""
+class TooManyViewsError(MvclustError):
+    """A dataset has more views than the exact view-weight solver takes."""
 
 
 class LengthMismatchError(MvclustError):

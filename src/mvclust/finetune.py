@@ -109,30 +109,6 @@ def update_top(state: ModelState, v: int) -> Array:
     return multiplicative_step(H, num, den)
 
 
-def top_kkt_residual(state: ModelState, v: int) -> float:
-    """Complementary-slackness residual of the top-layer update at view v.
-
-    max |[g]- * H^2| for g the half-gradient of the coupled subproblem;
-    zero at a KKT point of the nonnegativity-constrained problem.
-    """
-    stack = state.stacks[v]
-    cache = ChainCache.compute(stack, stack.depth - 1)
-    Phi = cache.Phi
-    X = state.views[v]
-    H = stack.top
-    a_v = float(state.alpha[v])
-    beta = state.beta
-    HG = _cross_view_gram_product(state, v, H)
-    g = (
-        -(Phi.T @ X)
-        + (Phi.T @ Phi) @ H
-        - a_v * beta * (H @ state.S + H @ state.S.T)
-        + 2.0 * a_v * beta * HG
-        + 2.0 * (a_v**2) * beta * ((H @ H.T) @ H)
-    )
-    return float(np.abs(np.minimum(g, 0.0) * H * H).max())
-
-
 def sweep_view(state: ModelState, v: int) -> None:
     """One fine-tuning pass over view v: (Z_i, H_i) for every layer in
     order, then the graph-coupled top update. Mutates the view's stack, so

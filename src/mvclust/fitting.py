@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .consensus import compute_Q, update_consensus_graph, update_view_weights
+from .consensus import MAX_VIEWS, compute_Q, update_consensus_graph, update_view_weights
+from .errors import TooManyViewsError
 from .finetune import ChainCache, sweep_view
 from .pretrain import initialize_state
 from .types import FitConfig, ModelState, MultiViewDataset, validate_dataset
@@ -95,6 +96,10 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     outer iteration when given. Deterministic for a fixed (dataset, config).
     """
     validate_dataset(ds)
+    if ds.num_views > MAX_VIEWS:
+        raise TooManyViewsError(
+            f"{ds.num_views} views; the exact view-weight solver takes at most {MAX_VIEWS}"
+        )
     # the last layer width is the cluster count; with labels present it must
     # match their class count
     cfg.layers.validate(k=ds.k, min_view_dim=min(ds.view_dims))

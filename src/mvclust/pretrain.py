@@ -1,10 +1,13 @@
 """Layer-by-layer pretraining of factor stacks and initial graph/weights.
 
 Each view is decomposed greedily: X ~ Z_1 H_1, then H_{i-1} ~ Z_i H_i down
-the stack. The initial graph is the uniformly weighted Gram mix of the top
-representations, projected onto the feasible set so every state invariant
-holds from iteration 0 (the raw mix generally violates the row-sum
-constraint).
+the stack. Each start shrinks its input, so the tops come out tiny (about
+1e-6 at depth 3); since Z_m absorbs any rescaling of H_m, every top is
+scaled by a common c (and Z_m by 1/c) so that the uniformly weighted Gram
+mix Q has mean row sum 1, like the graph's. Without that the graph term is
+~||S||^2 whatever the weights, and neither alpha nor beta has any effect.
+The initial graph is Q projected onto the feasible set so every state
+invariant holds from iteration 0.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ def pretrain_view(X: Array, cfg: FitConfig, seed_seq: np.random.SeedSequence) ->
 
 
 def initialize_state(ds: MultiViewDataset, cfg: FitConfig) -> ModelState:
-    """Pretrain all views, set uniform weights, and build the projected graph."""
+    """Pretrain all views, set uniform weights, rescale the tops, and build the
+    projected graph."""
     root = np.random.SeedSequence(cfg.rng_seed)
     view_seqs = root.spawn(ds.num_views)
     stacks = []
@@ -47,6 +51,12 @@ def initialize_state(ds: MultiViewDataset, cfg: FitConfig) -> ModelState:
         except RankDeficientError as e:
             raise RankDeficientError(f"view {v}: {e}") from e
     alpha = np.full(ds.num_views, 1.0 / ds.num_views)
+    # sum(Q) = sum_v alpha_v ||H_v 1||^2, so c^2 = n / that gives Q mean row sum 1
+    mass = sum(a * np.square(st.top.sum(axis=1)).sum() for a, st in zip(alpha, stacks))
+    c = np.sqrt(ds.n / mass)
+    for st in stacks:
+        st.representations[-1] = c * st.top
+        st.mappings[-1] = st.mappings[-1] / c
     Q = gram_similarity(np.vstack([np.sqrt(a) * st.top for a, st in zip(alpha, stacks)]))
     S = update_consensus_graph(Q)
     return ModelState(views=list(ds.views), stacks=stacks, S=S, alpha=alpha, beta=cfg.beta)

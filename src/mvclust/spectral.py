@@ -3,8 +3,7 @@
 Normalized-cut variant: symmetrize the graph, embed each sample with the
 eigenvectors of the symmetric normalized Laplacian's k smallest eigenvalues
 (rows scaled to unit length), and run seeded k-means++ / Lloyd on the
-embedding. The k-means routine doubles as the trivial per-view /
-concatenated baselines.
+embedding.
 """
 
 from __future__ import annotations
@@ -13,9 +12,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import DegenerateGraphWarning
-from .types import MultiViewDataset
 
 Array = np.ndarray
 
@@ -50,8 +49,9 @@ def spectral_embed(S: Array, k: int) -> Array:
     and have their degree floored.
     """
     S = np.asarray(S, dtype=np.float64)
-    if not 2 <= k <= S.shape[0]:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={S.shape[0]}")
+    n = S.shape[0]
+    if not 2 <= k <= n:
+        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     W = (S + S.T) * 0.5
     deg = W.sum(axis=1)
     if deg.min() <= 0:
@@ -62,9 +62,10 @@ def spectral_embed(S: Array, k: int) -> Array:
         )
         deg = np.maximum(deg, DEGREE_FLOOR)
     d_isqrt = 1.0 / np.sqrt(deg)
-    # L_sym = I - N shares N's eigenvectors in reverse order; eigh reads one triangle
-    _, U = np.linalg.eigh(d_isqrt[:, None] * W * d_isqrt[None, :])
-    E = U[:, ::-1][:, :k]
+    # L_sym = I - N shares N's eigenvectors in reverse order; eigh reads one
+    # triangle and computes only the top k
+    _, U = eigh(d_isqrt[:, None] * W * d_isqrt[None, :], subset_by_index=[n - k, n - 1])
+    E = U[:, ::-1]
     norms = np.linalg.norm(E, axis=1)
     nz = norms > 0
     E[nz] /= norms[nz, None]
@@ -134,15 +135,3 @@ def kmeans(points: Array, k: int, restarts: int = 10, seed=0) -> Partition:
 def cluster_graph(S: Array, k: int, restarts: int = 10, seed=0) -> Partition:
     """Spectral embedding of S followed by k-means."""
     return kmeans(spectral_embed(S, k), k, restarts=restarts, seed=seed)
-
-
-def per_view_kmeans(ds: MultiViewDataset, k: int, restarts: int = 10, seed=0) -> list[Partition]:
-    """k-means on each raw view separately (samples are view columns)."""
-    return [
-        kmeans(X.T, k, restarts=restarts, seed=[seed, v]) for v, X in enumerate(ds.views)
-    ]
-
-
-def concatenated_kmeans(ds: MultiViewDataset, k: int, restarts: int = 10, seed=0) -> Partition:
-    """k-means on the feature-wise concatenation of all views."""
-    return kmeans(np.vstack(ds.views).T, k, restarts=restarts, seed=seed)

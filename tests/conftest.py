@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mvclust import (
+    ChainCache,
     FactorStack,
     FitConfig,
     LayerSpec,
@@ -138,6 +139,34 @@ def brute_force_row_projection(q, zero_index):
             if d < best_d - 1e-15:
                 best, best_d = s, d
     return best
+
+
+def top_kkt_residual(state, v):
+    """Complementary-slackness residual of the top-layer subproblem at view v
+    (test oracle for `update_top`).
+
+    max |[g]- * H^2| for g the half-gradient of ||X - Phi H||_F^2 +
+    beta ||S - alpha_v H^T H - G||_F^2, G the other views' dense Gram mix;
+    zero at a KKT point of the nonnegativity-constrained problem.
+    """
+    stack = state.stacks[v]
+    Phi = ChainCache.compute(stack, stack.depth - 1).Phi
+    X = state.views[v]
+    H = stack.top
+    a_v = float(state.alpha[v])
+    beta = state.beta
+    G = sum(
+        (a * st.top.T @ st.top for o, (a, st) in enumerate(zip(state.alpha, state.stacks)) if o != v),
+        np.zeros((H.shape[1], H.shape[1])),
+    )
+    g = (
+        -(Phi.T @ X)
+        + (Phi.T @ Phi) @ H
+        - a_v * beta * (H @ state.S + H @ state.S.T)
+        + 2.0 * a_v * beta * H @ G
+        + 2.0 * (a_v**2) * beta * ((H @ H.T) @ H)
+    )
+    return float(np.abs(np.minimum(g, 0.0) * H * H).max())
 
 
 def simple_config(layers, beta=0.5, **kw) -> FitConfig:

@@ -1,16 +1,13 @@
 import numpy as np
-import pytest
 
 from mvclust import (
     WeightQp,
     compute_Q,
     gram_similarity,
     project_to_simplex,
-    solve_simplex_qp,
     update_consensus_graph,
     update_view_weights,
 )
-from mvclust.errors import SolverStallError
 
 from conftest import brute_force_row_projection, random_state
 
@@ -200,9 +197,3 @@ def test_simplex_projection_basics():
     assert np.allclose(v, [1.0, 0.0, 0.0], atol=1e-12)
     assert abs(v.sum() - 1) <= 1e-12
 
-
-def test_qp_solver_stall_budget():
-    A = np.array([[1.0, 0.0], [0.0, 1.0]])
-    f = np.array([0.3, 0.1])
-    with pytest.raises(SolverStallError):
-        solve_simplex_qp(A, f, tol=0.0, max_iters=1)

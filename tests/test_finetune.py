@@ -9,7 +9,6 @@ from mvclust import (
     compute_Q,
     objective,
     sweep_view,
-    top_kkt_residual,
     update_basis,
     update_consensus_graph,
     update_hidden,
@@ -18,7 +17,7 @@ from mvclust import (
     update_view_weights,
 )
 
-from conftest import random_state
+from conftest import random_state, top_kkt_residual
 
 
 def test_chain_cache_products():

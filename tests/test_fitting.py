@@ -3,6 +3,8 @@ import pytest
 
 from mvclust import (
     FactorStack,
+    FitConfig,
+    LayerSpec,
     ModelState,
     MultiViewDataset,
     accuracy,
@@ -11,11 +13,14 @@ from mvclust import (
     fit,
     fit_with_restarts,
     generate_synthetic,
+    initialize_state,
     normalize_views,
     objective,
     objective_terms,
+    pretrain_view,
     update_consensus_graph,
 )
+from mvclust.errors import TooManyViewsError
 
 from conftest import random_state, simple_config
 
@@ -227,3 +232,62 @@ def test_fit_on_unnormalized_data_at_scale_1e10():
     S = res.state.S
     assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-9
     assert accuracy(ds.labels, cluster_graph(S, 3).labels) == 1.0
+
+
+def test_fit_rejects_too_many_views_before_pretraining(monkeypatch):
+    import mvclust.fitting
+
+    def no_pretraining(ds, cfg):
+        raise AssertionError("pretraining started")
+
+    monkeypatch.setattr(mvclust.fitting, "initialize_state", no_pretraining)
+    rng = np.random.default_rng(0)
+    ds = MultiViewDataset(views=[rng.random((4, 20)) for _ in range(11)])
+    with pytest.raises(TooManyViewsError):
+        fit(ds, simple_config([3]))
+
+
+def _acceptance_data():
+    """The acceptance criteria's planted data at seed 1, normalized."""
+    ds = generate_synthetic(
+        n=300, k=3, n_views=3, dims=(24, 30, 27), separation=10.0, noise_sigma=0.5, seed=1
+    )
+    return normalize_views(ds)
+
+
+def _depth3_config(beta):
+    return FitConfig(
+        beta=beta, layers=LayerSpec([21, 9, 3]), max_outer_iters=150, pretrain_iters=100,
+        tol_rel_objective=0.0, rng_seed=1,
+    )
+
+
+def test_initial_graph_mix_has_unit_mean_row_sum():
+    # pretraining alone leaves the depth-3 tops near 1e-6 and Q row sums near 1e-9
+    ds = _acceptance_data()
+    cfg = _depth3_config(0.5)
+    state = initialize_state(ds, cfg)
+    assert abs(compute_Q(state).sum(axis=1).mean() - 1.0) <= 1e-12
+    # Z_m absorbs the rescale, so every reconstruction is pretraining's
+    seqs = np.random.SeedSequence(cfg.rng_seed).spawn(ds.num_views)
+    for X, seq, stack in zip(ds.views, seqs, state.stacks):
+        plain = pretrain_view(X, cfg, seq)
+        before = plain.mappings[-1] @ plain.top
+        after = stack.mappings[-1] @ stack.top
+        assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
+
+
+def test_beta_changes_the_depth3_fit():
+    ds = _acceptance_data()
+    lo, hi = (fit(ds, _depth3_config(2.0**e)).state for e in (-7, 7))
+    assert np.abs(lo.alpha - hi.alpha).max() >= 0.05
+    assert np.linalg.norm(lo.S - hi.S) >= 0.01 * np.linalg.norm(hi.S)
+
+
+def test_noise_view_gets_the_smallest_weight():
+    ds = _acceptance_data()
+    noise = np.random.default_rng(0).standard_normal(ds.views[2].shape)
+    noise /= np.linalg.norm(noise, axis=0)
+    ds = MultiViewDataset(views=[*ds.views[:2], noise], labels=ds.labels)
+    alpha = fit(ds, _depth3_config(2.0**7)).state.alpha
+    assert alpha.argmin() == 2

@@ -1,5 +1,6 @@
 """Property tests of the multiplicative representation updates, the graph
-projection, the Gram-free consensus quantities and the spectral embedding."""
+projection, the Gram-free consensus quantities, the view-weight QP and the
+spectral embedding."""
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -10,6 +11,7 @@ from mvclust import (
     ChainCache,
     WeightQp,
     compute_Q,
+    solve_simplex_qp,
     spectral_embed,
     update_consensus_graph,
     update_representation,
@@ -158,6 +160,32 @@ def test_consensus_quantities_equal_per_view_grams(dims, layer_sizes, n, zero_we
     assert np.array_equal(qp.A, qp.A.T)
     assert np.all(np.abs(qp.A - A) <= 1e-12 * A)
     assert np.all(np.abs(qp.f - f) <= 1e-12 * f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    V=st.integers(1, 5),
+    a_exp=st.integers(-6, 6),
+    f_exp=st.integers(-6, 6),
+    zero_f=st.booleans(),
+    seed=SEEDS,
+)
+def test_simplex_qp_is_kkt_optimal(data, V, a_exp, f_exp, zero_f, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((V, data.draw(st.integers(0, V), label="rank"))) * 10.0**a_exp
+    A = B @ B.T
+    f = np.zeros(V) if zero_f else rng.standard_normal(V) * 10.0**f_exp
+    alpha = solve_simplex_qp(A, f)
+    assert alpha.min() >= 0.0
+    assert abs(alpha.sum() - 1.0) <= 1e-12
+    # the QP is convex, so KKT certifies the optimum: the gradient equals a
+    # common multiplier on the support and is no smaller off it
+    tol = 1e-10 * (max(np.abs(A).max(), np.abs(f).max()) or 1.0)
+    grad = A @ alpha - f
+    assert grad[alpha > 0].max() - grad.min() <= tol
+    objective = 0.5 * alpha @ A @ alpha - f @ alpha
+    assert objective <= (0.5 * np.diag(A) - f).min() + tol
 
 
 def _laplacian_embed(S, k):

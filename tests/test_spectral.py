@@ -4,9 +4,7 @@ from scipy.linalg import subspace_angles
 
 from mvclust import (
     cluster_graph,
-    concatenated_kmeans,
     kmeans,
-    per_view_kmeans,
     spectral_embed,
     update_consensus_graph,
 )
@@ -137,8 +135,8 @@ def test_cluster_graph_recovers_clique_union():
 
 def test_baseline_kmeans_helpers():
     ds = hierarchical_dataset(n=60, n_views=2, dims=(8, 10), seed=6)
-    per_view = per_view_kmeans(ds, 3, restarts=4, seed=0)
+    per_view = [kmeans(X.T, 3, restarts=4, seed=[0, v]) for v, X in enumerate(ds.views)]
     assert len(per_view) == 2
     assert all(p.n == 60 and p.k == 3 for p in per_view)
-    concat = concatenated_kmeans(ds, 3, restarts=4, seed=0)
+    concat = kmeans(np.vstack(ds.views).T, 3, restarts=4, seed=0)
     assert concat.n == 60
