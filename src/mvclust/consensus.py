@@ -35,19 +35,26 @@ def compute_Q(state) -> Array:
 def project_rows_to_simplex(V: Array) -> Array:
     """Euclidean projection of every row of V onto {x >= 0, sum(x) = 1}.
 
-    Sort-based exact algorithm; vectorized over rows.
+    Michelot's exact thresholding, vectorized over rows: entries at or below
+    theta, the support's mean excess over 1, leave the support until no row
+    changes, within p passes. -inf entries never enter it and project to 0.
     """
     V = np.asarray(V, dtype=np.float64)
     # shift-invariant; a row maximum of 0 keeps huge sums from absorbing the 1
     V = V - V.max(axis=1, keepdims=True)
-    p = V.shape[1]
-    u = np.sort(V, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    j = np.arange(1, p + 1)
-    # the index set where u_j > (css_j - 1)/j is a prefix; its length is rho
-    rho = np.count_nonzero(u * j > css - 1.0, axis=1)
-    theta = (css[np.arange(V.shape[0]), rho - 1] - 1.0) / rho
-    return np.maximum(V - theta[:, None], 0.0)
+    support = np.isfinite(V)
+    count = np.count_nonzero(support, axis=1)
+    while True:
+        # the row maximum 0 exceeds theta <= -1/count, so no support empties
+        theta = (V.sum(axis=1, where=support) - 1.0) / count
+        support &= V > theta[:, None]
+        shrunk = np.count_nonzero(support, axis=1)
+        if np.array_equal(shrunk, count):
+            break
+        count = shrunk
+    V -= theta[:, None]
+    np.maximum(V, 0.0, out=V)
+    return V
 
 
 def project_to_simplex(v: Array) -> Array:
@@ -67,7 +74,7 @@ def update_consensus_graph(Q: Array) -> Array:
         raise ValueError("graph projection needs at least 2 samples")
     if not np.isfinite(Q).all():
         raise ValueError("graph projection needs a finite Q")
-    # a -inf entry sorts last, never enters the support, and projects to 0.0
+    # a -inf entry never enters the support, and projects to 0.0
     np.fill_diagonal(Q, -np.inf)
     return project_rows_to_simplex(Q)
 

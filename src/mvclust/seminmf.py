@@ -20,8 +20,8 @@ Array = np.ndarray
 
 log = logging.getLogger(__name__)
 
-# Floor for zero denominators in multiplicative updates; preserves fixed
-# points to within this epsilon.
+# Floor for zero denominators in multiplicative updates, relative to the
+# largest denominator; preserves fixed points to within this epsilon.
 EPS_DENOM = 1e-12
 
 # Singular values below RCOND * sigma_max are treated as zero when forming
@@ -39,12 +39,14 @@ def pos_neg_split(A: Array) -> tuple[Array, Array]:
 
 
 def mp_pinv(A: Array, warn_context: str = "", expected_rank: int | None = None) -> Array:
-    """Moore-Penrose pseudo-inverse via SVD with a relative cutoff.
+    """Moore-Penrose pseudo-inverse via QR, then the SVD of R, with a relative cutoff.
 
     Coincides with A^T (A A^T)^{-1} / (A^T A)^{-1} A^T on full-rank input.
-    The SVD of the factor itself (rather than eigendecomposing its Gram)
-    keeps null directions exactly null, which the normal-equation checks
-    depend on. A RankDeficientWarning is emitted when the detected rank
+    The tall orientation B (A, or A^T when A is wide) is factored as B = Q R;
+    the small square R has A's singular values, so pinv(B)^T = Q U diag(1/s) V^T
+    from R = U diag(s) V^T. Factoring A itself (rather than eigendecomposing
+    its Gram) keeps null directions exactly null, which the normal-equation
+    checks depend on. A RankDeficientWarning is emitted when the detected rank
     drops below `expected_rank` (default: full) - that signals a collapsed
     representation, as opposed to the structural low rank of deep chains.
     Raises RankDeficientError for an all-zero or non-finite matrix.
@@ -54,7 +56,9 @@ def mp_pinv(A: Array, warn_context: str = "", expected_rank: int | None = None) 
         raise RankDeficientError(
             f"non-finite matrix{' in ' + warn_context if warn_context else ''}"
         )
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    wide = A.shape[0] < A.shape[1]
+    Q, R = np.linalg.qr(A.T if wide else A)
+    U, s, Vt = np.linalg.svd(R)
     if s.size == 0 or s[0] <= 0:
         raise RankDeficientError(
             f"zero matrix has no pseudo-inverse direction{' in ' + warn_context if warn_context else ''}"
@@ -75,7 +79,8 @@ def mp_pinv(A: Array, warn_context: str = "", expected_rank: int | None = None) 
             rank, expected_rank, warn_context or "<unnamed>", s[-1], s[0],
         )
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (Vt.T * s_inv) @ U.T
+    P = Q @ ((U * s_inv) @ Vt)
+    return P if wide else P.T
 
 
 def update_basis(X: Array, H: Array) -> Array:
@@ -96,8 +101,10 @@ def multiplicative_terms(X: Array, Z: Array, H: Array) -> tuple[Array, Array]:
 
 
 def multiplicative_step(H: Array, num: Array, den: Array) -> Array:
-    """H * sqrt(num / den), den floored at EPS_DENOM; H stays >= 0 and its zeros stay zero."""
-    return H * np.sqrt(num / np.maximum(den, EPS_DENOM))
+    """H * sqrt(num / den), den floored at EPS_DENOM * max(den), or at EPS_DENOM
+    if that is 0; H stays >= 0 and its zeros stay zero."""
+    floor = EPS_DENOM * float(den.max()) or EPS_DENOM
+    return H * np.sqrt(num / np.maximum(den, floor))
 
 
 def update_representation(X: Array, Z: Array, H: Array) -> Array:
@@ -146,7 +153,10 @@ def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
     for _ in range(iters):
         Z = update_basis(X, H)
         H = update_representation(X, Z, H)
-        res = float(np.linalg.norm(X - Z @ H))
+        # Z H - X is -(X - Z H) bit for bit, without a second d x n temporary
+        R = Z @ H
+        R -= X
+        res = float(np.linalg.norm(R))
         history.append(res)
         if prev < np.inf and abs(prev - res) <= SEMINMF_TOL * max(prev, EPS_DENOM):
             break

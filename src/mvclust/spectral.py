@@ -43,16 +43,18 @@ def spectral_embed(S: Array, k: int) -> Array:
     """(n, k) embedding from the k smallest eigenvectors of L_sym.
 
     W = (S + S^T)/2; L_sym = I - N with N = D^{-1/2} W D^{-1/2} and D the
-    degree diagonal, so these are the k largest eigenvectors of N. Rows of
-    the eigenvector block are normalized to unit length; all-zero rows are
-    left as zero. Isolated samples (zero degree) trigger a DegenerateGraphWarning
-    and have their degree floored.
+    degree diagonal, so these are the k largest eigenvectors of N. N is
+    scaled in W's buffer and eigh overwrites it, so the step holds one n x n
+    array. Rows of the eigenvector block are normalized to unit length;
+    all-zero rows are left as zero. Isolated samples (zero degree) trigger a
+    DegenerateGraphWarning and have their degree floored.
     """
     S = np.asarray(S, dtype=np.float64)
     n = S.shape[0]
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    W = (S + S.T) * 0.5
+    W = S + S.T
+    W *= 0.5
     deg = W.sum(axis=1)
     if deg.min() <= 0:
         warnings.warn(
@@ -62,9 +64,14 @@ def spectral_embed(S: Array, k: int) -> Array:
         )
         deg = np.maximum(deg, DEGREE_FLOOR)
     d_isqrt = 1.0 / np.sqrt(deg)
+    # float addition commutes, so W is exactly symmetric and its transpose is
+    # the same matrix in the Fortran order LAPACK overwrites without a copy
+    N = W.T
+    N *= d_isqrt[:, None]
+    N *= d_isqrt[None, :]
     # L_sym = I - N shares N's eigenvectors in reverse order; eigh reads one
     # triangle and computes only the top k
-    _, U = eigh(d_isqrt[:, None] * W * d_isqrt[None, :], subset_by_index=[n - k, n - 1])
+    _, U = eigh(N, overwrite_a=True, subset_by_index=[n - k, n - 1])
     E = U[:, ::-1]
     norms = np.linalg.norm(E, axis=1)
     nz = norms > 0

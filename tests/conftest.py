@@ -1,8 +1,13 @@
 """Shared builders for the test suite: random-but-valid model states,
-planted datasets, and small independent numerical oracles."""
+planted datasets, small independent numerical oracles, and a tracemalloc
+peak probe."""
+
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from mvclust import (
     ChainCache,
@@ -14,6 +19,8 @@ from mvclust import (
     update_consensus_graph,
     validate_dataset,
 )
+from mvclust.errors import RankDeficientError, RankDeficientWarning
+from mvclust.seminmf import RCOND
 
 
 def random_state(
@@ -139,6 +146,62 @@ def brute_force_row_projection(q, zero_index):
             if d < best_d - 1e-15:
                 best, best_d = s, d
     return best
+
+
+def sort_projection(V):
+    """Row-wise simplex projection by a full sort (Duchi et al., ICML 2008),
+    after the same shift to a row maximum of 0 (test oracle for Michelot)."""
+    V = np.asarray(V, dtype=np.float64)
+    V = V - V.max(axis=1, keepdims=True)
+    p = V.shape[1]
+    u = np.sort(V, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    j = np.arange(1, p + 1)
+    # the index set where u_j > (css_j - 1)/j is a prefix; its length is rho
+    rho = np.count_nonzero(u * j > css - 1.0, axis=1)
+    theta = (css[np.arange(V.shape[0]), rho - 1] - 1.0) / rho
+    return np.maximum(V - theta[:, None], 0.0)
+
+
+def svd_pinv(A, expected_rank=None):
+    """Pseudo-inverse from a full thin SVD of A, with `mp_pinv`'s rank cut,
+    warning and errors (test oracle for the QR route)."""
+    A = np.asarray(A, dtype=np.float64)
+    if not np.isfinite(A).all():
+        raise RankDeficientError("non-finite matrix")
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    if s.size == 0 or s[0] <= 0:
+        raise RankDeficientError("zero matrix has no pseudo-inverse direction")
+    keep = s > RCOND * s[0]
+    if keep.sum() < min(expected_rank if expected_rank is not None else s.size, s.size):
+        warnings.warn("rank-deficient factor; singular values truncated", RankDeficientWarning)
+    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    return (Vt.T * s_inv) @ U.T
+
+
+def dense_spectral_embed(S, k):
+    """The spectral embedding with W and N formed as separate n x n arrays
+    (bit-level oracle for `spectral_embed` on a graph without isolated samples)."""
+    n = S.shape[0]
+    W = (S + S.T) * 0.5
+    d_isqrt = 1.0 / np.sqrt(W.sum(axis=1))
+    _, U = eigh(d_isqrt[:, None] * W * d_isqrt[None, :], subset_by_index=[n - k, n - 1])
+    E = U[:, ::-1]
+    norms = np.linalg.norm(E, axis=1)
+    nz = norms > 0
+    E[nz] /= norms[nz, None]
+    return E
+
+
+def traced_peak(f, *args):
+    """Peak bytes that tracemalloc sees allocated during one call f(*args),
+    its result included (numpy reports its array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def top_kkt_residual(state, v):

@@ -9,7 +9,7 @@ from mvclust import (
     update_view_weights,
 )
 
-from conftest import brute_force_row_projection, random_state
+from conftest import brute_force_row_projection, random_state, traced_peak
 
 
 def test_gram_of_indicator_is_block_matrix():
@@ -197,3 +197,12 @@ def test_simplex_projection_basics():
     assert np.allclose(v, [1.0, 0.0, 0.0], atol=1e-12)
     assert abs(v.sum() - 1) <= 1e-12
 
+
+
+def test_graph_projection_holds_few_nxn_arrays():
+    # the copy with its -inf diagonal, the projected result and boolean
+    # masks: about 2.3 arrays of n x n floats (the sort-based projection held 6.1)
+    n = 1000
+    Q = gram_similarity(np.random.default_rng(0).random((3, n)))
+    arrays = traced_peak(update_consensus_graph, Q) / Q.nbytes
+    assert arrays <= 2.6

@@ -234,6 +234,42 @@ def test_fit_on_unnormalized_data_at_scale_1e10():
     assert accuracy(ds.labels, cluster_graph(S, 3).labels) == 1.0
 
 
+def _probe_data():
+    return generate_synthetic(
+        n=60, k=3, n_views=2, dims=(8, 9), separation=10.0, noise_sigma=0.5, seed=0
+    )
+
+
+def _probe_fit(views, labels):
+    """Layers 6,3, beta 0.5, 10 iterations, tol 0: (ACC, objective increases)."""
+    ds = MultiViewDataset(views=views, labels=labels)
+    cfg = FitConfig(
+        beta=0.5, layers=LayerSpec([6, 3]), max_outer_iters=10, tol_rel_objective=0.0, rng_seed=0
+    )
+    res = fit(ds, cfg)
+    assert res.iters_run == 10
+    h = res.objective_history
+    increases = int((h[1:] > h[:-1] * (1 + 1e-8)).sum())
+    return accuracy(labels, cluster_graph(res.state.S, 3).labels), increases
+
+
+@pytest.mark.parametrize("case", ["one view", "triplicated samples", "scale 1e8", "scale 1e-8"])
+def test_fit_on_edge_inputs(case):
+    ds = _probe_data()
+    views, labels = ds.views, ds.labels
+    if case == "one view":
+        views = views[:1]
+    elif case == "triplicated samples":
+        views, labels = [np.tile(X, 3) for X in views], np.tile(labels, 3)
+    elif case == "scale 1e8":
+        views = [1e8 * X for X in views]
+    else:
+        # every top-layer denominator is near 1e-14 here; an absolute floor
+        # of 1e-12 raised the objective at 6 of the 10 iterations
+        views = [1e-8 * X for X in views]
+    assert _probe_fit(views, labels) == (1.0, 0)
+
+
 def test_fit_rejects_too_many_views_before_pretraining(monkeypatch):
     import mvclust.fitting
 

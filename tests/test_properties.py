@@ -1,6 +1,8 @@
 """Property tests of the multiplicative representation updates, the graph
-projection, the Gram-free consensus quantities, the view-weight QP and the
-spectral embedding."""
+projection, the Gram-free consensus quantities, the view-weight QP, the
+spectral embedding and the pseudo-inverse."""
+
+import warnings
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -11,14 +13,17 @@ from mvclust import (
     ChainCache,
     WeightQp,
     compute_Q,
+    project_rows_to_simplex,
     solve_simplex_qp,
     spectral_embed,
     update_consensus_graph,
     update_representation,
     update_top,
 )
+from mvclust.errors import RankDeficientError, RankDeficientWarning
+from mvclust.seminmf import mp_pinv, multiplicative_step
 
-from conftest import brute_force_row_projection, random_state
+from conftest import brute_force_row_projection, random_state, sort_projection, svd_pinv
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -46,7 +51,9 @@ def test_update_representation_nonnegative_and_monotone(d, l, n, zero_rows, seed
 
 def _update_top_four_splits(state, v):
     """The top update with every graph product sign-split, as it was written
-    before the splits of provably nonnegative products were dropped."""
+    before the splits of provably nonnegative products were dropped; the
+    step itself is the shared `multiplicative_step`, so only the splits are
+    compared."""
 
     def split(A):
         return np.maximum(A, 0.0), np.maximum(-A, 0.0)
@@ -70,7 +77,7 @@ def _update_top_four_splits(state, v):
     qp, qm = split((2.0 * a_v) * ((H @ H.T) @ H))
     num = xp + gram_m @ H + a_v * beta * (sp + stp + gm + qm)
     den = xm + gram_p @ H + a_v * beta * (sm + stm + gp + qp)
-    return H * np.sqrt(num / np.maximum(den, 1e-12))
+    return multiplicative_step(H, num, den)
 
 
 @settings(max_examples=100, deadline=None)
@@ -116,6 +123,34 @@ def test_graph_projection_feasible_and_exact(n, distinct, exponents, constant_ro
     if np.abs(Q).max() <= 1e3:
         for i in range(n):
             assert np.abs(S[i] - brute_force_row_projection(Q[i], i)).max() <= 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.integers(2, 50),
+    rows=st.integers(1, 4),
+    large=st.integers(1, 5),
+    distinct=st.integers(1, 3),
+    offset_exp=st.integers(-3, 3),
+    pinned=st.booleans(),
+    seed=SEEDS,
+)
+def test_projection_equals_sort_oracle(p, rows, large, distinct, offset_exp, pinned, seed):
+    rng = np.random.default_rng(seed)
+    # a few large entries, tied through few distinct values, over a log-spread
+    # of small ones: the support is small, and Michelot's early thresholds
+    # keep too much of the spread, so it takes several passes
+    V = -(10.0 ** rng.uniform(-3, 3, size=(rows, p)))
+    values = rng.random(distinct)
+    for row in V:
+        cols = rng.choice(p, size=min(large, p), replace=False)
+        row[cols] = values[rng.integers(distinct, size=cols.size)]
+    V += rng.standard_normal((rows, 1)) * 10.0**offset_exp
+    if pinned:
+        V[np.arange(rows), rng.integers(p, size=rows)] = -np.inf
+    S = project_rows_to_simplex(V)
+    assert np.abs(S - sort_projection(V)).max() <= 1e-12
+    assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def _dense_Q(state):
@@ -209,3 +244,52 @@ def test_spectral_embed_spans_laplacian_eigenvectors(n, k, seed):
     assert E.shape == (n, k)
     # row normalization commutes with a rotation inside the eigenspace
     assert subspace_angles(E, E_oracle).max() <= 1e-8
+
+
+def _pinv_outcome(pinv, A, expected_rank):
+    """(result or None on RankDeficientError, categories of the warnings raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            P = pinv(A, expected_rank=expected_rank)
+        except RankDeficientError:
+            P = None
+    return P, [w.category for w in caught]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 30),
+    p=st.integers(1, 30),
+    rank=st.integers(0, 30),
+    claim_rank=st.booleans(),
+    tail=st.booleans(),
+    scale_exp=st.integers(-100, 100),
+    seed=SEEDS,
+)
+@example(m=7, p=7, rank=7, claim_rank=False, tail=False, scale_exp=0, seed=0)
+@example(m=7, p=7, rank=4, claim_rank=False, tail=True, scale_exp=-100, seed=0)
+@example(m=3, p=30, rank=0, claim_rank=False, tail=False, scale_exp=0, seed=0)
+def test_pinv_equals_full_svd_oracle(m, p, rank, claim_rank, tail, scale_exp, seed):
+    rng = np.random.default_rng(seed)
+    q = min(m, p)
+    r = min(rank, q)
+    # orthonormal factors around r singular values in [1, 10) fix rank and
+    # conditioning; the optional tail lies far below the RCOND cut
+    U = np.linalg.qr(rng.standard_normal((m, q)))[0]
+    W = np.linalg.qr(rng.standard_normal((p, q)))[0]
+    s = np.zeros(q)
+    s[:r] = 10.0 ** rng.uniform(0, 1, size=r)
+    if tail and r:
+        s[r:] = 10.0 ** rng.uniform(-30, -14, size=q - r)
+    A = (U * (s * 10.0**scale_exp)) @ W.T
+    expected_rank = r if claim_rank else None
+    P, caught = _pinv_outcome(mp_pinv, A, expected_rank)
+    P_oracle, caught_oracle = _pinv_outcome(svd_pinv, A, expected_rank)
+    assert caught == caught_oracle
+    assert set(caught) <= {RankDeficientWarning}
+    if P_oracle is None:
+        assert P is None
+    else:
+        assert P.shape == (p, m)
+        assert np.abs(P - P_oracle).max() <= 1e-12 * np.abs(P_oracle).max()

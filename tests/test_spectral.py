@@ -4,13 +4,14 @@ from scipy.linalg import subspace_angles
 
 from mvclust import (
     cluster_graph,
+    gram_similarity,
     kmeans,
     spectral_embed,
     update_consensus_graph,
 )
 from mvclust.errors import DegenerateGraphWarning
 
-from conftest import hierarchical_dataset, jacobi_eigh
+from conftest import dense_spectral_embed, hierarchical_dataset, jacobi_eigh, traced_peak
 
 
 def block_graph(sizes):
@@ -140,3 +141,19 @@ def test_baseline_kmeans_helpers():
     assert all(p.n == 60 and p.k == 3 for p in per_view)
     concat = kmeans(np.vstack(ds.views).T, 3, restarts=4, seed=0)
     assert concat.n == 60
+
+
+def _seeded_graph(n=1000):
+    return update_consensus_graph(gram_similarity(np.random.default_rng(0).random((3, n))))
+
+
+def test_spectral_embed_matches_dense_formula_bit_for_bit():
+    S = _seeded_graph()
+    assert np.array_equal(spectral_embed(S, 3), dense_spectral_embed(S, 3))
+
+
+def test_spectral_embed_holds_one_nxn_array():
+    # W, scaled into N in place and overwritten by eigh: about 1.1 arrays of
+    # n x n floats (separate W, N and a Fortran copy for LAPACK held 3.0)
+    S = _seeded_graph()
+    assert traced_peak(spectral_embed, S, 3) / S.nbytes <= 1.3
