@@ -38,10 +38,15 @@ def project_rows_to_simplex(V: Array) -> Array:
     Michelot's exact thresholding, vectorized over rows: entries at or below
     theta, the support's mean excess over 1, leave the support until no row
     changes, within p passes. -inf entries never enter it and project to 0.
+    V itself is left unchanged.
     """
-    V = np.asarray(V, dtype=np.float64)
+    return _project_rows_in_place(np.array(V, dtype=np.float64))
+
+
+def _project_rows_in_place(V: Array) -> Array:
+    """project_rows_to_simplex on a float64 array it may overwrite; returns V."""
     # shift-invariant; a row maximum of 0 keeps huge sums from absorbing the 1
-    V = V - V.max(axis=1, keepdims=True)
+    V -= V.max(axis=1, keepdims=True)
     support = np.isfinite(V)
     count = np.count_nonzero(support, axis=1)
     while True:
@@ -67,7 +72,8 @@ def update_consensus_graph(Q: Array) -> Array:
     coordinate excluded and pinned to zero.
 
     Every row of the result sums to 1 exactly (to float precision), is
-    nonnegative, and has a zero diagonal entry.
+    nonnegative, and has a zero diagonal entry. Q itself is left unchanged;
+    the projection runs in the one copy.
     """
     Q = np.array(Q, dtype=np.float64)
     if Q.shape[0] < 2:
@@ -76,7 +82,7 @@ def update_consensus_graph(Q: Array) -> Array:
         raise ValueError("graph projection needs a finite Q")
     # a -inf entry never enters the support, and projects to 0.0
     np.fill_diagonal(Q, -np.inf)
-    return project_rows_to_simplex(Q)
+    return _project_rows_in_place(Q)
 
 
 @dataclass

@@ -99,7 +99,7 @@ def update_top(state: ModelState, v: int) -> Array:
     Phi = ChainCache.compute(stack, stack.depth - 1).Phi
     H = stack.top
     a_v = float(state.alpha[v])
-    num, den = multiplicative_terms(state.views[v], Phi, H)
+    num, den = multiplicative_terms(Phi.T @ state.views[v], Phi.T @ Phi, H)
     # H, S, alpha and the other views' tops are nonnegative, so every graph
     # product below is too: each goes whole into num or den
     num = num + a_v * state.beta * (H @ state.S + H @ state.S.T)

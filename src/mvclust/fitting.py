@@ -33,12 +33,20 @@ CONVERGENCE_WINDOW = 5
 
 
 def objective_terms(state: ModelState) -> tuple[float, float]:
-    """(total reconstruction error, graph-fit error), both squared Frobenius."""
+    """(total reconstruction error, graph-fit error), both squared Frobenius.
+
+    Both terms are computed directly from their residual arrays, not from an
+    expansion, since this is the objective that is reported and judged. One
+    d x n residual is alive at a time.
+    """
     recon = 0.0
     for v, X in enumerate(state.views):
         stack = state.stacks[v]
-        cache = ChainCache.compute(stack, stack.depth - 1)
-        recon += float(np.linalg.norm(X - cache.Phi @ stack.top) ** 2)
+        # Phi H - X is -(X - Phi H) bit for bit, without a second d x n temporary
+        R = ChainCache.compute(stack, stack.depth - 1).Phi @ stack.top
+        R -= X
+        recon += float(np.linalg.norm(R) ** 2)
+        del R  # before the next view's product is formed
     graph = float(np.linalg.norm(state.S - compute_Q(state)) ** 2)
     return recon, graph
 

@@ -20,9 +20,9 @@ from mvclust import (
     pretrain_view,
     update_consensus_graph,
 )
-from mvclust.errors import TooManyViewsError
+from mvclust.errors import RankDeficientError, TooManyViewsError
 
-from conftest import random_state, simple_config
+from conftest import random_state, simple_config, traced_peak
 
 
 def _exactly_factorable_state(beta, seed=0, n=15):
@@ -268,6 +268,22 @@ def test_fit_on_edge_inputs(case):
         # of 1e-12 raised the objective at 6 of the 10 iterations
         views = [1e-8 * X for X in views]
     assert _probe_fit(views, labels) == (1.0, 0)
+
+
+def test_fit_rejects_an_all_zero_view():
+    # the first sweep's pseudo-inverse of the zero start has no direction
+    ds = _probe_data()
+    ds = MultiViewDataset(views=[ds.views[0], np.zeros_like(ds.views[1])], labels=ds.labels)
+    cfg = FitConfig(beta=0.5, layers=LayerSpec([6, 3]), max_outer_iters=10, rng_seed=0)
+    with pytest.raises(RankDeficientError, match=r"^view 1: pretraining layer 0: "):
+        fit(ds, cfg)
+
+
+def test_objective_terms_holds_one_view_residual():
+    # one d x n residual alive at a time; X - Phi H per view took 2.02 of the largest view
+    state = random_state(dims=(2000, 1500), n=200)
+    largest = max(X.nbytes for X in state.views)
+    assert traced_peak(objective_terms, state) / largest <= 1.2
 
 
 def test_fit_rejects_too_many_views_before_pretraining(monkeypatch):

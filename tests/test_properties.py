@@ -148,7 +148,9 @@ def test_projection_equals_sort_oracle(p, rows, large, distinct, offset_exp, pin
     V += rng.standard_normal((rows, 1)) * 10.0**offset_exp
     if pinned:
         V[np.arange(rows), rng.integers(p, size=rows)] = -np.inf
+    V_in = V.copy()
     S = project_rows_to_simplex(V)
+    assert np.array_equal(V, V_in)
     assert np.abs(S - sort_projection(V)).max() <= 1e-12
     assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-12
 

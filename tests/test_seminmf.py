@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from mvclust import fit_seminmf, pos_neg_split, update_basis, update_representat
 from mvclust.errors import RankDeficientError
 from mvclust.seminmf import mp_pinv
 
-from conftest import planted_two_blocks
+from conftest import direct_residual_fit_seminmf, planted_two_blocks, traced_peak
 
 
 def test_pos_neg_split_definition():
@@ -144,3 +146,51 @@ def test_fit_seminmf_deterministic():
 def test_fit_seminmf_rejects_wide_layer():
     with pytest.raises(RankDeficientError):
         fit_seminmf(np.ones((4, 3)), 4, iters=5, seed=0)
+
+
+def _residual_probe(case):
+    rng = np.random.default_rng(21)
+    if case == "tall":
+        return rng.standard_normal((40, 15)), 4
+    if case == "wide":
+        return rng.standard_normal((10, 60)), 4
+    if case == "l equals d":
+        return rng.standard_normal((5, 30)), 5
+    if case == "exactly rank 5":
+        return rng.standard_normal((30, 5)) @ rng.random((5, 200)), 5
+    # stops at sweep 44 of 300
+    return planted_two_blocks(d=20, n=40, noise=0.3, seed=1)[0], 2
+
+
+@pytest.mark.parametrize("case", ["tall", "wide", "l equals d", "exactly rank 5", "stops early"])
+def test_fit_seminmf_expanded_residual_matches_direct(case):
+    X, l = _residual_probe(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = fit_seminmf(X, l, iters=300, seed=4)
+    ref = direct_residual_fit_seminmf(X, l, iters=300, seed=4)
+    assert res.iters == ref.iters
+    assert np.array_equal(res.Z, ref.Z) and np.array_equal(res.H, ref.H)
+    assert np.isfinite(res.history).all()
+    assert np.abs(res.history - ref.history).max() <= 1e-10 * ref.history.min()
+
+
+def test_fit_seminmf_residual_near_an_exact_fit():
+    # a layer wider than its input fits it almost exactly (residual ~1e-7 ||X||);
+    # there the expanded residual is noise of about sqrt(eps) ||X||, which can
+    # move the stop sweep (401 here, 500 directly) but never the factors
+    X = np.random.default_rng(0).standard_normal((5, 30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = fit_seminmf(X, 8, iters=500, seed=3)
+    ref = direct_residual_fit_seminmf(X, 8, iters=res.iters, seed=3)
+    assert ref.iters == res.iters
+    assert np.array_equal(res.Z, ref.Z) and np.array_equal(res.H, ref.H)
+    assert np.isfinite(res.history).all() and res.history.min() >= 0
+    assert np.abs(res.history - ref.history).max() <= 1e-6 * np.linalg.norm(X)
+
+
+def test_fit_seminmf_holds_no_dxn_array():
+    # l x n products only; a d x n residual per sweep took 2.04 X.nbytes
+    X = np.random.default_rng(23).standard_normal((2000, 300))
+    assert traced_peak(fit_seminmf, X, 10, 3, 0) / X.nbytes <= 0.25
