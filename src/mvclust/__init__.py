@@ -3,8 +3,8 @@ consensus similarity graph.
 
 Each view's feature matrix is factorized through a stack of semi-NMF
 layers; the top-layer Gram similarities are fused, under per-view simplex
-weights, into a row-stochastic consensus graph; representations and graph
-are refined alternately; spectral clustering on the graph yields the final
+weights, into a row-stochastic consensus graph; factors and graph are
+refined alternately; spectral clustering on the graph yields the final
 partition.
 """
 
@@ -28,7 +28,7 @@ from .dataio import (
     save_dataset,
     save_report,
 )
-from .finetune import ChainCache, sweep_view, update_hidden, update_mapping, update_top
+from .finetune import ChainCache, sweep_view, update_mapping, update_top
 from .fitting import FitResult, RestartSummary, fit, fit_with_restarts, objective, objective_terms
 from .metrics import accuracy, contingency_table, hungarian, nmi, purity
 from .pretrain import initialize_state, pretrain_view
@@ -80,7 +80,6 @@ __all__ = [
     "sweep_view",
     "update_basis",
     "update_consensus_graph",
-    "update_hidden",
     "update_mapping",
     "update_representation",
     "update_top",

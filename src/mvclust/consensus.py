@@ -146,6 +146,6 @@ def solve_simplex_qp(A: Array, f: Array) -> Array:
 
 
 def update_view_weights(state) -> Array:
-    """Optimal simplex weights for the current S and top representations."""
+    """Optimal simplex weights for the current S and the views' tops H_m."""
     qp = WeightQp.from_state(state)
     return solve_simplex_qp(qp.A, qp.f)

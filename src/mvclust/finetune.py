@@ -1,11 +1,10 @@
 """Per-view factor updates for the joint objective.
 
-Three rules per view: an exact least-squares update of each mapping Z_i, a
-multiplicative update of the hidden representations H_i, and a
-graph-coupled multiplicative update of the top representation H_m that
-pulls the view's Gram similarity toward the consensus graph. The hidden
-and top updates reuse `seminmf`'s multiplicative rule; the top update adds
-the graph terms to its numerator and denominator.
+The objective reads every mapping Z_i but only the top representation H_m,
+so a sweep updates just those: an exact least-squares update of each Z_i,
+then two multiplicative steps of H_m. The first is `seminmf`'s graph-free
+rule; the second adds the graph terms to its numerator and denominator,
+pulling the view's Gram similarity toward the consensus graph.
 
 Chain products are recomputed from the current factors for every update.
 """
@@ -70,14 +69,6 @@ def update_mapping(state: ModelState, v: int, i: int) -> Array:
     return (left @ X) @ right
 
 
-def update_hidden(state: ModelState, v: int, i: int) -> Array:
-    """The semi-NMF step of H_i against the prefix product Phi = Z_1..Z_i; at
-    the top layer, the graph-free rule used mid-sweep."""
-    stack = state.stacks[v]
-    Phi = ChainCache.compute(stack, i).Phi
-    return update_representation(state.views[v], Phi, stack.representations[i])
-
-
 def _cross_view_gram_product(state: ModelState, v: int, H: Array) -> Array:
     """H @ G where G = sum_{o != v} alpha_o H_o^T H_o, without forming G."""
     HG = np.zeros_like(H)
@@ -110,12 +101,13 @@ def update_top(state: ModelState, v: int) -> Array:
 
 
 def sweep_view(state: ModelState, v: int) -> None:
-    """One fine-tuning pass over view v: (Z_i, H_i) for every layer in
-    order, then the graph-coupled top update. Mutates the view's stack, so
-    views swept in turn see each other's freshest top representations."""
+    """One fine-tuning pass over view v: Z_1..Z_m in order, then the
+    graph-free and the graph-coupled top steps. Mutates the view's stack, so
+    views swept in turn see each other's freshest tops."""
     stack = state.stacks[v]
     m = stack.depth
     for i in range(m):
         stack.mappings[i] = update_mapping(state, v, i)
-        stack.representations[i] = update_hidden(state, v, i)
-    stack.representations[m - 1] = update_top(state, v)
+    Phi = ChainCache.compute(stack, m - 1).Phi
+    stack.top = update_representation(state.views[v], Phi, stack.top)
+    stack.top = update_top(state, v)

@@ -1,10 +1,9 @@
 """Outer alternating optimization: objective, fit loop, and restarts.
 
-One outer iteration sweeps every view (mapping/hidden updates per layer,
-then the graph-coupled top update), projects the consensus graph onto its
-feasible set, and re-solves the view weights. The objective is tracked per
-iteration; it should be non-increasing up to small float noise, and any
-larger increase is logged.
+One outer iteration sweeps every view (each mapping, then the two top
+steps), projects the consensus graph onto its feasible set, and re-solves
+the view weights. The objective is tracked per iteration; it should be
+non-increasing up to small float noise, and any larger increase is logged.
 """
 
 from __future__ import annotations
@@ -37,7 +36,8 @@ def objective_terms(state: ModelState) -> tuple[float, float]:
 
     Both terms are computed directly from their residual arrays, not from an
     expansion, since this is the objective that is reported and judged. One
-    d x n residual is alive at a time.
+    d x n residual is alive at a time, and the graph residual is formed in
+    Q's buffer.
     """
     recon = 0.0
     for v, X in enumerate(state.views):
@@ -47,7 +47,9 @@ def objective_terms(state: ModelState) -> tuple[float, float]:
         R -= X
         recon += float(np.linalg.norm(R) ** 2)
         del R  # before the next view's product is formed
-    graph = float(np.linalg.norm(state.S - compute_Q(state)) ** 2)
+    R = compute_Q(state)
+    R -= state.S
+    graph = float(np.linalg.norm(R) ** 2)
     return recon, graph
 
 

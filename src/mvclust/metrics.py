@@ -65,12 +65,10 @@ def accuracy(pred, truth) -> float:
     return float(matched / C.sum())
 
 
-def nmi(pred, truth, normalization: str = "geometric") -> float:
-    """Mutual information of the two partitions, normalized by their entropies.
-
-    Natural log; `normalization` is "geometric" (sqrt(Hp * Ht), default),
-    "arithmetic" ((Hp + Ht)/2), or "max". A zero normalizer (at least one
-    trivial partition) yields 0 by convention.
+def nmi(pred, truth) -> float:
+    """Mutual information of the two partitions over the geometric mean of
+    their entropies, sqrt(Hp * Ht), natural log. A zero normalizer (at least
+    one trivial partition) yields 0 by convention.
     """
     C = contingency_table(pred, truth).astype(np.float64)
     n = C.sum()
@@ -81,14 +79,7 @@ def nmi(pred, truth, normalization: str = "geometric") -> float:
     mi = float((pij[nz] * np.log(pij[nz] / np.outer(pi, qj)[nz])).sum())
     hp = float(-(pi[pi > 0] * np.log(pi[pi > 0])).sum())
     ht = float(-(qj[qj > 0] * np.log(qj[qj > 0])).sum())
-    if normalization == "geometric":
-        denom = np.sqrt(hp * ht)
-    elif normalization == "arithmetic":
-        denom = 0.5 * (hp + ht)
-    elif normalization == "max":
-        denom = max(hp, ht)
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
+    denom = np.sqrt(hp * ht)
     if denom == 0.0:
         return 0.0
     return float(min(max(mi / denom, 0.0), 1.0))

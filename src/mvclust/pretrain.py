@@ -1,13 +1,14 @@
 """Layer-by-layer pretraining of factor stacks and initial graph/weights.
 
 Each view is decomposed greedily: X ~ Z_1 H_1, then H_{i-1} ~ Z_i H_i down
-the stack. Each start shrinks its input, so the tops come out tiny (about
-1e-6 at depth 3); since Z_m absorbs any rescaling of H_m, every top is
-scaled by a common c (and Z_m by 1/c) so that the uniformly weighted Gram
-mix Q has mean row sum 1, like the graph's. Without that the graph term is
-~||S||^2 whatever the weights, and neither alpha nor beta has any effect.
-The initial graph is Q projected onto the feasible set so every state
-invariant holds from iteration 0.
+the stack. The intermediate H_i exist only here, each as the next layer's
+input; the stack keeps the mappings and the top H_m. Each start shrinks its
+input, so the tops come out tiny (about 1e-6 at depth 3); since Z_m absorbs
+any rescaling of H_m, every top is scaled by a common c (and Z_m by 1/c) so
+that the uniformly weighted Gram mix Q has mean row sum 1, like the graph's.
+Without that the graph term is ~||S||^2 whatever the weights, and neither
+alpha nor beta has any effect. The initial graph is Q projected onto the
+feasible set so every state invariant holds from iteration 0.
 """
 
 from __future__ import annotations
@@ -26,17 +27,15 @@ def pretrain_view(X: Array, cfg: FitConfig, seed_seq: np.random.SeedSequence) ->
     """Greedy layer-wise semi-NMF initialization of one view's stack, widths cfg.layers."""
     layer_seeds = seed_seq.spawn(cfg.layers.depth)
     mappings: list[Array] = []
-    reps: list[Array] = []
-    current = np.asarray(X, dtype=np.float64)
+    H = np.asarray(X, dtype=np.float64)
     for i, width in enumerate(cfg.layers.sizes):
         try:
-            res = fit_seminmf(current, width, iters=cfg.pretrain_iters, seed=layer_seeds[i])
+            res = fit_seminmf(H, width, iters=cfg.pretrain_iters, seed=layer_seeds[i])
         except RankDeficientError as e:
             raise RankDeficientError(f"pretraining layer {i}: {e}") from e
         mappings.append(res.Z)
-        reps.append(res.H)
-        current = res.H
-    return FactorStack(mappings=mappings, representations=reps)
+        H = res.H  # seeds the next layer; only the top is kept
+    return FactorStack(mappings=mappings, top=H)
 
 
 def initialize_state(ds: MultiViewDataset, cfg: FitConfig) -> ModelState:
@@ -55,7 +54,7 @@ def initialize_state(ds: MultiViewDataset, cfg: FitConfig) -> ModelState:
     mass = sum(a * np.square(st.top.sum(axis=1)).sum() for a, st in zip(alpha, stacks))
     c = np.sqrt(ds.n / mass)
     for st in stacks:
-        st.representations[-1] = c * st.top
+        st.top = c * st.top
         st.mappings[-1] = st.mappings[-1] / c
     Q = gram_similarity(np.vstack([np.sqrt(a) * st.top for a, st in zip(alpha, stacks)]))
     S = update_consensus_graph(Q)

@@ -2,8 +2,8 @@
 
 Conventions: matrices are dense float64, samples are columns. A dataset holds
 V view matrices X^(v) of shape (d_v, n) over the same n samples. A factor
-stack holds per-layer mappings Z_i and nonnegative representations H_i with
-composing shapes; the model state adds the n x n consensus graph S (row
+stack holds per-layer mappings Z_i with composing shapes and the nonnegative
+top representation H_m; the model state adds the n x n consensus graph S (row
 sums 1, zero diagonal, nonnegative) and the simplex weight vector alpha.
 """
 
@@ -136,45 +136,40 @@ class LayerSpec:
 
 @dataclass
 class FactorStack:
-    """Per-view factors: mappings Z_1..Z_m and nonnegative representations H_1..H_m.
+    """Per-view factors: mappings Z_1..Z_m and the nonnegative top representation H_m.
 
-    Z_1 is (d_v, l_1); Z_i is (l_{i-1}, l_i) for i >= 2; H_i is (l_i, n).
+    Z_1 is (d_v, l_1); Z_i is (l_{i-1}, l_i) for i >= 2; H_m is (l_m, n).
+    The objective reads no hidden representation, so none is kept.
     """
 
     mappings: list[Array]
-    representations: list[Array]
+    top: Array
 
     @property
     def depth(self) -> int:
         return len(self.mappings)
 
-    @property
-    def top(self) -> Array:
-        """Last-layer representation H_m."""
-        return self.representations[-1]
-
     def validate(self, d: int | None = None, n: int | None = None) -> "FactorStack":
-        if len(self.mappings) != len(self.representations) or not self.mappings:
-            raise MvclustError("mappings and representations must pair up, one per layer")
+        if not self.mappings:
+            raise MvclustError("a stack needs at least one mapping")
         rows = d
-        for i, (Z, H) in enumerate(zip(self.mappings, self.representations)):
+        for i, Z in enumerate(self.mappings):
             if rows is not None and Z.shape[0] != rows:
                 raise DimensionMismatchError(
                     f"layer {i}: Z has {Z.shape[0]} rows, expected {rows}"
                 )
-            if H.shape[0] != Z.shape[1]:
-                raise DimensionMismatchError(
-                    f"layer {i}: Z has {Z.shape[1]} cols but H has {H.shape[0]} rows"
-                )
-            if n is not None and H.shape[1] != n:
-                raise DimensionMismatchError(
-                    f"layer {i}: H has {H.shape[1]} samples, expected {n}"
-                )
-            if not np.isfinite(Z).all() or not np.isfinite(H).all():
-                raise MvclustError(f"layer {i}: non-finite factor entries")
-            if H.min() < 0:
-                raise MvclustError(f"layer {i}: representation has negative entries")
+            if not np.isfinite(Z).all():
+                raise MvclustError(f"layer {i}: non-finite mapping entries")
             rows = Z.shape[1]
+        H = self.top
+        if H.shape[0] != rows:
+            raise DimensionMismatchError(f"top: Z_m has {rows} cols but H_m has {H.shape[0]} rows")
+        if n is not None and H.shape[1] != n:
+            raise DimensionMismatchError(f"top: H_m has {H.shape[1]} samples, expected {n}")
+        if not np.isfinite(H).all():
+            raise MvclustError("top: non-finite representation entries")
+        if H.min() < 0:
+            raise MvclustError("top: representation has negative entries")
         return self
 
 

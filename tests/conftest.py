@@ -46,13 +46,13 @@ def random_state(
     for d in dims:
         X = rng.standard_normal((d, n))
         views.append(X)
-        mappings, reps = [], []
+        mappings = []
         rows = d
         for l in layer_sizes:
             mappings.append(rng.standard_normal((rows, l)))
-            reps.append(rng.random((l, n)))
+            top = rng.random((l, n))  # drawn at every layer, so each seed's RNG stream is fixed
             rows = l
-        stacks.append(FactorStack(mappings=mappings, representations=reps))
+        stacks.append(FactorStack(mappings=mappings, top=top))
     V = len(dims)
     if alpha is None:
         a = rng.random(V)

@@ -61,8 +61,7 @@ def test_criterion_1_constraint_suite():
             assert state.alpha.min() >= 0.0
             assert abs(state.alpha.sum() - 1.0) <= 1e-12
             for stack in state.stacks:
-                for H in stack.representations:
-                    assert H.min() >= 0.0
+                assert stack.top.min() >= 0.0
             checked.append(it)
 
         mv.fit(ds, cfg, on_iteration=check)
@@ -112,8 +111,7 @@ def test_criterion_4_weight_qp_oracle():
                 dims=(6, 7, 5), layer_sizes=(3,), n=10, seed=1000 + trial
             )
             for st in state.stacks:
-                H = st.representations[-1]
-                st.representations[-1] = H / np.sqrt(np.linalg.norm(H.T @ H))
+                st.top = st.top / np.sqrt(np.linalg.norm(st.top.T @ st.top))
             alpha = mv.update_view_weights(state)
 
             grams = np.stack(

@@ -158,8 +158,7 @@ def test_weights_match_grid_oracle():
         state = random_state(dims=(6, 7, 5), layer_sizes=(3,), n=10, seed=100 + trial)
         # moderate Gram scale keeps the grid-gap below the tolerance
         for st in state.stacks:
-            H = st.representations[-1]
-            st.representations[-1] = H / np.sqrt(np.linalg.norm(H.T @ H))
+            st.top = st.top / np.sqrt(np.linalg.norm(st.top.T @ st.top))
         alpha = update_view_weights(state)
         qp = WeightQp.from_state(state)
         best = np.inf

@@ -11,8 +11,8 @@ from mvclust import (
     sweep_view,
     update_basis,
     update_consensus_graph,
-    update_hidden,
     update_mapping,
+    update_representation,
     update_top,
     update_view_weights,
 )
@@ -51,11 +51,10 @@ def test_update_mapping_consistent_system():
     Z1 = rng.standard_normal((d, l1))
     Z2 = rng.standard_normal((l1, l2))
     H2 = rng.random((l2, n)) + 0.1
-    H1 = rng.random((l1, n))
     X = Z1 @ Z2 @ H2
     state = ModelState(
         views=[X],
-        stacks=[FactorStack(mappings=[Z1, Z2], representations=[H1, H2])],
+        stacks=[FactorStack(mappings=[Z1, Z2], top=H2)],
         S=update_consensus_graph(np.zeros((n, n))),
         alpha=np.array([1.0]),
         beta=0.5,
@@ -99,43 +98,11 @@ def test_update_mapping_optimal_under_perturbation():
         assert perturbed >= base - 1e-12
 
 
-def test_update_hidden_fixed_point_and_zeros():
-    rng = np.random.default_rng(5)
-    d, l, n = 8, 3, 14
-    Phi = rng.standard_normal((d, l))
-    H = rng.random((l, n)) + 0.05
-    X = Phi @ H
-    state = random_state(dims=(d,), layer_sizes=(l, 2), n=n, seed=6)
-    state.views[0] = X
-    state.stacks[0].mappings[0] = Phi
-    state.stacks[0].representations[0] = H
-    H2 = update_hidden(state, 0, 0)
-    assert np.abs(H2 - H).max() <= 1e-9 * max(1.0, np.abs(H).max())
-
-    state.stacks[0].representations[0][2] = 0.0
-    H3 = update_hidden(state, 0, 0)
-    assert not H3[2].any()
-    assert H3.min() >= 0
-
-
-def test_update_hidden_decreases_subproblem():
-    for seed in range(5):
-        state = random_state(dims=(9, 7), layer_sizes=(4, 3), seed=50 + seed)
-        for v in range(2):
-            for i in range(2):
-                cache = ChainCache.compute(state.stacks[v], i)
-                X = state.views[v]
-                before = np.linalg.norm(X - cache.Phi @ state.stacks[v].representations[i])
-                H2 = update_hidden(state, v, i)
-                after = np.linalg.norm(X - cache.Phi @ H2)
-                assert after <= before + 1e-10
-                assert H2.min() >= 0
-
-
 def test_update_top_beta_zero_reduces_to_plain_rule():
     state = random_state(dims=(8, 6), layer_sizes=(4, 2), seed=7, beta=0.0)
     top = update_top(state, 0)
-    plain = update_hidden(state, 0, 1)
+    Phi = ChainCache.compute(state.stacks[0], 1).Phi
+    plain = update_representation(state.views[0], Phi, state.stacks[0].top)
     assert np.allclose(top, plain, atol=1e-14)
 
 
@@ -162,7 +129,7 @@ def test_update_top_single_view_drops_cross_term():
 
 def test_update_top_nonnegativity_and_zero_preservation():
     state = random_state(dims=(8, 6), layer_sizes=(3, 2), seed=9, beta=2.0)
-    state.stacks[0].representations[-1][0] = 0.0
+    state.stacks[0].top[0] = 0.0
     H2 = update_top(state, 0)
     assert H2.min() >= 0
     assert not H2[0].any()
@@ -172,7 +139,7 @@ def test_update_top_kkt_residual_shrinks():
     state = random_state(dims=(5, 4), layer_sizes=(2,), n=6, seed=10, beta=1.0)
     start = top_kkt_residual(state, 0)
     for _ in range(200):
-        state.stacks[0].representations[-1] = update_top(state, 0)
+        state.stacks[0].top = update_top(state, 0)
     end = top_kkt_residual(state, 0)
     assert end < start
     assert end <= 1e-6 * max(start, 1.0)

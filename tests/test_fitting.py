@@ -31,9 +31,8 @@ def _exactly_factorable_state(beta, seed=0, n=15):
     Z1 = rng.standard_normal((d, l1))
     Z2 = rng.standard_normal((l1, l2))
     H2 = rng.random((l2, n)) + 0.1
-    H1 = rng.random((l1, n))
     X = Z1 @ Z2 @ H2
-    stack = FactorStack(mappings=[Z1, Z2], representations=[H1, H2])
+    stack = FactorStack(mappings=[Z1, Z2], top=H2)
     Q = H2.T @ H2
     S = update_consensus_graph(Q)
     return ModelState(views=[X], stacks=[stack], S=S, alpha=np.array([1.0]), beta=beta)
@@ -61,11 +60,11 @@ def test_objective_matches_independent_evaluation():
         prod = np.eye(X.shape[0])
         for Z in stack.mappings:
             prod = prod @ Z
-        R = X - prod @ stack.representations[-1]
+        R = X - prod @ stack.top
         total += float((R * R).sum())
     Q = np.zeros((state.n, state.n))
     for a, st in zip(state.alpha, state.stacks):
-        H = st.representations[-1]
+        H = st.top
         Q += a * np.einsum("li,lj->ij", H, H)
     D = state.S - Q
     total += state.beta * float((D * D).sum())
@@ -80,7 +79,7 @@ def test_graph_term_accurate_on_clique_graph():
     H = (np.arange(k)[:, None] == blocks[None, :]) / np.sqrt(size)
     S = (blocks[:, None] == blocks[None, :]) / (size - 1.0)
     np.fill_diagonal(S, 0.0)
-    stack = FactorStack(mappings=[np.eye(k)], representations=[H])
+    stack = FactorStack(mappings=[np.eye(k)], top=H)
     state = ModelState(views=[H.copy()], stacks=[stack], S=S, alpha=np.array([1.0]), beta=1.0)
     _, graph = objective_terms(state)
     assert graph == pytest.approx(k / (size - 1.0), rel=1e-10, abs=0)
@@ -240,11 +239,11 @@ def _probe_data():
     )
 
 
-def _probe_fit(views, labels):
-    """Layers 6,3, beta 0.5, 10 iterations, tol 0: (ACC, objective increases)."""
+def _probe_fit(views, labels, beta):
+    """Layers 6,3, 10 iterations, tol 0: (ACC, objective increases)."""
     ds = MultiViewDataset(views=views, labels=labels)
     cfg = FitConfig(
-        beta=0.5, layers=LayerSpec([6, 3]), max_outer_iters=10, tol_rel_objective=0.0, rng_seed=0
+        beta=beta, layers=LayerSpec([6, 3]), max_outer_iters=10, tol_rel_objective=0.0, rng_seed=0
     )
     res = fit(ds, cfg)
     assert res.iters_run == 10
@@ -253,21 +252,39 @@ def _probe_fit(views, labels):
     return accuracy(labels, cluster_graph(res.state.S, 3).labels), increases
 
 
-@pytest.mark.parametrize("case", ["one view", "triplicated samples", "scale 1e8", "scale 1e-8"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "one view",
+        "triplicated samples",
+        "scale 1e8",
+        "scale 1e-8",
+        "n == l_1",
+        "beta 2^-7",
+        "beta 2^7",
+    ],
+)
 def test_fit_on_edge_inputs(case):
     ds = _probe_data()
-    views, labels = ds.views, ds.labels
+    views, labels, beta = ds.views, ds.labels, 0.5
     if case == "one view":
         views = views[:1]
     elif case == "triplicated samples":
         views, labels = [np.tile(X, 3) for X in views], np.tile(labels, 3)
     elif case == "scale 1e8":
         views = [1e8 * X for X in views]
-    else:
+    elif case == "scale 1e-8":
         # every top-layer denominator is near 1e-14 here; an absolute floor
         # of 1e-12 raised the objective at 6 of the 10 iterations
         views = [1e-8 * X for X in views]
-    assert _probe_fit(views, labels) == (1.0, 0)
+    elif case == "n == l_1":
+        # the first two samples of each class: n = 6, the first layer's width
+        keep = np.sort(np.concatenate([np.flatnonzero(labels == c)[:2] for c in range(3)]))
+        views, labels = [X[:, keep] for X in views], labels[keep]
+    else:
+        # the ends of the CLI's default beta grid
+        beta = 2.0 ** (-7 if case == "beta 2^-7" else 7)
+    assert _probe_fit(views, labels, beta) == (1.0, 0)
 
 
 def test_fit_rejects_an_all_zero_view():
@@ -284,6 +301,12 @@ def test_objective_terms_holds_one_view_residual():
     state = random_state(dims=(2000, 1500), n=200)
     largest = max(X.nbytes for X in state.views)
     assert traced_peak(objective_terms, state) / largest <= 1.2
+
+
+def test_objective_terms_holds_one_graph_residual():
+    # S - Q in a fresh array beside Q took 2.00 n x n arrays; Q - S in Q's buffer takes 1
+    state = random_state(dims=(10, 12), n=1000)
+    assert traced_peak(objective_terms, state) / state.S.nbytes <= 1.2
 
 
 def test_fit_rejects_too_many_views_before_pretraining(monkeypatch):

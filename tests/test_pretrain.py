@@ -22,7 +22,7 @@ def test_depth_one_equals_single_seminmf():
     seed = np.random.SeedSequence(cfg.rng_seed).spawn(1)[0]
     ref = fit_seminmf(X, 3, iters=cfg.pretrain_iters, seed=seed)
     assert np.array_equal(stack.mappings[0], ref.Z)
-    assert np.array_equal(stack.representations[0], ref.H)
+    assert np.array_equal(stack.top, ref.H)
 
 
 def test_depth_three_stack_is_valid():
@@ -32,7 +32,7 @@ def test_depth_three_stack_is_valid():
     stack = pretrain_view(X, cfg, np.random.SeedSequence(cfg.rng_seed))
     stack.validate(d=20, n=60)
     assert [Z.shape for Z in stack.mappings] == [(20, 12), (12, 6), (6, 3)]
-    assert all(H.min() >= 0 for H in stack.representations)
+    assert stack.top.shape == (3, 60) and stack.top.min() >= 0
 
 
 def test_pretrain_deterministic():
@@ -49,7 +49,7 @@ def test_hierarchical_top_gram_separates_superclusters():
     ds = hierarchical_dataset(n=120, n_views=1, dims=(18,), seed=3)
     cfg = simple_config([6, 3], pretrain_iters=80, rng_seed=0)
     stack = pretrain_view(ds.views[0], cfg, np.random.SeedSequence(cfg.rng_seed))
-    G = gram_similarity(stack.representations[-1])
+    G = gram_similarity(stack.top)
     same = ds.labels[:, None] == ds.labels[None, :]
     off = ~np.eye(ds.n, dtype=bool)
     within = G[same & off].mean()

@@ -187,7 +187,7 @@ def test_consensus_quantities_equal_per_view_grams(dims, layer_sizes, n, zero_we
     state = random_state(dims=dims, layer_sizes=layer_sizes, n=n, seed=seed, alpha=alpha)
     scales = 10.0 ** np.random.default_rng(seed).uniform(-6, 3, size=len(dims))
     for stack, c in zip(state.stacks, scales):
-        stack.representations[-1] = c * stack.top
+        stack.top = c * stack.top
     # every term of every entry is positive, so each entry is accurate on its own
     Q = compute_Q(state)
     assert np.array_equal(Q, Q.T)

@@ -121,6 +121,31 @@ def test_model_state_rejects_bad_graph():
     with pytest.raises(MvclustError):
         state.validate()
     state = random_state(seed=6)
-    state.stacks[0].representations[0][0, 0] = -1e-3
+    state.stacks[0].top[0, 0] = -1e-3
     with pytest.raises(MvclustError):
+        state.validate()
+
+
+@pytest.mark.parametrize(
+    "case", ["no mapping", "Z chain", "top rows", "top samples", "non-finite Z", "non-finite top"]
+)
+def test_factor_stack_checks_shape_chain_and_top(case):
+    # default random_state: views 8 and 6 wide, layers 4,2, n = 12
+    state = random_state(seed=7)
+    stack = state.stacks[0]
+    stack.validate(d=8, n=12)
+    error = DimensionMismatchError
+    if case == "no mapping":
+        stack.mappings, error = [], MvclustError
+    elif case == "Z chain":
+        stack.mappings[1] = np.ones((3, 2))
+    elif case == "top rows":
+        stack.top = np.ones((3, 12))
+    elif case == "top samples":
+        stack.top = np.ones((2, 11))
+    elif case == "non-finite Z":
+        stack.mappings[0][0, 0], error = np.nan, MvclustError
+    else:
+        stack.top[0, 0], error = np.inf, MvclustError
+    with pytest.raises(error):
         state.validate()
