@@ -28,16 +28,15 @@ from .dataio import (
     save_dataset,
     save_report,
 )
-from .finetune import ChainCache, sweep_view, update_mapping, update_top
+from .finetune import sweep_view, update_mapping, update_top
 from .fitting import FitResult, RestartSummary, fit, fit_with_restarts, objective, objective_terms
 from .metrics import accuracy, contingency_table, hungarian, nmi, purity
 from .pretrain import initialize_state, pretrain_view
-from .seminmf import SemiNmfResult, fit_seminmf, pos_neg_split, update_basis, update_representation
+from .seminmf import SemiNmfResult, fit_seminmf, pos_neg_split, update_basis
 from .spectral import Partition, cluster_graph, kmeans, spectral_embed
 from .types import FactorStack, FitConfig, LayerSpec, ModelState, MultiViewDataset, validate_dataset
 
 __all__ = [
-    "ChainCache",
     "ClusteringReport",
     "DatasetManifest",
     "FactorStack",
@@ -81,7 +80,6 @@ __all__ = [
     "update_basis",
     "update_consensus_graph",
     "update_mapping",
-    "update_representation",
     "update_top",
     "update_view_weights",
     "validate_dataset",

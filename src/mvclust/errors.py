@@ -28,7 +28,8 @@ class LayerSpecError(MvclustError):
 
 
 class RankDeficientError(MvclustError):
-    """A Gram matrix collapsed completely; no usable pseudo-inverse exists."""
+    """A factor has no pseudo-inverse (all zero or non-finite), or a layer is
+    wider than the sample count."""
 
 
 class TooManyViewsError(MvclustError):
@@ -71,7 +72,8 @@ class InfeasibleGeometryError(MvclustError):
 
 
 class RankDeficientWarning(UserWarning):
-    """A Gram matrix was near-singular; eigenvalue flooring was applied."""
+    """A factor's rank fell below its expected rank; its pseudo-inverse
+    truncated the small singular values."""
 
 
 class DegenerateGraphWarning(UserWarning):

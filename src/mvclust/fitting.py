@@ -8,6 +8,7 @@ non-increasing up to small float noise, and any larger increase is logged.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass, replace
@@ -16,7 +17,7 @@ import numpy as np
 
 from .consensus import MAX_VIEWS, compute_Q, update_consensus_graph, update_view_weights
 from .errors import TooManyViewsError
-from .finetune import ChainCache, sweep_view
+from .finetune import sweep_view
 from .pretrain import initialize_state
 from .types import FitConfig, ModelState, MultiViewDataset, validate_dataset
 
@@ -43,7 +44,7 @@ def objective_terms(state: ModelState) -> tuple[float, float]:
     for v, X in enumerate(state.views):
         stack = state.stacks[v]
         # Phi H - X is -(X - Phi H) bit for bit, without a second d x n temporary
-        R = ChainCache.compute(stack, stack.depth - 1).Phi @ stack.top
+        R = functools.reduce(np.matmul, stack.mappings) @ stack.top
         R -= X
         recon += float(np.linalg.norm(R) ** 2)
         del R  # before the next view's product is formed

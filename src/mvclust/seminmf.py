@@ -2,8 +2,8 @@
 
 Used as the layer-by-layer pretraining workhorse. The basis update is the
 exact least-squares solution through a right pseudo-inverse; the
-representation update is the KKT-targeting multiplicative rule, which keeps
-H nonnegative and never increases the reconstruction error.
+representation update is Ding, Li & Jordan's KKT-targeting multiplicative
+rule, which keeps H nonnegative and never increases the reconstruction error.
 """
 
 from __future__ import annotations
@@ -108,11 +108,6 @@ def multiplicative_step(H: Array, num: Array, den: Array) -> Array:
     if that is 0; H stays >= 0 and its zeros stay zero."""
     floor = EPS_DENOM * float(den.max()) or EPS_DENOM
     return H * np.sqrt(num / np.maximum(den, floor))
-
-
-def update_representation(X: Array, Z: Array, H: Array) -> Array:
-    """Ding, Li & Jordan's semi-NMF multiplicative step of H for ||X - Z H||_F^2."""
-    return multiplicative_step(H, *multiplicative_terms(Z.T @ X, Z.T @ Z, H))
 
 
 @dataclass

@@ -4,19 +4,21 @@ peak probe."""
 
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
 from mvclust import (
-    ChainCache,
     FactorStack,
     FitConfig,
     LayerSpec,
     ModelState,
     MultiViewDataset,
     update_consensus_graph,
+    update_mapping,
+    update_top,
     validate_dataset,
 )
 from mvclust.errors import RankDeficientError, RankDeficientWarning
@@ -26,8 +28,9 @@ from mvclust.seminmf import (
     SEMINMF_TOL,
     SemiNmfResult,
     _init_representation,
+    multiplicative_step,
+    multiplicative_terms,
     update_basis,
-    update_representation,
 )
 
 
@@ -231,6 +234,69 @@ def traced_peak(f, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@dataclass
+class ChainCache:
+    """Products around layer i of one stack.
+
+    phi : Z_1 ... Z_{i-1} (None for the first layer, meaning identity)
+    Phi : Z_1 ... Z_i
+    hhat : Z_{i+1} ... Z_m H_m (equals H_m at the top layer)
+    """
+
+    phi: np.ndarray | None
+    Phi: np.ndarray | None
+    hhat: np.ndarray | None
+
+    @classmethod
+    def compute(cls, stack, i: int) -> "ChainCache":
+        phi = None
+        for Z in stack.mappings[:i]:
+            phi = Z if phi is None else phi @ Z
+        Phi = stack.mappings[i] if phi is None else phi @ stack.mappings[i]
+        hhat = stack.top
+        for Z in reversed(stack.mappings[i + 1:]):
+            hhat = Z @ hhat
+        return cls(phi=phi, Phi=Phi, hhat=hhat)
+
+
+def update_representation(X, Z, H):
+    """Ding, Li & Jordan's semi-NMF multiplicative step of H for ||X - Z H||_F^2,
+    with both products formed from Z."""
+    return multiplicative_step(H, *multiplicative_terms(Z.T @ X, Z.T @ Z, H))
+
+
+def mapping_factors(state, v, i):
+    """`update_mapping`'s arguments (X, psi, hhat, psi_rank, hhat_rank) for
+    layer i of view v, with the chain products rebuilt by `ChainCache` from
+    the current factors and the expected ranks the sweep passes."""
+    stack = state.stacks[v]
+    cache = ChainCache.compute(stack, i)
+    X = state.views[v]
+    widths = [Z.shape[1] for Z in stack.mappings]
+    hhat_rank = min(min(widths[i:]), cache.hhat.shape[1])
+    phi_rank = min(X.shape[0], min(widths))
+    return X, cache.phi, cache.hhat, phi_rank, hhat_rank
+
+
+def top_products(state, v):
+    """(Phi^T X, Phi^T Phi) for view v's current chain Phi, `update_top`'s inputs."""
+    Phi = ChainCache.compute(state.stacks[v], state.stacks[v].depth - 1).Phi
+    return Phi.T @ state.views[v], Phi.T @ Phi
+
+
+def recompute_sweep_view(state, v):
+    """The sweep with every chain product rebuilt by `ChainCache` for each
+    update, and Phi's products formed again for each top step (test oracle
+    for the single-pass `sweep_view`)."""
+    stack = state.stacks[v]
+    m = stack.depth
+    for i in range(m):
+        stack.mappings[i] = update_mapping(*mapping_factors(state, v, i))
+    Phi = ChainCache.compute(stack, m - 1).Phi
+    stack.top = update_representation(state.views[v], Phi, stack.top)
+    stack.top = update_top(state, v, *top_products(state, v))
 
 
 def top_kkt_residual(state, v):

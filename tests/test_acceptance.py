@@ -18,9 +18,11 @@ import pytest
 import mvclust as mv
 
 from conftest import (
+    ChainCache,
     brute_force_row_projection,
     hierarchical_dataset,
     jacobi_eigh,
+    mapping_factors,
     random_state,
     simple_config,
 )
@@ -147,9 +149,9 @@ def test_criterion_5_mapping_update_oracle():
                 seed=int(rng.integers(2**31)),
             )
             i = int(rng.integers(depth))
-            Z = mv.update_mapping(state, 0, i)
+            Z = mv.update_mapping(*mapping_factors(state, 0, i))
             state.stacks[0].mappings[i] = Z
-            cache = mv.ChainCache.compute(state.stacks[0], i)
+            cache = ChainCache.compute(state.stacks[0], i)
             X = state.views[0]
             phi = cache.phi if cache.phi is not None else np.eye(X.shape[0])
             R = X - phi @ Z @ cache.hhat

@@ -3,7 +3,6 @@ import copy
 import numpy as np
 
 from mvclust import (
-    ChainCache,
     FactorStack,
     ModelState,
     compute_Q,
@@ -12,35 +11,23 @@ from mvclust import (
     update_basis,
     update_consensus_graph,
     update_mapping,
-    update_representation,
     update_top,
     update_view_weights,
 )
 
-from conftest import random_state, top_kkt_residual
-
-
-def test_chain_cache_products():
-    state = random_state(dims=(8,), layer_sizes=(5, 4, 2), seed=0)
-    stack = state.stacks[0]
-    for i in range(3):
-        cache = ChainCache.compute(stack, i)
-        if cache.phi is not None:
-            assert np.allclose(cache.phi @ stack.mappings[i], cache.Phi, atol=1e-10)
-        full = stack.mappings[0]
-        for Z in stack.mappings[1:]:
-            full = full @ Z
-        chain = cache.Phi
-        for Z in stack.mappings[i + 1:]:
-            chain = chain @ Z
-        assert np.allclose(chain, full, atol=1e-10)
-    top_cache = ChainCache.compute(stack, 2)
-    assert top_cache.hhat is stack.top
+from conftest import (
+    ChainCache,
+    mapping_factors,
+    random_state,
+    top_kkt_residual,
+    top_products,
+    update_representation,
+)
 
 
 def test_update_mapping_depth_one_is_basis_update():
     state = random_state(dims=(7,), layer_sizes=(3,), seed=1)
-    Z = update_mapping(state, 0, 0)
+    Z = update_mapping(*mapping_factors(state, 0, 0))
     ref = update_basis(state.views[0], state.stacks[0].top)
     assert np.array_equal(Z, ref)
 
@@ -60,7 +47,7 @@ def test_update_mapping_consistent_system():
         beta=0.5,
     )
     for i in range(2):
-        new_Z = update_mapping(state, 0, i)
+        new_Z = update_mapping(*mapping_factors(state, 0, i))
         state.stacks[0].mappings[i] = new_Z
         cache = ChainCache.compute(state.stacks[0], i)
         phi = np.eye(d) if cache.phi is None else cache.phi
@@ -72,7 +59,7 @@ def test_update_mapping_first_order_condition():
         state = random_state(dims=(10, 8), layer_sizes=(5, 3), n=16, seed=30 + seed)
         for v in range(2):
             for i in range(2):
-                state.stacks[v].mappings[i] = update_mapping(state, v, i)
+                state.stacks[v].mappings[i] = update_mapping(*mapping_factors(state, v, i))
                 cache = ChainCache.compute(state.stacks[v], i)
                 X = state.views[v]
                 phi = cache.phi if cache.phi is not None else np.eye(X.shape[0])
@@ -84,7 +71,7 @@ def test_update_mapping_first_order_condition():
 def test_update_mapping_optimal_under_perturbation():
     state = random_state(dims=(9,), layer_sizes=(4, 2), seed=3)
     i = 1
-    state.stacks[0].mappings[i] = update_mapping(state, 0, i)
+    state.stacks[0].mappings[i] = update_mapping(*mapping_factors(state, 0, i))
     cache = ChainCache.compute(state.stacks[0], i)
     X = state.views[0]
     base = np.linalg.norm(X - cache.phi @ state.stacks[0].mappings[i] @ cache.hhat)
@@ -100,7 +87,7 @@ def test_update_mapping_optimal_under_perturbation():
 
 def test_update_top_beta_zero_reduces_to_plain_rule():
     state = random_state(dims=(8, 6), layer_sizes=(4, 2), seed=7, beta=0.0)
-    top = update_top(state, 0)
+    top = update_top(state, 0, *top_products(state, 0))
     Phi = ChainCache.compute(state.stacks[0], 1).Phi
     plain = update_representation(state.views[0], Phi, state.stacks[0].top)
     assert np.allclose(top, plain, atol=1e-14)
@@ -109,7 +96,7 @@ def test_update_top_beta_zero_reduces_to_plain_rule():
 def test_update_top_single_view_drops_cross_term():
     state = random_state(dims=(8,), layer_sizes=(4, 3), seed=8, alpha=[1.0], beta=0.7)
     H = state.stacks[0].top
-    got = update_top(state, 0)
+    got = update_top(state, 0, *top_products(state, 0))
 
     # manual rule with G = 0
     cache = ChainCache.compute(state.stacks[0], 1)
@@ -130,7 +117,7 @@ def test_update_top_single_view_drops_cross_term():
 def test_update_top_nonnegativity_and_zero_preservation():
     state = random_state(dims=(8, 6), layer_sizes=(3, 2), seed=9, beta=2.0)
     state.stacks[0].top[0] = 0.0
-    H2 = update_top(state, 0)
+    H2 = update_top(state, 0, *top_products(state, 0))
     assert H2.min() >= 0
     assert not H2[0].any()
 
@@ -139,7 +126,7 @@ def test_update_top_kkt_residual_shrinks():
     state = random_state(dims=(5, 4), layer_sizes=(2,), n=6, seed=10, beta=1.0)
     start = top_kkt_residual(state, 0)
     for _ in range(200):
-        state.stacks[0].top = update_top(state, 0)
+        state.stacks[0].top = update_top(state, 0, *top_products(state, 0))
     end = top_kkt_residual(state, 0)
     assert end < start
     assert end <= 1e-6 * max(start, 1.0)

@@ -239,11 +239,12 @@ def _probe_data():
     )
 
 
-def _probe_fit(views, labels, beta):
-    """Layers 6,3, 10 iterations, tol 0: (ACC, objective increases)."""
+def _probe_fit(views, labels, beta, layers=(6, 3)):
+    """10 iterations, tol 0, layers 6,3 unless given: (ACC, objective increases)."""
     ds = MultiViewDataset(views=views, labels=labels)
     cfg = FitConfig(
-        beta=beta, layers=LayerSpec([6, 3]), max_outer_iters=10, tol_rel_objective=0.0, rng_seed=0
+        beta=beta, layers=LayerSpec(list(layers)), max_outer_iters=10, tol_rel_objective=0.0,
+        rng_seed=0,
     )
     res = fit(ds, cfg)
     assert res.iters_run == 10
@@ -260,13 +261,14 @@ def _probe_fit(views, labels, beta):
         "scale 1e8",
         "scale 1e-8",
         "n == l_1",
+        "k == n",
         "beta 2^-7",
         "beta 2^7",
     ],
 )
 def test_fit_on_edge_inputs(case):
     ds = _probe_data()
-    views, labels, beta = ds.views, ds.labels, 0.5
+    views, labels, beta, layers = ds.views, ds.labels, 0.5, (6, 3)
     if case == "one view":
         views = views[:1]
     elif case == "triplicated samples":
@@ -281,10 +283,21 @@ def test_fit_on_edge_inputs(case):
         # the first two samples of each class: n = 6, the first layer's width
         keep = np.sort(np.concatenate([np.flatnonzero(labels == c)[:2] for c in range(3)]))
         views, labels = [X[:, keep] for X in views], labels[keep]
+    elif case == "k == n":
+        # the first sample of each class: n = k = 3, the top layer's width;
+        # a wider first layer has no sample-count room left
+        keep = np.sort([np.flatnonzero(labels == c)[0] for c in range(3)])
+        views, labels = [X[:, keep] for X in views], labels[keep]
+        with pytest.raises(
+            RankDeficientError,
+            match=r"^view 0: pretraining layer 0: layer width 6 exceeds sample count 3",
+        ):
+            _probe_fit(views, labels, beta)
+        layers = (3,)
     else:
         # the ends of the CLI's default beta grid
         beta = 2.0 ** (-7 if case == "beta 2^-7" else 7)
-    assert _probe_fit(views, labels, beta) == (1.0, 0)
+    assert _probe_fit(views, labels, beta, layers) == (1.0, 0)
 
 
 def test_fit_rejects_an_all_zero_view():

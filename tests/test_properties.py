@@ -2,6 +2,7 @@
 projection, the Gram-free consensus quantities, the view-weight QP, the
 spectral embedding and the pseudo-inverse."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -10,20 +11,28 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from mvclust import (
-    ChainCache,
     WeightQp,
     compute_Q,
     project_rows_to_simplex,
     solve_simplex_qp,
     spectral_embed,
+    sweep_view,
     update_consensus_graph,
-    update_representation,
     update_top,
 )
 from mvclust.errors import RankDeficientError, RankDeficientWarning
 from mvclust.seminmf import mp_pinv, multiplicative_step
 
-from conftest import brute_force_row_projection, random_state, sort_projection, svd_pinv
+from conftest import (
+    ChainCache,
+    brute_force_row_projection,
+    random_state,
+    recompute_sweep_view,
+    sort_projection,
+    svd_pinv,
+    top_products,
+    update_representation,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -97,7 +106,44 @@ def test_update_top_equals_four_split_formula(dims, layer_sizes, n, beta, zero_w
     state = random_state(dims=dims, layer_sizes=layer_sizes, n=n, beta=beta, seed=seed, alpha=alpha)
     state.stacks[0].top[0] = 0.0
     for v in range(state.num_views):
-        assert np.array_equal(update_top(state, v), _update_top_four_splits(state, v))
+        got = update_top(state, v, *top_products(state, v))
+        assert np.array_equal(got, _update_top_four_splits(state, v))
+
+
+def _rank_warnings(sweep, state):
+    """Sweep every view of `state` in turn; the RankDeficientWarning messages, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RankDeficientWarning)
+        for v in range(state.num_views):
+            sweep(state, v)
+    return [str(w.message) for w in caught if issubclass(w.category, RankDeficientWarning)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    layer_sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    n=st.integers(2, 10),
+    beta=st.floats(1e-3, 1e3),
+    zero_weight=st.booleans(),
+    seed=SEEDS,
+)
+# n = 2 below widths 3 and 4: every view's sweep warns
+@example(dims=[5, 3, 5], layer_sizes=[3, 4], n=2, beta=0.5, zero_weight=False, seed=52)
+def test_sweep_view_matches_recompute_oracle(dims, layer_sizes, n, beta, zero_weight, seed):
+    # the single pass forms each chain product once; the oracle rebuilds the
+    # chain for every update, so the two must agree bit for bit
+    alpha = None
+    if zero_weight and len(dims) > 1:
+        alpha = np.full(len(dims), 1.0 / (len(dims) - 1))
+        alpha[seed % len(dims)] = 0.0
+    state = random_state(dims=dims, layer_sizes=layer_sizes, n=n, beta=beta, seed=seed, alpha=alpha)
+    oracle = copy.deepcopy(state)
+    assert _rank_warnings(sweep_view, state) == _rank_warnings(recompute_sweep_view, oracle)
+    for got, want in zip(state.stacks, oracle.stacks):
+        for Z, Z_oracle in zip(got.mappings, want.mappings, strict=True):
+            assert np.array_equal(Z, Z_oracle)
+        assert np.array_equal(got.top, want.top)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,11 +3,16 @@ import warnings
 import numpy as np
 import pytest
 
-from mvclust import fit_seminmf, pos_neg_split, update_basis, update_representation
+from mvclust import fit_seminmf, pos_neg_split, update_basis
 from mvclust.errors import RankDeficientError
 from mvclust.seminmf import mp_pinv
 
-from conftest import direct_residual_fit_seminmf, planted_two_blocks, traced_peak
+from conftest import (
+    direct_residual_fit_seminmf,
+    planted_two_blocks,
+    traced_peak,
+    update_representation,
+)
 
 
 def test_pos_neg_split_definition():
