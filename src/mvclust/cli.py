@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: `cluster` (fit + spectral clustering + report), `sweep`
-(beta x layer grid), `synth` (write a synthetic dataset directory), and
-`ablate` (depth ablation). Progress goes to stderr; machine-readable
+(beta x layer grid) and `synth` (write a synthetic dataset directory).
+Every fit runs in this process. Progress goes to stderr; machine-readable
 artifacts only to the paths given with --out / --curve. Every command is
 deterministic for a fixed --seed.
 """
@@ -10,12 +10,10 @@ deterministic for a fixed --seed.
 from __future__ import annotations
 
 import argparse
-import itertools
 import logging
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -217,11 +215,10 @@ def _layer_grid(k: int, depth: int) -> list[list[int]]:
     raise MvclustError(f"sweep depth must be 1, 2, or 3, got {depth}")
 
 
-def _sweep_cell(payload) -> list[str]:
+def _sweep_cell(ds, args, layers: list[int], beta: float, k: int) -> list[str]:
     """Fit and cluster one (beta, layers) cell; returns its TSV cells."""
-    (ds, args_ns, layers, beta, k) = payload
-    cfg = _make_config(args_ns, layers, beta)
-    result, part = _fit_and_cluster(ds, cfg, k, args_ns.kmeans_restarts)
+    cfg = _make_config(args, layers, beta)
+    result, part = _fit_and_cluster(ds, cfg, k, args.kmeans_restarts)
     return [
         repr(beta),
         ",".join(str(s) for s in layers),
@@ -243,12 +240,7 @@ def cmd_sweep(args) -> int:
     k = _resolve_k(ds, layer_grid[0], args.k)
     for spec in layer_grid:
         LayerSpec(spec).validate(k=k, min_view_dim=min(ds.view_dims))
-    payloads = [(ds, args, l, b, k) for b, l in itertools.product(args.beta_grid, layer_grid)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_cell, payloads))
-    else:
-        rows = [_sweep_cell(p) for p in payloads]
+    rows = [_sweep_cell(ds, args, layers, beta, k) for beta in args.beta_grid for layers in layer_grid]
     header = ["cell", "beta", "layers", "final_objective", "iters", "converged", "acc", "nmi", "pur"]
     _write_tsv(args.out, header, ([str(idx), *row] for idx, row in enumerate(rows)))
     log.info("sweep table (%d cells) written to %s", len(rows), args.out)
@@ -270,33 +262,12 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    if len(args.layers) != 3:
-        raise MvclustError("--layers must give the full three-layer spec l1,l2,k")
-    ds = _load_normalized(args)
-    if ds.labels is None:
-        raise MvclustError("depth ablation needs a labelled dataset")
-    l1, l2, _ = args.layers
-    k = _resolve_k(ds, args.layers, None)
-    rows = []
-    for spec in [[k], [l2, k], [l1, l2, k]]:
-        cfg = _make_config(args, spec, args.beta)
-        result, part = _fit_and_cluster(ds, cfg, k, args.kmeans_restarts)
-        rows.append([
-            str(len(spec)), ",".join(str(s) for s in spec),
-            *_metric_cells(part, ds.labels), repr(result.final_objective),
-        ])
-    _write_tsv(args.out, ["depth", "layers", "acc", "nmi", "pur", "final_objective"], rows)
-    log.info("ablation table written to %s", args.out)
-    return 0
-
-
 def _add_fit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--max-iter", type=int, default=150, help="outer iterations (default 150)")
-    p.add_argument("--pretrain-iters", type=int, default=100, help="semi-NMF sweeps per layer")
+    p.add_argument("--pretrain-iters", type=positive_int, default=100, help="semi-NMF sweeps per layer")
     p.add_argument("--tol", type=float, default=1e-6, help="relative objective tolerance")
-    p.add_argument("--restarts", type=int, default=1, help="independent fits, best kept")
+    p.add_argument("--restarts", type=positive_int, default=1, help="independent fits, best kept")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--kmeans-restarts", type=positive_int, default=10, help="k-means restarts")
     p.add_argument(
@@ -338,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer-grid", type=parse_int_list, action="append", default=None,
                    help="explicit layer spec, repeatable; overrides --depth")
     p.add_argument("--k", type=int, default=None, help="cluster count for unlabelled data")
-    p.add_argument("--jobs", type=positive_int, default=1, help="worker processes (default 1)")
     p.add_argument("--out", required=True, help="results TSV path")
     p.set_defaults(func=cmd_sweep)
 
@@ -352,13 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="dataset directory to create")
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("ablate", help="depth ablation at a fixed layer spec")
-    _add_fit_args(p)
-    p.add_argument("--layers", type=parse_int_list, required=True, help="full spec l1,l2,k")
-    p.add_argument("--beta", type=positive_beta, required=True)
-    p.add_argument("--out", required=True, help="ablation TSV path")
-    p.set_defaults(func=cmd_ablate)
 
     return parser
 

@@ -4,14 +4,14 @@ A dataset directory holds a JSON `manifest.json` (fields: name, view_files,
 labels_file, k) plus one delimited text matrix per view (rows = features,
 columns = samples; comma or whitespace separated, no header) and an
 optional labels file with one 0-based integer per line. Reports are
-versioned JSON.
+plain JSON carrying `schema_version`; read them with `json.load`.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,6 @@ from .errors import (
     MissingFileError,
     MissingManifestError,
     ParseError,
-    SchemaVersionMismatchError,
     ZeroColumnWarning,
 )
 from .types import MultiViewDataset, validate_dataset
@@ -265,33 +264,8 @@ class ClusteringReport:
     timing: dict
     metrics: dict | None = None
     restarts: list[dict] | None = None
-    schema_version: int = field(default=REPORT_SCHEMA_VERSION)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ClusteringReport":
-        version = raw.get("schema_version")
-        if version != REPORT_SCHEMA_VERSION:
-            raise SchemaVersionMismatchError(
-                f"report schema {version!r}, this build reads {REPORT_SCHEMA_VERSION}"
-            )
-        return cls(**raw)
+    schema_version: int = REPORT_SCHEMA_VERSION
 
 
 def save_report(report: ClusteringReport, path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-
-
-def load_report(path) -> ClusteringReport:
-    path = Path(path)
-    if not path.exists():
-        raise MissingFileError(str(path))
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ParseError(path, e.lineno, e.colno, reason=e.msg)
-    if not isinstance(raw, dict):
-        raise ParseError(path, reason="report must be a JSON object")
-    return ClusteringReport.from_dict(raw)
+    Path(path).write_text(json.dumps(asdict(report), indent=2) + "\n")

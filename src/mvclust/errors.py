@@ -63,10 +63,6 @@ class ParseError(MvclustError):
         super().__init__(f"parse error at {loc}: {reason}" if reason else f"parse error at {loc}")
 
 
-class SchemaVersionMismatchError(MvclustError):
-    """A persisted report was written with an unsupported schema version."""
-
-
 class InfeasibleGeometryError(MvclustError):
     """Requested synthetic cluster geometry cannot fit in the given dimensions."""
 

@@ -250,8 +250,8 @@ class FitConfig:
             raise MvclustError("max_outer_iters must be >= 0")
         if self.pretrain_iters < 1:
             raise MvclustError("pretrain_iters must be >= 1")
-        if self.tol_rel_objective < 0:
-            raise MvclustError("tol_rel_objective must be >= 0")
+        if not self.tol_rel_objective >= 0:
+            raise MvclustError(f"tol_rel_objective must be >= 0, got {self.tol_rel_objective}")
         if self.restarts < 1:
             raise MvclustError("restarts must be >= 1")
         self.layers.validate()

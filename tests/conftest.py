@@ -16,12 +16,11 @@ from mvclust import (
     LayerSpec,
     ModelState,
     MultiViewDataset,
-    update_consensus_graph,
-    update_mapping,
-    update_top,
     validate_dataset,
 )
+from mvclust.consensus import update_consensus_graph
 from mvclust.errors import RankDeficientError, RankDeficientWarning
+from mvclust.finetune import update_mapping, update_top
 from mvclust.seminmf import (
     EPS_DENOM,
     RCOND,

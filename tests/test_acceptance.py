@@ -16,6 +16,10 @@ import numpy as np
 import pytest
 
 import mvclust as mv
+from mvclust.consensus import WeightQp, gram_similarity, update_consensus_graph, update_view_weights
+from mvclust.finetune import update_mapping
+from mvclust.metrics import hungarian
+from mvclust.spectral import spectral_embed
 
 from conftest import (
     ChainCache,
@@ -95,7 +99,7 @@ def test_criterion_3_graph_projection_oracle():
         for trial in range(1000):
             scale = rng.choice([0.05, 0.5, 1.0, 5.0])
             Q = rng.standard_normal((n, n)) * scale
-            S = mv.update_consensus_graph(Q)
+            S = update_consensus_graph(Q)
             i = trial % n
             oracle = brute_force_row_projection(Q[i], i)
             assert np.linalg.norm(S[i] - oracle) <= 1e-8
@@ -114,10 +118,10 @@ def test_criterion_4_weight_qp_oracle():
             )
             for st in state.stacks:
                 st.top = st.top / np.sqrt(np.linalg.norm(st.top.T @ st.top))
-            alpha = mv.update_view_weights(state)
+            alpha = update_view_weights(state)
 
             grams = np.stack(
-                [mv.gram_similarity(st.top).ravel() for st in state.stacks]
+                [gram_similarity(st.top).ravel() for st in state.stacks]
             )
             s_flat = state.S.ravel()
 
@@ -129,7 +133,7 @@ def test_criterion_4_weight_qp_oracle():
             assert got <= grid_best + 1e-12
             assert abs(got - grid_best) <= 1e-4
 
-            qp = mv.WeightQp.from_state(state)
+            qp = WeightQp.from_state(state)
             grad = qp.A @ alpha - qp.f
             mu = grad.min()
             assert (grad[alpha > 1e-12] - mu).max() <= 1e-6
@@ -149,7 +153,7 @@ def test_criterion_5_mapping_update_oracle():
                 seed=int(rng.integers(2**31)),
             )
             i = int(rng.integers(depth))
-            Z = mv.update_mapping(*mapping_factors(state, 0, i))
+            Z = update_mapping(*mapping_factors(state, 0, i))
             state.stacks[0].mappings[i] = Z
             cache = ChainCache.compute(state.stacks[0], i)
             X = state.views[0]
@@ -222,7 +226,7 @@ def test_criterion_8_metric_correctness():
         for _ in range(1000):
             k = int(rng.integers(2, 7))
             cost = rng.standard_normal((k, k))
-            perm = mv.hungarian(cost)
+            perm = hungarian(cost)
             achieved = cost[np.arange(k), perm].sum()
             best = min(
                 sum(cost[i, p[i]] for i in range(k))
@@ -251,14 +255,14 @@ def test_criterion_9_spectral_correctness():
         from scipy.linalg import subspace_angles
 
         rng = np.random.default_rng(1)
-        S8 = mv.update_consensus_graph(rng.random((8, 8)))
+        S8 = update_consensus_graph(rng.random((8, 8)))
         W = (S8 + S8.T) / 2
         deg = W.sum(axis=1)
         L = np.eye(8) - W / np.sqrt(np.outer(deg, deg))
         L = (L + L.T) / 2
         w_oracle, V_oracle = jacobi_eigh(L)
         assert np.abs(np.sort(w_oracle) - np.linalg.eigvalsh(L)).max() <= 1e-8
-        E = mv.spectral_embed(S8, 3)
+        E = spectral_embed(S8, 3)
         B = V_oracle[:, :3]
         B = B / np.linalg.norm(B, axis=1, keepdims=True)
         assert subspace_angles(E, B).max() <= 1e-8

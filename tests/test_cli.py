@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from mvclust import load_report
 from mvclust.cli import default_beta_grid, main, parse_beta
 
 from conftest import hierarchical_dataset
@@ -65,17 +64,18 @@ def test_cluster_end_to_end(tmp_path):
         "--seed", "1", "--out", str(out), "--curve", str(curve),
     ])
     assert code == 0
-    report = load_report(out)
-    assert report.metrics is not None
-    assert report.metrics["acc"] >= 0.9
-    assert len(report.labels) == 90
-    assert len(report.restarts) == 2
-    assert abs(sum(report.alpha) - 1.0) <= 1e-9
+    report = json.loads(out.read_text())
+    assert report["schema_version"] == 1
+    assert report["metrics"] is not None
+    assert report["metrics"]["acc"] >= 0.9
+    assert len(report["labels"]) == 90
+    assert len(report["restarts"]) == 2
+    assert abs(sum(report["alpha"]) - 1.0) <= 1e-9
     lines = curve.read_text().strip().splitlines()
     assert lines[0] == "iteration\tobjective"
-    assert len(lines) == len(report.objective_history) + 1
+    assert len(lines) == len(report["objective_history"]) + 1
     curve_vals = [float(line.split("\t")[1]) for line in lines[1:]]
-    assert curve_vals == report.objective_history
+    assert curve_vals == report["objective_history"]
 
 
 def test_cluster_deterministic(tmp_path):
@@ -88,9 +88,9 @@ def test_cluster_deterministic(tmp_path):
             "--max-iter", "10", "--pretrain-iters", "25", "--seed", "5",
             "--out", str(out),
         ]) == 0
-        outs.append(load_report(out))
-    assert outs[0].labels == outs[1].labels
-    assert outs[0].objective_history == outs[1].objective_history
+        outs.append(json.loads(out.read_text()))
+    assert outs[0]["labels"] == outs[1]["labels"]
+    assert outs[0]["objective_history"] == outs[1]["objective_history"]
 
 
 def test_cluster_rejects_negative_beta(tmp_path):
@@ -115,7 +115,7 @@ def test_cluster_depth_two_accepted(tmp_path):
         "--max-iter", "8", "--pretrain-iters", "20", "--out", str(out),
     ])
     assert code == 0
-    assert load_report(out).config["layers"] == [9, 3]
+    assert json.loads(out.read_text())["config"]["layers"] == [9, 3]
 
 
 def test_cluster_wrong_last_layer_fails(tmp_path):
@@ -137,15 +137,16 @@ def test_cluster_select_by_acc(tmp_path):
         "--select-by", "acc", "--out", str(out),
     ])
     assert code == 0
-    report = load_report(out)
-    assert report.metrics["acc"] >= 0.5
-    assert len(report.restarts) == 2
-    assert [r["seed"] for r in report.restarts] == [0, 1]
+    report = json.loads(out.read_text())
+    assert report["metrics"]["acc"] >= 0.5
+    assert len(report["restarts"]) == 2
+    assert [r["seed"] for r in report["restarts"]] == [0, 1]
 
 
 @pytest.mark.parametrize("command,flag,value", [
     ("cluster", "--kmeans-restarts", "0"),
-    ("sweep", "--jobs", "-4"),
+    ("cluster", "--restarts", "0"),
+    ("sweep", "--pretrain-iters", "0"),
     ("sweep", "--layer-grid", ""),
 ])
 def test_counts_below_one_rejected_at_parse_time(tmp_path, command, flag, value):
@@ -178,16 +179,16 @@ def test_sweep_small_grid(tmp_path):
     assert all(0 <= a <= 1 for a in accs)
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
+def test_sweep_deterministic(tmp_path):
     data = make_dataset_dir(tmp_path)
-    serial, parallel = tmp_path / "s.tsv", tmp_path / "p.tsv"
+    first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
     base = [
         "sweep", "--data", str(data), "--beta-grid", "0.5,2.0",
         "--layer-grid", "9,3", "--max-iter", "5", "--pretrain-iters", "15",
     ]
-    assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
-    assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
-    assert serial.read_text() == parallel.read_text()
+    assert main(base + ["--out", str(first)]) == 0
+    assert main(base + ["--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_sweep_empty_beta_grid_rejected(tmp_path):
@@ -207,26 +208,21 @@ def test_sweep_default_grid_sizes(tmp_path):
 
 
 def test_ablate_three_depths(tmp_path):
+    # the depth ablation [k], [l2,k], [l1,l2,k] is a sweep over three specs
     d = tmp_path / "hier"
     ds = hierarchical_dataset(n=90, n_views=2, dims=(30, 24), seed=1)
     save_dataset(ds, d, name="hier")
-    out = tmp_path / "ablate.tsv"
+    out = tmp_path / "depths.tsv"
     code = main([
-        "ablate", "--data", str(d), "--layers", "12,6,3", "--beta", "0.5",
+        "sweep", "--data", str(d), "--beta-grid", "0.5",
+        "--layer-grid", "3", "--layer-grid", "6,3", "--layer-grid", "12,6,3",
         "--max-iter", "10", "--pretrain-iters", "25", "--out", str(out),
     ])
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 4
-    assert [line.split("\t")[0] for line in lines[1:]] == ["1", "2", "3"]
-    assert [line.split("\t")[1] for line in lines[1:]] == ["3", "6,3", "12,6,3"]
-
-
-def test_ablate_requires_full_spec(tmp_path):
-    data = make_dataset_dir(tmp_path)
-    code = main(["ablate", "--data", str(data), "--layers", "9,3", "--beta", "0.5",
-                 "--out", str(tmp_path / "a.tsv")])
-    assert code != 0
+    assert [line.split("\t")[0] for line in lines[1:]] == ["0", "1", "2"]
+    assert [line.split("\t")[2] for line in lines[1:]] == ["3", "6,3", "12,6,3"]
 
 
 def test_layer_grid_defaults():
@@ -247,15 +243,17 @@ def test_ablate_depth_one_matches_cluster(tmp_path):
     # with several restarts both commands must cluster the winning run's graph
     data = make_dataset_dir(tmp_path)
     for restarts in ("1", "3"):
-        common = ["--beta", "0.5", "--max-iter", "8", "--pretrain-iters", "20",
-                  "--seed", "3", "--restarts", restarts]
-        table = tmp_path / f"abl{restarts}.tsv"
-        assert main(["ablate", "--data", str(data), "--layers", "12,6,3", *common,
-                     "--out", str(table)]) == 0
+        common = ["--max-iter", "8", "--pretrain-iters", "20", "--seed", "3",
+                  "--restarts", restarts]
+        table = tmp_path / f"depths{restarts}.tsv"
+        assert main(["sweep", "--data", str(data), "--beta-grid", "0.5",
+                     "--layer-grid", "3", "--layer-grid", "6,3", "--layer-grid", "12,6,3",
+                     *common, "--out", str(table)]) == 0
         report_path = tmp_path / f"depth1_{restarts}.json"
-        assert main(["cluster", "--data", str(data), "--layers", "3", *common,
-                     "--out", str(report_path)]) == 0
+        assert main(["cluster", "--data", str(data), "--layers", "3", "--beta", "0.5",
+                     *common, "--out", str(report_path)]) == 0
         depth1_row = table.read_text().strip().splitlines()[1].split("\t")
-        report = load_report(report_path)
-        assert float(depth1_row[2]) == pytest.approx(report.metrics["acc"], abs=1e-12)
-        assert float(depth1_row[5]) == pytest.approx(report.objective_history[-1])
+        assert depth1_row[2] == "3"
+        report = json.loads(report_path.read_text())
+        assert float(depth1_row[6]) == pytest.approx(report["metrics"]["acc"], abs=1e-12)
+        assert float(depth1_row[3]) == report["objective_history"][-1]

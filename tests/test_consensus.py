@@ -1,6 +1,6 @@
 import numpy as np
 
-from mvclust import (
+from mvclust.consensus import (
     WeightQp,
     compute_Q,
     gram_similarity,

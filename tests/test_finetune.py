@@ -2,18 +2,11 @@ import copy
 
 import numpy as np
 
-from mvclust import (
-    FactorStack,
-    ModelState,
-    compute_Q,
-    objective,
-    sweep_view,
-    update_basis,
-    update_consensus_graph,
-    update_mapping,
-    update_top,
-    update_view_weights,
-)
+from mvclust import FactorStack, ModelState
+from mvclust.consensus import compute_Q, update_consensus_graph, update_view_weights
+from mvclust.finetune import sweep_view, update_mapping, update_top
+from mvclust.fitting import objective
+from mvclust.seminmf import update_basis
 
 from conftest import (
     ChainCache,

@@ -9,18 +9,15 @@ from mvclust import (
     MultiViewDataset,
     accuracy,
     cluster_graph,
-    compute_Q,
     fit,
     fit_with_restarts,
     generate_synthetic,
-    initialize_state,
     normalize_views,
-    objective,
-    objective_terms,
-    pretrain_view,
-    update_consensus_graph,
 )
+from mvclust.consensus import compute_Q, update_consensus_graph
 from mvclust.errors import RankDeficientError, TooManyViewsError
+from mvclust.fitting import objective, objective_terms
+from mvclust.pretrain import initialize_state, pretrain_view
 
 from conftest import random_state, simple_config, traced_peak
 

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from mvclust import Partition, accuracy, contingency_table, hungarian, nmi, purity
+from mvclust import Partition, accuracy, nmi, purity
 from mvclust.errors import LengthMismatchError
+from mvclust.metrics import contingency_table, hungarian
 
 
 def brute_force_assignment(cost):

@@ -1,15 +1,10 @@
 import numpy as np
 
-from mvclust import (
-    LayerSpec,
-    MultiViewDataset,
-    fit_seminmf,
-    gram_similarity,
-    initialize_state,
-    objective,
-    pretrain_view,
-    validate_dataset,
-)
+from mvclust import LayerSpec, MultiViewDataset, validate_dataset
+from mvclust.consensus import gram_similarity
+from mvclust.fitting import objective
+from mvclust.pretrain import initialize_state, pretrain_view
+from mvclust.seminmf import fit_seminmf
 
 from conftest import hierarchical_dataset, simple_config
 

@@ -10,18 +10,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from mvclust import (
+from mvclust.consensus import (
     WeightQp,
     compute_Q,
     project_rows_to_simplex,
     solve_simplex_qp,
-    spectral_embed,
-    sweep_view,
     update_consensus_graph,
-    update_top,
 )
 from mvclust.errors import RankDeficientError, RankDeficientWarning
+from mvclust.finetune import sweep_view, update_top
 from mvclust.seminmf import mp_pinv, multiplicative_step
+from mvclust.spectral import spectral_embed
 
 from conftest import (
     ChainCache,

@@ -3,9 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mvclust import fit_seminmf, pos_neg_split, update_basis
 from mvclust.errors import RankDeficientError
-from mvclust.seminmf import mp_pinv
+from mvclust.seminmf import fit_seminmf, mp_pinv, pos_neg_split, update_basis
 
 from conftest import (
     direct_residual_fit_seminmf,

@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from mvclust import (
-    cluster_graph,
-    gram_similarity,
-    kmeans,
-    spectral_embed,
-    update_consensus_graph,
-)
+from mvclust import cluster_graph, kmeans
+from mvclust.consensus import gram_similarity, update_consensus_graph
 from mvclust.errors import DegenerateGraphWarning
+from mvclust.spectral import spectral_embed
 
 from conftest import dense_spectral_embed, hierarchical_dataset, jacobi_eigh, traced_peak
 

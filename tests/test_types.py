@@ -93,8 +93,9 @@ def test_fit_config_validation():
             FitConfig(beta=beta, layers=layers)
     with pytest.raises(MvclustError):
         FitConfig(beta=1.0, layers=layers, max_outer_iters=-1)
-    with pytest.raises(MvclustError):
-        FitConfig(beta=1.0, layers=layers, tol_rel_objective=-1e-9)
+    for tol in (-1e-9, np.nan):
+        with pytest.raises(MvclustError):
+            FitConfig(beta=1.0, layers=layers, tol_rel_objective=tol)
     with pytest.raises(MvclustError):
         FitConfig(beta=1.0, layers=layers, restarts=0)
 
