@@ -2,9 +2,10 @@
 
 Subcommands: `cluster` (fit + spectral clustering + report), `sweep`
 (beta x layer grid) and `synth` (write a synthetic dataset directory).
-Every fit runs in this process. Progress goes to stderr; machine-readable
-artifacts only to the paths given with --out / --curve. Every command is
-deterministic for a fixed --seed.
+Every fit runs in this process. With --restarts r, runs use seeds seed, ...,
+seed + r - 1 and the one with the lowest final objective is clustered.
+Progress goes to stderr; machine-readable artifacts only to the path given
+with --out. Every command is deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 
@@ -27,45 +28,42 @@ from .dataio import (
     save_report,
 )
 from .errors import MvclustError
-from .fitting import FitResult, RestartSummary, fit, fit_with_restarts
+from .fitting import FitResult, fit_with_restarts
 from .metrics import accuracy, nmi, purity
 from .spectral import cluster_graph
 from .types import FitConfig, LayerSpec, MultiViewDataset
 
 log = logging.getLogger(__name__)
 
-DEFAULT_BETA_EXPONENTS = (-7, -5, -3, -1, 1, 3, 5, 7)
+# 2^-7, 2^-5, ..., 2^7: the sweep's beta grid when --beta-grid is not given
+DEFAULT_BETA_GRID = tuple(2.0**e for e in range(-7, 8, 2))
 
 
 def parse_beta(text: str) -> float:
-    """Accept plain decimals and power-of-two notation like 2^-3."""
+    """A positive, finite beta: a plain decimal or power-of-two notation like 2^-3."""
     text = text.strip()
-    if text.startswith("2^"):
-        try:
-            return float(2.0 ** int(text[2:]))
-        except (ValueError, OverflowError):
-            raise argparse.ArgumentTypeError(f"bad exponent in {text!r}")
     try:
-        return float(text)
-    except ValueError:
+        value = 2.0 ** int(text[2:]) if text.startswith("2^") else float(text)
+    except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(f"bad beta {text!r}")
-
-
-def positive_beta(text: str) -> float:
-    value = parse_beta(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"beta must be positive and finite, got {value}")
     return value
 
 
-def positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def int_at_least(low: int):
+    """An argparse type for integers >= low, so smaller counts exit 2 at parse time."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -78,14 +76,8 @@ def parse_int_list(text: str) -> list[int]:
     return values
 
 
-def default_beta_grid() -> list[float]:
-    return [2.0**e for e in DEFAULT_BETA_EXPONENTS]
-
-
 def parse_beta_grid(text: str) -> list[float]:
-    if text.strip() == "default":
-        return default_beta_grid()
-    grid = [positive_beta(t) for t in text.split(",") if t.strip()]
+    grid = [parse_beta(t) for t in text.split(",") if t.strip()]
     if not grid:
         raise argparse.ArgumentTypeError("empty beta grid")
     return grid
@@ -126,11 +118,6 @@ def _metric_cells(pred, truth) -> list[str]:
     return ["", "", ""] if m is None else [f"{x:.4f}" for x in m.values()]
 
 
-def _write_tsv(path, header: list[str], rows) -> None:
-    lines = ["\t".join(header)] + ["\t".join(row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _make_config(args, layers: list[int], beta: float) -> FitConfig:
     return FitConfig(
         beta=beta,
@@ -143,34 +130,14 @@ def _make_config(args, layers: list[int], beta: float) -> FitConfig:
     )
 
 
-def _fit_and_cluster(ds, cfg: FitConfig, k: int, kmeans_restarts: int, select_by: str = "objective"):
-    """Fit runs with seeds seed, seed+1, ... and cluster the winning run's
-    graph with that run's seed. The winner has the lowest final objective
-    or, with select_by="acc" and labels available, the highest accuracy
-    (mirrors best-of-repeats reporting). Every run is summarized."""
-    if select_by == "objective":
-        result = fit_with_restarts(ds, cfg)
-        return result, cluster_graph(result.state.S, k, restarts=kmeans_restarts, seed=result.seed)
-    if ds.labels is None:
-        raise MvclustError("--select-by acc needs a labelled dataset")
-    best = None
-    summaries = []
-    for r in range(cfg.restarts):
-        result = fit(ds, replace(cfg, rng_seed=cfg.rng_seed + r, restarts=1))
-        part = cluster_graph(result.state.S, k, restarts=kmeans_restarts, seed=result.seed)
-        summaries.append(RestartSummary.of(result))
-        acc = accuracy(part, ds.labels)
-        if best is None or acc > best[0]:
-            best = (acc, result, part)
-    _, result, part = best
-    result.restart_summaries = summaries
-    return result, part
+def _fit_and_cluster(ds, cfg: FitConfig, k: int, kmeans_restarts: int):
+    """Keep the restart with the lowest final objective and cluster its
+    graph with that run's seed."""
+    result = fit_with_restarts(ds, cfg)
+    return result, cluster_graph(result.state.S, k, restarts=kmeans_restarts, seed=result.seed)
 
 
 def _build_report(name, ds, cfg, result: FitResult, part, t_start) -> ClusteringReport:
-    restarts = None
-    if result.restart_summaries is not None:
-        restarts = [asdict(s) for s in result.restart_summaries]
     return ClusteringReport(
         dataset=name,
         k=part.k,
@@ -180,7 +147,7 @@ def _build_report(name, ds, cfg, result: FitResult, part, t_start) -> Clustering
         config={**asdict(cfg), "layers": list(cfg.layers.sizes)},
         timing={"fit_seconds": result.wall_time, "total_seconds": time.perf_counter() - t_start},
         metrics=_metrics_dict(part, ds.labels),
-        restarts=restarts,
+        restarts=[asdict(s) for s in result.restart_summaries],
     )
 
 
@@ -189,12 +156,9 @@ def cmd_cluster(args) -> int:
     ds = _load_normalized(args)
     k = _resolve_k(ds, args.layers, None)
     cfg = _make_config(args, args.layers, args.beta)
-    result, part = _fit_and_cluster(ds, cfg, k, args.kmeans_restarts, args.select_by)
+    result, part = _fit_and_cluster(ds, cfg, k, args.kmeans_restarts)
     report = _build_report(Path(args.data).name, ds, cfg, result, part, t_start)
     save_report(report, args.out)
-    if args.curve:
-        rows = [[str(i), repr(float(v))] for i, v in enumerate(result.objective_history)]
-        _write_tsv(args.curve, ["iteration", "objective"], rows)
     if report.metrics:
         log.info(
             "acc=%.4f nmi=%.4f pur=%.4f", report.metrics["acc"],
@@ -242,7 +206,8 @@ def cmd_sweep(args) -> int:
         LayerSpec(spec).validate(k=k, min_view_dim=min(ds.view_dims))
     rows = [_sweep_cell(ds, args, layers, beta, k) for beta in args.beta_grid for layers in layer_grid]
     header = ["cell", "beta", "layers", "final_objective", "iters", "converged", "acc", "nmi", "pur"]
-    _write_tsv(args.out, header, ([str(idx), *row] for idx, row in enumerate(rows)))
+    lines = ["\t".join(header)] + ["\t".join([str(idx), *row]) for idx, row in enumerate(rows)]
+    Path(args.out).write_text("\n".join(lines) + "\n")
     log.info("sweep table (%d cells) written to %s", len(rows), args.out)
     return 0
 
@@ -264,12 +229,12 @@ def cmd_synth(args) -> int:
 
 def _add_fit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--max-iter", type=int, default=150, help="outer iterations (default 150)")
-    p.add_argument("--pretrain-iters", type=positive_int, default=100, help="semi-NMF sweeps per layer")
+    p.add_argument("--max-iter", type=int_at_least(0), default=150, help="outer iterations (default 150)")
+    p.add_argument("--pretrain-iters", type=int_at_least(1), default=100, help="semi-NMF sweeps per layer")
     p.add_argument("--tol", type=float, default=1e-6, help="relative objective tolerance")
-    p.add_argument("--restarts", type=positive_int, default=1, help="independent fits, best kept")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--kmeans-restarts", type=positive_int, default=10, help="k-means restarts")
+    p.add_argument("--restarts", type=int_at_least(1), default=1, help="fits; lowest objective kept")
+    p.add_argument("--seed", type=int_at_least(0), default=0, help="base RNG seed")
+    p.add_argument("--kmeans-restarts", type=int_at_least(1), default=10, help="k-means restarts")
     p.add_argument(
         "--normalize", choices=("sample", "minmax", "none"), default="sample",
         help="feature normalization (default: unit-norm sample columns)",
@@ -291,19 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="fit one configuration and write a report")
     _add_fit_args(p)
     p.add_argument("--layers", type=parse_int_list, required=True, help="widths l1,...,k")
-    p.add_argument("--beta", type=positive_beta, required=True, help="trade-off (accepts 2^e)")
+    p.add_argument("--beta", type=parse_beta, required=True, help="trade-off (accepts 2^e)")
     p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--curve", default=None, help="optional TSV path for the objective curve")
-    p.add_argument(
-        "--select-by", choices=("objective", "acc"), default="objective",
-        help="restart selection criterion (acc needs labels)",
-    )
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("sweep", help="grid sweep over beta and layer sizes")
     _add_fit_args(p)
-    p.add_argument("--beta-grid", type=parse_beta_grid, default=default_beta_grid(),
-                   help="comma list (accepts 2^e) or 'default' = 2^-7..2^7 odd exponents")
+    p.add_argument("--beta-grid", type=parse_beta_grid, default=DEFAULT_BETA_GRID,
+                   help="comma list (accepts 2^e); default 2^-7..2^7 odd exponents")
     p.add_argument("--depth", type=int, choices=(1, 2, 3), default=3,
                    help="layer-grid scheme when --layer-grid is not given")
     p.add_argument("--layer-grid", type=parse_int_list, action="append", default=None,
@@ -319,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=parse_int_list, required=True, help="per-view dimensions")
     p.add_argument("--separation", type=float, default=10.0)
     p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--out", required=True, help="dataset directory to create")
     p.set_defaults(func=cmd_synth)
 

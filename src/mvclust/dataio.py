@@ -10,6 +10,7 @@ plain JSON carrying `schema_version`; read them with `json.load`.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -30,7 +31,6 @@ from .types import MultiViewDataset, validate_dataset
 Array = np.ndarray
 
 REPORT_SCHEMA_VERSION = 1
-MANIFEST_NAMES = ("manifest.json", "manifest")
 
 
 @dataclass
@@ -103,32 +103,31 @@ def _read_labels(path) -> Array:
 
 def read_manifest(directory) -> DatasetManifest:
     directory = Path(directory)
-    for name in MANIFEST_NAMES:
-        p = directory / name
-        if p.exists():
-            try:
-                raw = json.loads(p.read_text())
-            except json.JSONDecodeError as e:
-                raise ParseError(p, e.lineno, e.colno, reason=e.msg)
-            if not isinstance(raw, dict):
-                raise ParseError(p, reason="manifest must be a JSON object")
-            files = raw.get("view_files")
-            if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
-                raise ParseError(p, reason="'view_files' must be a list of file names")
-            if not files:
-                raise ParseError(p, reason="at least one view file is required")
-            if not isinstance(raw.get("labels_file"), (str, type(None))):
-                raise ParseError(p, reason="'labels_file' must be a file name or null")
-            k = raw.get("k")
-            if k is not None and (type(k) is not int or k < 2):
-                raise ParseError(p, reason=f"k must be an integer >= 2, got {k!r}")
-            return DatasetManifest(
-                name=raw.get("name", directory.name),
-                view_files=list(files),
-                labels_file=raw.get("labels_file"),
-                k=k,
-            )
-    raise MissingManifestError(f"no manifest file in {directory}")
+    p = directory / "manifest.json"
+    if not p.exists():
+        raise MissingManifestError(f"no manifest.json in {directory}")
+    try:
+        raw = json.loads(p.read_text())
+    except json.JSONDecodeError as e:
+        raise ParseError(p, e.lineno, e.colno, reason=e.msg)
+    if not isinstance(raw, dict):
+        raise ParseError(p, reason="manifest must be a JSON object")
+    files = raw.get("view_files")
+    if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+        raise ParseError(p, reason="'view_files' must be a list of file names")
+    if not files:
+        raise ParseError(p, reason="at least one view file is required")
+    if not isinstance(raw.get("labels_file"), (str, type(None))):
+        raise ParseError(p, reason="'labels_file' must be a file name or null")
+    k = raw.get("k")
+    if k is not None and (type(k) is not int or k < 2):
+        raise ParseError(p, reason=f"k must be an integer >= 2, got {k!r}")
+    return DatasetManifest(
+        name=raw.get("name", directory.name),
+        view_files=list(files),
+        labels_file=raw.get("labels_file"),
+        k=k,
+    )
 
 
 def load_dataset(directory) -> MultiViewDataset:
@@ -220,11 +219,17 @@ def generate_synthetic(
     `separation` (needs every view dimension >= k - 1); each view gets an
     independent random rotation and independent Gaussian noise. Labels are
     balanced and every class is non-empty. Deterministic for a fixed seed.
-    Raises InfeasibleGeometryError when k < 1, n < 2k or a view is too
-    narrow, and DimensionMismatchError unless `dims` has one entry per view.
+    Raises InfeasibleGeometryError when k < 1, n < 2k, a view is too
+    narrow, `separation` is not finite or `noise_sigma` is negative or not
+    finite, and DimensionMismatchError unless `dims` has one entry per view.
     """
     if k < 1 or n < 2 * k:
         raise InfeasibleGeometryError(f"need k >= 1 and n >= 2k, got n={n}, k={k}")
+    if not (math.isfinite(separation) and 0 <= noise_sigma < math.inf):
+        raise InfeasibleGeometryError(
+            f"need a finite separation and a finite noise_sigma >= 0, "
+            f"got separation={separation}, noise_sigma={noise_sigma}"
+        )
     if len(dims) != n_views:
         raise DimensionMismatchError(f"got {len(dims)} dimensions for {n_views} views")
     short = [d for d in dims if d < k - 1]

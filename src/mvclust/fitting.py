@@ -68,16 +68,6 @@ class RestartSummary:
     converged: bool
     wall_time: float
 
-    @classmethod
-    def of(cls, result: "FitResult") -> "RestartSummary":
-        return cls(
-            seed=result.seed,
-            final_objective=result.final_objective,
-            iters_run=result.iters_run,
-            converged=result.converged,
-            wall_time=result.wall_time,
-        )
-
 
 @dataclass
 class FitResult:
@@ -166,7 +156,9 @@ def fit_with_restarts(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -
     for r in range(cfg.restarts):
         run_cfg = replace(cfg, rng_seed=cfg.rng_seed + r, restarts=1)
         res = fit(ds, run_cfg, on_iteration=on_iteration)
-        summaries.append(RestartSummary.of(res))
+        summaries.append(
+            RestartSummary(res.seed, res.final_objective, res.iters_run, res.converged, res.wall_time)
+        )
         if best is None or res.final_objective < best.final_objective:
             best = res
     best.restart_summaries = summaries

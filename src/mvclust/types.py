@@ -250,9 +250,13 @@ class FitConfig:
             raise MvclustError("max_outer_iters must be >= 0")
         if self.pretrain_iters < 1:
             raise MvclustError("pretrain_iters must be >= 1")
-        if not self.tol_rel_objective >= 0:
-            raise MvclustError(f"tol_rel_objective must be >= 0, got {self.tol_rel_objective}")
+        if not 0 <= self.tol_rel_objective < np.inf:
+            raise MvclustError(
+                f"tol_rel_objective must be finite and >= 0, got {self.tol_rel_objective}"
+            )
         if self.restarts < 1:
             raise MvclustError("restarts must be >= 1")
+        if self.rng_seed < 0:
+            raise MvclustError(f"rng_seed must be >= 0, got {self.rng_seed}")
         self.layers.validate()
         return self

@@ -14,7 +14,7 @@ from mvclust import (
     save_report,
     validate_dataset,
 )
-from mvclust.dataio import read_manifest, read_matrix
+from mvclust.dataio import read_matrix
 from mvclust.errors import (
     InfeasibleGeometryError,
     LabelRangeError,
@@ -146,15 +146,6 @@ def test_matrix_ragged_rows(tmp_path):
     with pytest.raises(ParseError) as exc:
         read_matrix(f)
     assert exc.value.line == 2
-
-
-def test_manifest_plain_filename(tmp_path):
-    d = tmp_path / "alt"
-    d.mkdir()
-    (d / "manifest").write_text(json.dumps({"name": "alt", "view_files": ["x.txt"], "k": 2}))
-    (d / "x.txt").write_text("1 2\n3 4\n")
-    m = read_manifest(d)
-    assert m.k == 2 and m.view_files == ["x.txt"]
 
 
 def test_labels_parse_and_validation(tmp_path):

@@ -1,6 +1,8 @@
 """README's examples stay in step with the code: every command-line example
-parses, and every library name it uses is public."""
+parses, every flag it names is an option, and every library name it uses is
+public."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -9,6 +11,9 @@ import mvclust
 from mvclust.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+# lines that run other programs, whose flags are not mvclust's
+OTHER_PROGRAMS = re.compile(r"^(pip|pytest|python3?) ")
 
 
 def code_block(section: str) -> str:
@@ -33,3 +38,16 @@ def test_library_example_names_are_public():
     names = set(re.findall(r"\bmv\.(\w+)", code_block("Library")))
     assert "fit_with_restarts" in names
     assert sorted(names - set(mvclust.__all__)) == []
+
+
+def test_flags_named_are_options():
+    # prose and code blocks alike: a removed flag must leave README too
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = set(parser._option_string_actions)
+    for sub in subparsers.choices.values():
+        options |= set(sub._option_string_actions)
+    lines = [line for line in README.read_text().splitlines() if not OTHER_PROGRAMS.match(line)]
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", "\n".join(lines)))
+    assert {"--out", "--seed"} <= named
+    assert sorted(named - options) == []

@@ -93,11 +93,14 @@ def test_fit_config_validation():
             FitConfig(beta=beta, layers=layers)
     with pytest.raises(MvclustError):
         FitConfig(beta=1.0, layers=layers, max_outer_iters=-1)
-    for tol in (-1e-9, np.nan):
+    for tol in (-1e-9, np.nan, np.inf):
         with pytest.raises(MvclustError):
             FitConfig(beta=1.0, layers=layers, tol_rel_objective=tol)
     with pytest.raises(MvclustError):
         FitConfig(beta=1.0, layers=layers, restarts=0)
+    FitConfig(beta=1.0, layers=layers, rng_seed=0)
+    with pytest.raises(MvclustError):
+        FitConfig(beta=1.0, layers=layers, rng_seed=-1)
 
 
 def test_model_state_invariants_on_random_state():
