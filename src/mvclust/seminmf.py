@@ -28,9 +28,6 @@ EPS_DENOM = 1e-12
 # pseudo-inverses.
 RCOND = 1e-10
 
-# Relative change of the reconstruction error at which fit_seminmf stops.
-SEMINMF_TOL = 1e-6
-
 
 def pos_neg_split(A: Array) -> tuple[Array, Array]:
     """Split A into elementwise nonnegative parts with A = plus - minus."""
@@ -95,8 +92,6 @@ def multiplicative_terms(ZtX: Array, ZtZ: Array, H: Array) -> tuple[Array, Array
     The Gram matrix is split before it multiplies the nonnegative H, so its
     diagonal keeps den positive wherever H is: that bounds the step and gives
     monotone descent (splitting the product admits vanishing denominators).
-    Callers form the products, so a caller that needs them again (the
-    pretraining residual) computes each once.
     """
     xp, xm = pos_neg_split(ZtX)
     gram_p, gram_m = pos_neg_split(ZtZ)
@@ -113,18 +108,11 @@ def multiplicative_step(H: Array, num: Array, den: Array) -> Array:
 @dataclass
 class SemiNmfResult:
     """Factorization output: basis Z (d, l), representation H (l, n) >= 0,
-    the final Frobenius reconstruction error, and the per-sweep error history.
-
-    Each history entry is ||X - Z H||_F after that sweep, computed by
-    `fit_seminmf` from the sweep's l x n products (see there): its relative
-    error is about eps ||X||_F^2 / residual^2, its absolute error at most
-    about sqrt(eps) ||X||_F."""
+    and the number of sweeps run."""
 
     Z: Array
     H: Array
-    residual: float
     iters: int
-    history: Array
 
 
 def _init_representation(X: Array, l: int, rng: np.random.Generator) -> Array:
@@ -135,21 +123,12 @@ def _init_representation(X: Array, l: int, rng: np.random.Generator) -> Array:
 
 
 def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
-    """Alternate basis/representation updates from a seeded random H.
+    """Alternate basis/representation updates from a seeded random H, exactly
+    `iters` sweeps.
 
-    Runs at most `iters` sweeps, stopping early when the relative change of
-    the reconstruction error drops below SEMINMF_TOL. `l` must not exceed the
-    sample count; widths above the feature count are permitted (the basis
-    update only needs H to have full row rank).
-
-    The error is read off the products the step forms, without a d x n array:
-    ||X - Z H||^2 = ||X||^2 - 2 <Z^T X, H> + <Z^T Z, H H^T>, in O(ln + l^2 n)
-    per sweep, clamped at 0. Cancellation gives it a relative error of about
-    eps ||X||^2 / ||X - Z H||^2 (about 1e-12 at a residual of 1e-2 ||X||), so
-    an absolute error of at most about sqrt(eps) ||X||. Z and H never read it,
-    so only the stop sweep can differ from a directly computed residual's, and
-    in practice only near an exact fit (possible when l > d), where the history
-    is noise of that size.
+    `l` must not exceed the sample count; widths above the feature count are
+    permitted (the basis update only needs H to have full row rank). Each sweep
+    forms only l x n and l x l products, never a d x n array.
     """
     X = np.asarray(X, dtype=np.float64)
     d, n = X.shape
@@ -159,21 +138,7 @@ def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
         raise ValueError("iters must be >= 1")
     rng = np.random.default_rng(seed)
     H = _init_representation(X, l, rng)
-    Z = np.zeros((d, l))
-    xx = float(np.vdot(X, X))
-    history = []
-    prev = np.inf
     for _ in range(iters):
         Z = update_basis(X, H)
-        ZtX = Z.T @ X
-        ZtZ = Z.T @ Z
-        H = multiplicative_step(H, *multiplicative_terms(ZtX, ZtZ, H))
-        sq = xx - 2.0 * float(np.vdot(ZtX, H)) + float(np.vdot(ZtZ, H @ H.T))
-        # cancellation can take sq below 0 near an exact fit
-        res = float(np.sqrt(max(sq, 0.0)))
-        history.append(res)
-        if prev < np.inf and abs(prev - res) <= SEMINMF_TOL * max(prev, EPS_DENOM):
-            break
-        prev = res
-    hist = np.asarray(history)
-    return SemiNmfResult(Z=Z, H=H, residual=hist[-1], iters=len(hist), history=hist)
+        H = multiplicative_step(H, *multiplicative_terms(Z.T @ X, Z.T @ Z, H))
+    return SemiNmfResult(Z=Z, H=H, iters=iters)

@@ -21,16 +21,7 @@ from mvclust import (
 from mvclust.consensus import update_consensus_graph
 from mvclust.errors import RankDeficientError, RankDeficientWarning
 from mvclust.finetune import update_mapping, update_top
-from mvclust.seminmf import (
-    EPS_DENOM,
-    RCOND,
-    SEMINMF_TOL,
-    SemiNmfResult,
-    _init_representation,
-    multiplicative_step,
-    multiplicative_terms,
-    update_basis,
-)
+from mvclust.seminmf import RCOND, multiplicative_step, multiplicative_terms
 
 
 def random_state(
@@ -187,27 +178,6 @@ def svd_pinv(A, expected_rank=None):
         warnings.warn("rank-deficient factor; singular values truncated", RankDeficientWarning)
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return (Vt.T * s_inv) @ U.T
-
-
-def direct_residual_fit_seminmf(X, l, iters, seed):
-    """`fit_seminmf` with the stop residual taken directly as ||Z H - X||_F
-    from a d x n array every sweep (test oracle for the expanded residual)."""
-    X = np.asarray(X, dtype=np.float64)
-    H = _init_representation(X, l, np.random.default_rng(seed))
-    history = []
-    prev = np.inf
-    for _ in range(iters):
-        Z = update_basis(X, H)
-        H = update_representation(X, Z, H)
-        R = Z @ H
-        R -= X
-        res = float(np.linalg.norm(R))
-        history.append(res)
-        if prev < np.inf and abs(prev - res) <= SEMINMF_TOL * max(prev, EPS_DENOM):
-            break
-        prev = res
-    hist = np.asarray(history)
-    return SemiNmfResult(Z=Z, H=H, residual=hist[-1], iters=len(hist), history=hist)
 
 
 def dense_spectral_embed(S, k):

@@ -1,4 +1,3 @@
-import warnings
 
 import numpy as np
 import pytest
@@ -6,12 +5,7 @@ import pytest
 from mvclust.errors import RankDeficientError
 from mvclust.seminmf import fit_seminmf, mp_pinv, pos_neg_split, update_basis
 
-from conftest import (
-    direct_residual_fit_seminmf,
-    planted_two_blocks,
-    traced_peak,
-    update_representation,
-)
+from conftest import planted_two_blocks, traced_peak, update_representation
 
 
 def test_pos_neg_split_definition():
@@ -129,12 +123,12 @@ def test_fit_seminmf_recovers_planted_blocks():
 
 
 def test_fit_seminmf_history_contract():
-    rng = np.random.default_rng(9)
-    X = rng.standard_normal((5, 10))
-    res = fit_seminmf(X, 2, iters=1, seed=3)
-    assert res.iters == 1 and len(res.history) == 1
-    assert res.residual == res.history[-1]
-    assert res.residual == pytest.approx(np.linalg.norm(X - res.Z @ res.H), abs=1e-12)
+    # every sweep asked for runs; a relative-change stop rule of 1e-6 on the
+    # reconstruction error ended this planted fit at sweep 44 of 300
+    X = planted_two_blocks(d=20, n=40, noise=0.3, seed=1)[0]
+    res = fit_seminmf(X, 2, iters=300, seed=4)
+    assert res.iters == 300
+    assert np.isfinite(res.Z).all() and np.isfinite(res.H).all()
 
 
 def test_fit_seminmf_deterministic():
@@ -144,54 +138,11 @@ def test_fit_seminmf_deterministic():
     b = fit_seminmf(X, 3, iters=40, seed=11)
     assert np.array_equal(a.Z, b.Z)
     assert np.array_equal(a.H, b.H)
-    assert np.array_equal(a.history, b.history)
 
 
 def test_fit_seminmf_rejects_wide_layer():
     with pytest.raises(RankDeficientError):
         fit_seminmf(np.ones((4, 3)), 4, iters=5, seed=0)
-
-
-def _residual_probe(case):
-    rng = np.random.default_rng(21)
-    if case == "tall":
-        return rng.standard_normal((40, 15)), 4
-    if case == "wide":
-        return rng.standard_normal((10, 60)), 4
-    if case == "l equals d":
-        return rng.standard_normal((5, 30)), 5
-    if case == "exactly rank 5":
-        return rng.standard_normal((30, 5)) @ rng.random((5, 200)), 5
-    # stops at sweep 44 of 300
-    return planted_two_blocks(d=20, n=40, noise=0.3, seed=1)[0], 2
-
-
-@pytest.mark.parametrize("case", ["tall", "wide", "l equals d", "exactly rank 5", "stops early"])
-def test_fit_seminmf_expanded_residual_matches_direct(case):
-    X, l = _residual_probe(case)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        res = fit_seminmf(X, l, iters=300, seed=4)
-    ref = direct_residual_fit_seminmf(X, l, iters=300, seed=4)
-    assert res.iters == ref.iters
-    assert np.array_equal(res.Z, ref.Z) and np.array_equal(res.H, ref.H)
-    assert np.isfinite(res.history).all()
-    assert np.abs(res.history - ref.history).max() <= 1e-10 * ref.history.min()
-
-
-def test_fit_seminmf_residual_near_an_exact_fit():
-    # a layer wider than its input fits it almost exactly (residual ~1e-7 ||X||);
-    # there the expanded residual is noise of about sqrt(eps) ||X||, which can
-    # move the stop sweep (401 here, 500 directly) but never the factors
-    X = np.random.default_rng(0).standard_normal((5, 30))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        res = fit_seminmf(X, 8, iters=500, seed=3)
-    ref = direct_residual_fit_seminmf(X, 8, iters=res.iters, seed=3)
-    assert ref.iters == res.iters
-    assert np.array_equal(res.Z, ref.Z) and np.array_equal(res.H, ref.H)
-    assert np.isfinite(res.history).all() and res.history.min() >= 0
-    assert np.abs(res.history - ref.history).max() <= 1e-6 * np.linalg.norm(X)
 
 
 def test_fit_seminmf_holds_no_dxn_array():
