@@ -51,6 +51,17 @@ def parse_beta(text: str) -> float:
     return value
 
 
+def parse_tol(text: str) -> float:
+    """A non-negative, finite tolerance."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be >= 0 and finite, got {value}")
+    return value
+
+
 def int_at_least(low: int):
     """An argparse type for integers >= low, so smaller counts exit 2 at parse time."""
 
@@ -231,7 +242,7 @@ def _add_fit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--max-iter", type=int_at_least(0), default=150, help="outer iterations (default 150)")
     p.add_argument("--pretrain-iters", type=int_at_least(1), default=100, help="semi-NMF sweeps per layer")
-    p.add_argument("--tol", type=float, default=1e-6, help="relative objective tolerance")
+    p.add_argument("--tol", type=parse_tol, default=1e-6, help="relative objective tolerance")
     p.add_argument("--restarts", type=int_at_least(1), default=1, help="fits; lowest objective kept")
     p.add_argument("--seed", type=int_at_least(0), default=0, help="base RNG seed")
     p.add_argument("--kmeans-restarts", type=int_at_least(1), default=10, help="k-means restarts")

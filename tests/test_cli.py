@@ -143,6 +143,9 @@ def test_cluster_wrong_last_layer_fails(tmp_path):
     ("cluster", "--restarts", "0"),
     ("cluster", "--max-iter", "-1"),
     ("cluster", "--seed", "-1"),
+    ("cluster", "--tol", "inf"),
+    ("cluster", "--tol", "-1"),
+    ("cluster", "--tol", "nan"),
     ("sweep", "--pretrain-iters", "0"),
     ("sweep", "--seed", "-1"),
     ("sweep", "--layer-grid", ""),

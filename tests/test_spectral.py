@@ -5,7 +5,7 @@ from scipy.linalg import subspace_angles
 from mvclust import cluster_graph, kmeans
 from mvclust.consensus import gram_similarity, update_consensus_graph
 from mvclust.errors import DegenerateGraphWarning
-from mvclust.spectral import spectral_embed
+from mvclust.spectral import _lloyd, spectral_embed
 
 from conftest import dense_spectral_embed, hierarchical_dataset, jacobi_eigh, traced_peak
 
@@ -113,13 +113,13 @@ def test_kmeans_deterministic():
 
 
 def test_kmeans_empty_cluster_reseeded():
-    # two far blobs and k=3: some restart will strand a centroid; all
-    # clusters still end up represented thanks to farthest-point reseeding
-    X = np.vstack([np.zeros((5, 2)), np.ones((5, 2)) * 8])
-    X += 0.01 * np.random.default_rng(5).standard_normal(X.shape)
-    part = kmeans(X, 3, restarts=1, seed=2)
-    assert part.labels.min() >= 0 and part.labels.max() < 3
-    assert np.isfinite(X[part.labels]).all()
+    # the third center starts far from every point, so its cluster is empty
+    # after the first assignment; farthest-point reseeding must revive it
+    X = np.array([[0.0, 0.0], [0.0, 0.1], [10.0, 10.0], [10.0, 10.1]])
+    centers = np.array([[0.0, 0.0], [0.0, 0.05], [100.0, 100.0]])
+    labels, wcss = _lloyd(X, centers)
+    assert set(labels) == {0, 1, 2}
+    assert np.isfinite(centers).all() and np.isfinite(wcss)
 
 
 def test_cluster_graph_recovers_clique_union():
