@@ -115,13 +115,6 @@ class SemiNmfResult:
     iters: int
 
 
-def _init_representation(X: Array, l: int, rng: np.random.Generator) -> Array:
-    # uniform in (0, 1], scale-matched to the data so early updates stay
-    # well inside float range
-    scale = np.linalg.norm(X) / (l * X.shape[1])
-    return (1.0 - rng.random((l, X.shape[1]))) * scale
-
-
 def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
     """Alternate basis/representation updates from a seeded random H, exactly
     `iters` sweeps.
@@ -131,13 +124,15 @@ def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
     forms only l x n and l x l products, never a d x n array.
     """
     X = np.asarray(X, dtype=np.float64)
-    d, n = X.shape
+    n = X.shape[1]
     if l > n:
         raise RankDeficientError(f"layer width {l} exceeds sample count {n}")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    rng = np.random.default_rng(seed)
-    H = _init_representation(X, l, rng)
+    # uniform in (0, 1], scale-matched to the data so early updates stay
+    # well inside float range
+    scale = np.linalg.norm(X) / (l * n)
+    H = (1.0 - np.random.default_rng(seed).random((l, n))) * scale
     for _ in range(iters):
         Z = update_basis(X, H)
         H = multiplicative_step(H, *multiplicative_terms(Z.T @ X, Z.T @ Z, H))
