@@ -2,13 +2,14 @@
 
 Each view is decomposed greedily: X ~ Z_1 H_1, then H_{i-1} ~ Z_i H_i down
 the stack. The intermediate H_i exist only here, each as the next layer's
-input; the stack keeps the mappings and the top H_m. Each start shrinks its
-input, so the tops come out tiny (about 1e-6 at depth 3); since Z_m absorbs
-any rescaling of H_m, every top is scaled by a common c (and Z_m by 1/c) so
-that the uniformly weighted Gram mix Q has mean row sum 1, like the graph's.
-Without that the graph term is ~||S||^2 whatever the weights, and neither
-alpha nor beta has any effect. The initial graph is Q projected onto the
-feasible set so every state invariant holds from iteration 0.
+input; the stack keeps the mappings and the top H_m. Each layer runs exactly
+cfg.pretrain_iters sweeps from a start that shrinks its input, so the tops
+come out tiny (about 1e-6 at depth 3); since Z_m absorbs any rescaling of H_m,
+each view's top is scaled by its own c_v (and Z_m by 1/c_v) so that its Gram
+has mean row sum 1, like the graph's, and so has Q under any weights: a view's
+units do not move them. Without that the graph term is ~||S||^2 whatever the
+weights, and neither alpha nor beta has any effect. The initial graph is Q
+projected onto the feasible set so every state invariant holds from iteration 0.
 """
 
 from __future__ import annotations
@@ -49,13 +50,12 @@ def initialize_state(ds: MultiViewDataset, cfg: FitConfig) -> ModelState:
             stacks.append(pretrain_view(X, cfg, view_seqs[v]))
         except RankDeficientError as e:
             raise RankDeficientError(f"view {v}: {e}") from e
-    alpha = np.full(ds.num_views, 1.0 / ds.num_views)
-    # sum(Q) = sum_v alpha_v ||H_v 1||^2, so c^2 = n / that gives Q mean row sum 1
-    mass = sum(a * np.square(st.top.sum(axis=1)).sum() for a, st in zip(alpha, stacks))
-    c = np.sqrt(ds.n / mass)
     for st in stacks:
+        # sum(H_v^T H_v) = ||H_v 1||^2, so c_v^2 = n / that gives the Gram mean row sum 1
+        c = np.sqrt(ds.n / np.square(st.top.sum(axis=1)).sum())
         st.top = c * st.top
         st.mappings[-1] = st.mappings[-1] / c
+    alpha = np.full(ds.num_views, 1.0 / ds.num_views)
     Q = gram_similarity(np.vstack([np.sqrt(a) * st.top for a, st in zip(alpha, stacks)]))
     S = update_consensus_graph(Q)
     return ModelState(views=list(ds.views), stacks=stacks, S=S, alpha=alpha, beta=cfg.beta)

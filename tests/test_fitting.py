@@ -376,3 +376,22 @@ def test_noise_view_gets_the_smallest_weight():
     ds = MultiViewDataset(views=[*ds.views[:2], noise], labels=ds.labels)
     alpha = fit(ds, _depth3_config(2.0**7)).state.alpha
     assert alpha.argmin() == 2
+
+
+def test_view_weights_do_not_depend_on_a_views_units():
+    # each top is scaled to its own unit-mean-row-sum Gram, so multiplying a
+    # view by s moves no weight by the view's units (a common scale moved
+    # alpha by 0.12 at s = 2 and 0.44 at s = 5)
+    ds = generate_synthetic(
+        n=300, k=3, n_views=3, dims=(24, 30, 27), separation=10.0, noise_sigma=0.5, seed=1
+    )
+    cfg = _depth3_config(2.0**-3)
+    fits = []
+    for s in (1.0, 2.0, 5.0):
+        views = [s * X if v == 1 else X for v, X in enumerate(ds.views)]
+        state = fit(MultiViewDataset(views=views, labels=ds.labels), cfg).state
+        fits.append((state.alpha, cluster_graph(state.S, 3, seed=1).labels))
+    (alpha, labels), *scaled = fits
+    for alpha_s, labels_s in scaled:
+        assert np.abs(alpha_s - alpha).max() <= 1e-3
+        assert np.array_equal(labels_s, labels)
