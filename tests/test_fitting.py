@@ -380,8 +380,7 @@ def test_noise_view_gets_the_smallest_weight():
 
 def test_view_weights_do_not_depend_on_a_views_units():
     # each top is scaled to its own unit-mean-row-sum Gram, so multiplying a
-    # view by s moves no weight by the view's units (a common scale moved
-    # alpha by 0.12 at s = 2 and 0.44 at s = 5)
+    # view by a constant leaves the weights and the labels where they were
     ds = generate_synthetic(
         n=300, k=3, n_views=3, dims=(24, 30, 27), separation=10.0, noise_sigma=0.5, seed=1
     )

@@ -1,4 +1,3 @@
-
 import numpy as np
 import pytest
 
@@ -123,8 +122,8 @@ def test_fit_seminmf_recovers_planted_blocks():
 
 
 def test_fit_seminmf_history_contract():
-    # every sweep asked for runs; a relative-change stop rule of 1e-6 on the
-    # reconstruction error ended this planted fit at sweep 44 of 300
+    # every sweep asked for runs, also where the reconstruction error settles
+    # early (its relative change drops below 1e-6 by sweep 44 here)
     X = planted_two_blocks(d=20, n=40, noise=0.3, seed=1)[0]
     res = fit_seminmf(X, 2, iters=300, seed=4)
     assert res.iters == 300
