@@ -108,8 +108,8 @@ def _resolve_k(ds: MultiViewDataset, layers: list[int], declared_k: int | None) 
 
 def _load_normalized(args) -> MultiViewDataset:
     ds = load_dataset(args.data)
-    if args.normalize != "none":
-        ds = normalize_views(ds, mode=args.normalize)
+    if args.normalize == "sample":
+        ds = normalize_views(ds)
     return ds
 
 
@@ -179,15 +179,9 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _layer_grid(k: int, depth: int) -> list[list[int]]:
-    if depth == 3:
-        return [[a * k, b * k, k] for a in (7, 11, 15) for b in (2, 3, 4)]
-    if depth == 2:
-        # the last layer is pinned to the cluster count
-        return [[a * k, k] for a in (4, 8, 12)]
-    if depth == 1:
-        return [[k]]
-    raise MvclustError(f"sweep depth must be 1, 2, or 3, got {depth}")
+def _layer_grid(k: int) -> list[list[int]]:
+    """The 3 x 3 three-layer grid; the last layer is pinned to the cluster count."""
+    return [[a * k, b * k, k] for a in (7, 11, 15) for b in (2, 3, 4)]
 
 
 def _sweep_cell(ds, args, layers: list[int], beta: float, k: int) -> list[str]:
@@ -211,7 +205,7 @@ def cmd_sweep(args) -> int:
         probe_k = ds.k if ds.k is not None else args.k
         if probe_k is None:
             raise MvclustError("need labels, --k, or --layer-grid to size the sweep")
-        layer_grid = _layer_grid(probe_k, args.depth)
+        layer_grid = _layer_grid(probe_k)
     k = _resolve_k(ds, layer_grid[0], args.k)
     for spec in layer_grid:
         LayerSpec(spec).validate(k=k, min_view_dim=min(ds.view_dims))
@@ -227,7 +221,7 @@ def cmd_synth(args) -> int:
     ds = generate_synthetic(
         n=args.n,
         k=args.k,
-        n_views=args.views,
+        n_views=len(args.dims),
         dims=args.dims,
         separation=args.separation,
         noise_sigma=args.sigma,
@@ -247,7 +241,7 @@ def _add_fit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int_at_least(0), default=0, help="base RNG seed")
     p.add_argument("--kmeans-restarts", type=int_at_least(1), default=10, help="k-means restarts")
     p.add_argument(
-        "--normalize", choices=("sample", "minmax", "none"), default="sample",
+        "--normalize", choices=("sample", "none"), default="sample",
         help="feature normalization (default: unit-norm sample columns)",
     )
 
@@ -275,10 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_args(p)
     p.add_argument("--beta-grid", type=parse_beta_grid, default=DEFAULT_BETA_GRID,
                    help="comma list (accepts 2^e); default 2^-7..2^7 odd exponents")
-    p.add_argument("--depth", type=int, choices=(1, 2, 3), default=3,
-                   help="layer-grid scheme when --layer-grid is not given")
     p.add_argument("--layer-grid", type=parse_int_list, action="append", default=None,
-                   help="explicit layer spec, repeatable; overrides --depth")
+                   help="explicit layer spec, repeatable; replaces the default grid")
     p.add_argument("--k", type=int, default=None, help="cluster count for unlabelled data")
     p.add_argument("--out", required=True, help="results TSV path")
     p.set_defaults(func=cmd_sweep)
@@ -286,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write a synthetic multi-view dataset")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--views", type=int, required=True)
     p.add_argument("--dims", type=parse_int_list, required=True, help="per-view dimensions")
     p.add_argument("--separation", type=float, default=10.0)
     p.add_argument("--sigma", type=float, default=0.5)

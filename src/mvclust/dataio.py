@@ -163,31 +163,19 @@ def save_dataset(ds: MultiViewDataset, directory, name: str | None = None) -> Da
     return manifest
 
 
-def normalize_views(ds: MultiViewDataset, mode: str = "sample") -> MultiViewDataset:
-    """Rescale features before factorization.
+def normalize_views(ds: MultiViewDataset) -> MultiViewDataset:
+    """Rescale every sample column to unit Euclidean norm before factorization.
 
-    mode="sample" (default): every sample column to unit Euclidean norm;
-    all-zero columns are left unchanged and flagged with ZeroColumnWarning.
-    mode="minmax": every feature row mapped to [0, 1]; constant rows map
-    to zero. Idempotent in both modes.
+    All-zero columns are left unchanged and flagged with ZeroColumnWarning.
+    Idempotent.
     """
     views = []
     zero_cols = 0
     for X in ds.views:
-        if mode == "sample":
-            norms = np.linalg.norm(X, axis=0)
-            zero = norms == 0
-            zero_cols += int(zero.sum())
-            scaled = X / np.where(zero, 1.0, norms)[None, :]
-            views.append(scaled)
-        elif mode == "minmax":
-            lo = X.min(axis=1, keepdims=True)
-            hi = X.max(axis=1, keepdims=True)
-            span = hi - lo
-            flat = span == 0
-            views.append(np.where(flat, 0.0, (X - lo) / np.where(flat, 1.0, span)))
-        else:
-            raise ValueError(f"unknown normalization mode {mode!r}")
+        norms = np.linalg.norm(X, axis=0)
+        zero = norms == 0
+        zero_cols += int(zero.sum())
+        views.append(X / np.where(zero, 1.0, norms)[None, :])
     if zero_cols:
         warnings.warn(f"{zero_cols} all-zero sample column(s) left unchanged", ZeroColumnWarning)
     labels = None if ds.labels is None else ds.labels.copy()

@@ -77,11 +77,14 @@ class FitResult:
 
     state: ModelState
     objective_history: Array
-    iters_run: int
     converged: bool
     wall_time: float
     seed: int
     restart_summaries: list[RestartSummary] | None = None
+
+    @property
+    def iters_run(self) -> int:
+        return len(self.objective_history) - 1
 
     @property
     def final_objective(self) -> float:
@@ -110,7 +113,6 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     history = [objective(state)]
     converged = False
     small_steps = 0
-    iters_run = 0
     for it in range(1, cfg.max_outer_iters + 1):
         for v in range(state.num_views):
             sweep_view(state, v)
@@ -121,7 +123,6 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
         obj = recon + state.beta * graph
         prev = history[-1]
         history.append(obj)
-        iters_run = it
         if obj > prev * (1.0 + MONOTONE_REL_SLACK) + 1e-300:
             log.warning(
                 "objective increased at iteration %d: %.12e -> %.12e", it, prev, obj
@@ -141,7 +142,6 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     return FitResult(
         state=state,
         objective_history=np.asarray(history),
-        iters_run=iters_run,
         converged=converged,
         wall_time=time.perf_counter() - t0,
         seed=cfg.rng_seed,

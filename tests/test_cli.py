@@ -11,7 +11,7 @@ from mvclust.dataio import save_dataset
 
 def make_dataset_dir(tmp_path, name="d", **kw):
     args = [
-        "synth", "--n", "90", "--k", "3", "--views", "3", "--dims", "24,30,25",
+        "synth", "--n", "90", "--k", "3", "--dims", "24,30,25",
         "--separation", "10", "--sigma", "0.5", "--seed", "7",
         "--out", str(tmp_path / name),
     ]
@@ -42,15 +42,16 @@ def test_synth_roundtrip_and_determinism(tmp_path):
 
 
 def test_synth_rejects_bad_k(tmp_path):
-    code = main(["synth", "--n", "10", "--k", "0", "--views", "1", "--dims", "4",
+    code = main(["synth", "--n", "10", "--k", "0", "--dims", "4",
                  "--out", str(tmp_path / "x")])
     assert code != 0
 
 
-@pytest.mark.parametrize("n,views,dims", [("4", "1", "5"), ("30", "2", "5")])
-def test_synth_infeasible_arguments_exit_cleanly(tmp_path, n, views, dims):
+# too few samples for k = 3, and a view too narrow for 3 equidistant centers
+@pytest.mark.parametrize("n,dims", [("4", "5"), ("30", "5,1")])
+def test_synth_infeasible_arguments_exit_cleanly(tmp_path, n, dims):
     out = tmp_path / "x"
-    code = main(["synth", "--n", n, "--k", "3", "--views", views, "--dims", dims,
+    code = main(["synth", "--n", n, "--k", "3", "--dims", dims,
                  "--out", str(out)])
     assert code == 1
     assert not out.exists()
@@ -64,7 +65,7 @@ def test_synth_infeasible_arguments_exit_cleanly(tmp_path, n, views, dims):
 ])
 def test_synth_bad_noise_or_separation_exits_cleanly(tmp_path, geometry):
     out = tmp_path / "x"
-    code = main(["synth", "--n", "30", "--k", "3", "--views", "2", "--dims", "5,6",
+    code = main(["synth", "--n", "30", "--k", "3", "--dims", "5,6",
                  *geometry, "--out", str(out)])
     assert code == 1
     assert not out.exists()
@@ -155,7 +156,7 @@ def test_counts_below_one_rejected_at_parse_time(tmp_path, command, flag, value)
     data = make_dataset_dir(tmp_path)
     out = tmp_path / "out"
     if command == "synth":
-        argv = ["synth", "--n", "30", "--k", "3", "--views", "1", "--dims", "5"]
+        argv = ["synth", "--n", "30", "--k", "3", "--dims", "5"]
     else:
         argv = [command, "--data", str(data), "--max-iter", "2", "--pretrain-iters", "5"]
     argv += [flag, value, "--out", str(out)]
@@ -167,13 +168,28 @@ def test_counts_below_one_rejected_at_parse_time(tmp_path, command, flag, value)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--n", "30", "--k", "3", "--views", "2", "--dims", "5,6"],
+    ["sweep", "--data", "d", "--depth", "3"],
+    ["cluster", "--data", "d", "--layers", "3", "--beta", "1", "--normalize", "minmax"],
+])
+def test_removed_flags_rejected_at_parse_time(tmp_path, argv):
+    # synth's view count is len(--dims), sweep's default grid is three layers,
+    # and the only normalizations are sample and none
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_zero_iteration_cap_and_seed_parse():
     # 0 is a valid outer-iteration cap and a valid seed; only negatives are refused
     args = build_parser().parse_args([
         "cluster", "--data", "d", "--layers", "3", "--beta", "1", "--out", "r.json",
-        "--max-iter", "0", "--seed", "0",
+        "--max-iter", "0", "--seed", "0", "--tol", "0",
     ])
-    assert (args.max_iter, args.seed) == (0, 0)
+    assert (args.max_iter, args.seed, args.tol) == (0, 0, 0.0)
 
 
 def test_sweep_small_grid(tmp_path):
@@ -215,7 +231,7 @@ def test_sweep_default_grid_sizes(tmp_path):
     # default grids validated against the dataset before any fitting happens
     data = make_dataset_dir(tmp_path)
     out = tmp_path / "never.tsv"
-    code = main(["sweep", "--data", str(data), "--depth", "3", "--out", str(out)])
+    code = main(["sweep", "--data", str(data), "--out", str(out)])
     # 7k = 21 <= min dim 24 is fine but 15k = 45 exceeds it: whole grid rejected
     assert code != 0
     assert not out.exists()
@@ -243,14 +259,11 @@ def test_layer_grid_defaults():
     from mvclust.cli import _layer_grid
 
     k = 3
-    p3 = _layer_grid(k, 3)
-    assert len(p3) == 9
-    assert all(spec[-1] == k for spec in p3)
-    assert sorted({spec[0] for spec in p3}) == [7 * k, 11 * k, 15 * k]
-    assert sorted({spec[1] for spec in p3}) == [2 * k, 3 * k, 4 * k]
-    p2 = _layer_grid(k, 2)
-    assert p2 == [[4 * k, k], [8 * k, k], [12 * k, k]]
-    assert _layer_grid(k, 1) == [[k]]
+    grid = _layer_grid(k)
+    assert len(grid) == 9
+    assert all(spec[-1] == k for spec in grid)
+    assert sorted({spec[0] for spec in grid}) == [7 * k, 11 * k, 15 * k]
+    assert sorted({spec[1] for spec in grid}) == [2 * k, 3 * k, 4 * k]
 
 
 def test_ablate_depth_one_matches_cluster(tmp_path):

@@ -190,16 +190,6 @@ def test_normalize_zero_columns_flagged():
     assert np.array_equal(out.views[0][:, 1], [0.0, 0.0])
 
 
-def test_normalize_minmax_mode():
-    X = np.array([[0.0, 2.0, 4.0], [5.0, 5.0, 5.0]])
-    ds = validate_dataset(type(toy_dataset())(views=[X]))
-    out = normalize_views(ds, mode="minmax")
-    assert np.allclose(out.views[0][0], [0.0, 0.5, 1.0])
-    assert np.array_equal(out.views[0][1], [0.0, 0.0, 0.0])  # constant row
-    again = normalize_views(out, mode="minmax")
-    assert np.allclose(out.views[0], again.views[0], atol=1e-15)
-
-
 def test_synthetic_zero_noise_identical_within_cluster():
     ds = generate_synthetic(
         n=12, k=3, n_views=2, dims=(4, 5), separation=5.0, noise_sigma=0.0, seed=2

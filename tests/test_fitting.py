@@ -15,7 +15,7 @@ from mvclust import (
     normalize_views,
 )
 from mvclust.consensus import compute_Q, update_consensus_graph
-from mvclust.errors import RankDeficientError, TooManyViewsError
+from mvclust.errors import RankDeficientError, RankDeficientWarning, TooManyViewsError
 from mvclust.fitting import objective, objective_terms
 from mvclust.pretrain import initialize_state, pretrain_view
 
@@ -177,7 +177,6 @@ def test_restarts_tie_returns_a_tied_run(monkeypatch):
         return fitting.FitResult(
             state=state,
             objective_history=np.array([5.0, 2.5]),
-            iters_run=1,
             converged=True,
             wall_time=0.0,
             seed=cfg.rng_seed,
@@ -236,14 +235,18 @@ def _probe_data():
     )
 
 
-def _probe_fit(views, labels, beta, layers=(6, 3)):
-    """10 iterations, tol 0, layers 6,3 unless given: (ACC, objective increases)."""
-    ds = MultiViewDataset(views=views, labels=labels)
+def _probe_result(views, labels, beta, layers=(6, 3)):
+    """The probe's fit: 10 iterations, tol 0, rng_seed 0, layers 6,3 unless given."""
     cfg = FitConfig(
         beta=beta, layers=LayerSpec(list(layers)), max_outer_iters=10, tol_rel_objective=0.0,
         rng_seed=0,
     )
-    res = fit(ds, cfg)
+    return fit(MultiViewDataset(views=views, labels=labels), cfg)
+
+
+def _probe_fit(views, labels, beta, layers=(6, 3)):
+    """(ACC, objective increases) of the probe's fit."""
+    res = _probe_result(views, labels, beta, layers)
     assert res.iters_run == 10
     h = res.objective_history
     increases = int((h[1:] > h[:-1] * (1 + 1e-8)).sum())
@@ -394,3 +397,48 @@ def test_view_weights_do_not_depend_on_a_views_units():
     for alpha_s, labels_s in scaled:
         assert np.abs(alpha_s - alpha).max() <= 1e-3
         assert np.array_equal(labels_s, labels)
+
+
+@pytest.mark.parametrize("s", [1e3, 1e-3])
+def test_beta_is_in_the_squared_units_of_the_data(s):
+    # the reconstruction term scales with s^2 and the graph term not at all, so
+    # unnormalized views times s fit exactly like the views at beta s^2
+    ds = _probe_data()
+    base = _probe_result(ds.views, ds.labels, 0.5)
+    scaled = _probe_result([s * X for X in ds.views], ds.labels, 0.5 * s * s)
+    rel = np.abs(scaled.objective_history / (s * s * base.objective_history) - 1.0)
+    assert rel.max() <= 1e-10
+    assert np.abs(scaled.state.alpha - base.state.alpha).max() <= 1e-10
+    assert np.array_equal(
+        cluster_graph(scaled.state.S, 3).labels, cluster_graph(base.state.S, 3).labels
+    )
+
+
+def test_a_constant_view_takes_most_of_the_weight():
+    """Pins today's behaviour, not a goal: a constant view's Gram is constant,
+    so it fits the diffuse graph the objective prefers and takes the larger
+    weight (0.855 here, with ACC 0.383); the diffuse-Gram mode of a
+    nonnegative noise view."""
+    ds = _probe_data()
+    views = [np.ones_like(ds.views[0]), ds.views[1]]
+    ds = normalize_views(MultiViewDataset(views=views, labels=ds.labels))
+    with pytest.warns(RankDeficientWarning):
+        res = _probe_result(ds.views, ds.labels, 0.5)
+    res.state.validate()
+    assert res.state.alpha[0] > 0.5
+
+
+def test_fit_warns_on_each_objective_increase(monkeypatch, caplog):
+    import logging
+
+    import mvclust.fitting as fitting
+
+    values = iter([1.0, 2.0, 3.0])  # the start and two rising iterations
+    monkeypatch.setattr(fitting, "objective_terms", lambda state: (next(values), 0.0))
+    cfg = simple_config([3], max_outer_iters=2, pretrain_iters=5, tol_rel_objective=0.0)
+    with caplog.at_level(logging.WARNING, logger="mvclust.fitting"):
+        res = fitting.fit(_small_dataset(seed=3), cfg)
+    assert list(res.objective_history) == [1.0, 2.0, 3.0]
+    warned = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == 2
+    assert all(r.getMessage().startswith("objective increased at iteration") for r in warned)

@@ -1,12 +1,25 @@
-"""The package's public names: a name removed from the code but left in
-`__all__` must fail here."""
+"""The package's public names and entry points: a name removed from the code
+but left in `__all__`, or a console script that no longer resolves, must fail
+here."""
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mvclust
+
+
+def _run_in_fresh_interpreter(args):
+    src = str(Path(mvclust.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def test_every_public_name_resolves():
@@ -22,10 +35,19 @@ def test_star_import_in_a_fresh_interpreter():
         "missing = [n for n in mvclust.__all__ if n not in globals()]\n"
         "assert not missing, missing\n"
     )
-    src = str(Path(mvclust.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = _run_in_fresh_interpreter(["-c", code])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_console_script_target_is_callable():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(mvclust.__file__).resolve().parents[2] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["mvclust"]
+    module, _, attr = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_cli_module_runs_as_a_script():
+    proc = _run_in_fresh_interpreter(["-m", "mvclust.cli", "--help"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: mvclust")
