@@ -110,12 +110,11 @@ def _lloyd(X: Array, centers: Array) -> tuple[Array, float]:
                 far = d2[np.arange(n), new_labels].argmax()
                 centers[j] = X[far]
                 new_labels[far] = j
-                d2[far] = 0.0  # keep a second empty cluster from taking the same point
+                d2[far] = -np.inf  # no later empty cluster takes it, even if all d2 are 0
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
     d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=1)
     wcss = float(d2[np.arange(n), labels].sum())
     return labels, wcss
 

@@ -122,6 +122,14 @@ def test_kmeans_empty_cluster_reseeded():
     assert np.isfinite(centers).all() and np.isfinite(wcss)
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_kmeans_keeps_every_cluster_on_duplicated_points(k):
+    # every k-means++ center lands on the one distinct point, so k - 1 clusters
+    # start empty, and each must keep the point it is reseeded with
+    part = kmeans(np.ones((5, 2)), k, restarts=2, seed=0)
+    assert sorted(set(part.labels)) == list(range(k))
+
+
 def test_cluster_graph_recovers_clique_union():
     sizes = [4, 6, 5]
     S = block_graph(sizes)
