@@ -151,6 +151,11 @@ def test_cluster_wrong_last_layer_fails(tmp_path):
     ("sweep", "--seed", "-1"),
     ("sweep", "--layer-grid", ""),
     ("synth", "--seed", "-1"),
+    # removed: the view count is len(--dims), the default grid has three
+    # layers, and the normalizations are sample and none
+    ("synth", "--views", "1"),
+    ("sweep", "--depth", "3"),
+    ("cluster", "--normalize", "minmax"),
 ])
 def test_counts_below_one_rejected_at_parse_time(tmp_path, command, flag, value):
     data = make_dataset_dir(tmp_path)
@@ -164,21 +169,6 @@ def test_counts_below_one_rejected_at_parse_time(tmp_path, command, flag, value)
         argv += ["--layers", "9,3", "--beta", "0.5"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert exc.value.code == 2
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["synth", "--n", "30", "--k", "3", "--views", "2", "--dims", "5,6"],
-    ["sweep", "--data", "d", "--depth", "3"],
-    ["cluster", "--data", "d", "--layers", "3", "--beta", "1", "--normalize", "minmax"],
-])
-def test_removed_flags_rejected_at_parse_time(tmp_path, argv):
-    # synth's view count is len(--dims), sweep's default grid is three layers,
-    # and the only normalizations are sample and none
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
 
