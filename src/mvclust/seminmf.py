@@ -80,11 +80,6 @@ def mp_pinv(A: Array, warn_context: str = "", expected_rank: int | None = None) 
     return P if wide else P.T
 
 
-def update_basis(X: Array, H: Array) -> Array:
-    """Least-squares basis: Z = X H^T (H H^T)^{-1}, minimizing ||X - Z H||_F."""
-    return X @ mp_pinv(H, warn_context="update_basis")
-
-
 def multiplicative_terms(ZtX: Array, ZtZ: Array, H: Array) -> tuple[Array, Array]:
     """num = [Z^T X]+ + [Z^T Z]- H and den = [Z^T X]- + [Z^T Z]+ H for ||X - Z H||_F^2,
     from the products ZtX = Z^T X (l, n) and ZtZ = Z^T Z (l, l).
@@ -120,8 +115,13 @@ def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
     `iters` sweeps.
 
     `l` must not exceed the sample count; widths above the feature count are
-    permitted (the basis update only needs H to have full row rank). Each sweep
-    forms only l x n and l x l products, never a d x n array.
+    permitted (the basis update only needs H to have full row rank). The basis
+    is the least-squares Z = X P with P = pinv(H), so each sweep needs only
+    the l x n product Z^T X and the l x l Gram Z^T Z, never a d x n array.
+    A layer with d <= n forms Z and both products directly, 2dnl flops a
+    sweep. A wide layer (d > n) uses the kernel form: K = X^T X once per
+    layer, then Z^T X = P^T K and Z^T Z = (P^T K) P, n^2 l flops a sweep, with
+    Z = X P formed once, at the end.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[1]
@@ -133,7 +133,16 @@ def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
     # well inside float range
     scale = np.linalg.norm(X) / (l * n)
     H = (1.0 - np.random.default_rng(seed).random((l, n))) * scale
+    K = X.T @ X if X.shape[0] > n else None
     for _ in range(iters):
-        Z = update_basis(X, H)
-        H = multiplicative_step(H, *multiplicative_terms(Z.T @ X, Z.T @ Z, H))
+        P = mp_pinv(H, warn_context="update_basis")
+        if K is None:
+            Z = X @ P
+            ZtX, ZtZ = Z.T @ X, Z.T @ Z
+        else:
+            ZtX = P.T @ K
+            ZtZ = ZtX @ P
+        H = multiplicative_step(H, *multiplicative_terms(ZtX, ZtZ, H))
+    if K is not None:
+        Z = X @ P
     return SemiNmfResult(Z=Z, H=H, iters=iters)

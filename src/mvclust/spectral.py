@@ -3,7 +3,10 @@
 Normalized-cut variant: symmetrize the graph, embed each sample with the
 eigenvectors of the symmetric normalized Laplacian's k smallest eigenvalues
 (rows scaled to unit length), and run seeded k-means++ / Lloyd on the
-embedding.
+embedding. The eigenvectors come from ARPACK's implicitly restarted Lanczos
+(Lehoucq, Sorensen & Yang, 1998), which computes only those k, started from
+a fixed random vector so that the labels are deterministic; at k = n, where
+ARPACK cannot run, LAPACK's dense eigh computes them.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.sparse.linalg import eigsh
 
 from .errors import DegenerateGraphWarning
 
@@ -44,10 +48,16 @@ def spectral_embed(S: Array, k: int) -> Array:
 
     W = (S + S^T)/2; L_sym = I - N with N = D^{-1/2} W D^{-1/2} and D the
     degree diagonal, so these are the k largest eigenvectors of N. N is
-    scaled in W's buffer and eigh overwrites it, so the step holds one n x n
-    array. Rows of the eigenvector block are normalized to unit length;
-    all-zero rows are left as zero. Isolated samples (zero degree) trigger a
-    DegenerateGraphWarning and have their degree floored.
+    scaled in W's buffer, so the step holds one n x n array. For k < n,
+    ARPACK's implicitly restarted Lanczos computes only those k eigenvectors
+    from a fixed random start vector, so the result is deterministic; the
+    start is not the vector of ones, because on a regular graph that is an
+    exact eigenvector of N and its Krylov space does not grow. ARPACK needs
+    k < n, so k == n takes LAPACK's eigh, which overwrites N. A graph with
+    more connected components than k has a repeated top eigenvalue and no
+    unique embedding. Rows of the eigenvector block are normalized to unit
+    length; all-zero rows are left as zero. Isolated samples (zero degree)
+    trigger a DegenerateGraphWarning and have their degree floored.
     """
     S = np.asarray(S, dtype=np.float64)
     n = S.shape[0]
@@ -69,9 +79,13 @@ def spectral_embed(S: Array, k: int) -> Array:
     N = W.T
     N *= d_isqrt[:, None]
     N *= d_isqrt[None, :]
-    # L_sym = I - N shares N's eigenvectors in reverse order; eigh reads one
-    # triangle and computes only the top k
-    _, U = eigh(N, overwrite_a=True, subset_by_index=[n - k, n - 1])
+    # both solvers return N's top k in ascending order; L_sym = I - N has
+    # the same eigenvectors, its smallest first in reverse order
+    if k < n:
+        v0 = np.random.default_rng(0).standard_normal(n)
+        _, U = eigsh(N, k, which="LA", v0=v0)
+    else:
+        _, U = eigh(N, overwrite_a=True, subset_by_index=[n - k, n - 1])
     E = U[:, ::-1]
     norms = np.linalg.norm(E, axis=1)
     nz = norms > 0

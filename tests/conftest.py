@@ -21,7 +21,13 @@ from mvclust import (
 from mvclust.consensus import update_consensus_graph
 from mvclust.errors import RankDeficientError, RankDeficientWarning
 from mvclust.finetune import update_mapping, update_top
-from mvclust.seminmf import RCOND, multiplicative_step, multiplicative_terms
+from mvclust.seminmf import (
+    RCOND,
+    SemiNmfResult,
+    mp_pinv,
+    multiplicative_step,
+    multiplicative_terms,
+)
 
 
 def random_state(
@@ -228,6 +234,24 @@ class ChainCache:
         for Z in reversed(stack.mappings[i + 1:]):
             hhat = Z @ hhat
         return cls(phi=phi, Phi=Phi, hhat=hhat)
+
+
+def update_basis(X, H):
+    """Least-squares basis: Z = X H^T (H H^T)^{-1}, minimizing ||X - Z H||_F
+    (the basis update of the direct semi-NMF sweep)."""
+    return X @ mp_pinv(H, warn_context="update_basis")
+
+
+def direct_fit_seminmf(X, l, iters, seed):
+    """`fit_seminmf` with Z, Z^T X and Z^T Z formed directly in every sweep,
+    whatever the layer's shape (test oracle for the kernel form of wide layers)."""
+    n = X.shape[1]
+    scale = np.linalg.norm(X) / (l * n)
+    H = (1.0 - np.random.default_rng(seed).random((l, n))) * scale
+    for _ in range(iters):
+        Z = update_basis(X, H)
+        H = multiplicative_step(H, *multiplicative_terms(Z.T @ X, Z.T @ Z, H))
+    return SemiNmfResult(Z=Z, H=H, iters=iters)
 
 
 def update_representation(X, Z, H):

@@ -6,7 +6,6 @@ from mvclust import FactorStack, ModelState
 from mvclust.consensus import compute_Q, update_consensus_graph, update_view_weights
 from mvclust.finetune import sweep_view, update_mapping, update_top
 from mvclust.fitting import objective
-from mvclust.seminmf import update_basis
 
 from conftest import (
     ChainCache,
@@ -14,6 +13,7 @@ from conftest import (
     random_state,
     top_kkt_residual,
     top_products,
+    update_basis,
     update_representation,
 )
 

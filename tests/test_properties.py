@@ -1,6 +1,7 @@
-"""Property tests of the multiplicative representation updates, the graph
-projection, the Gram-free consensus quantities, the view-weight QP, the
-spectral embedding and the pseudo-inverse."""
+"""Property tests of the multiplicative representation updates, both branches
+of single-layer semi-NMF, the graph projection, the Gram-free consensus
+quantities, the view-weight QP, the spectral embedding and the
+pseudo-inverse."""
 
 import copy
 import warnings
@@ -19,12 +20,13 @@ from mvclust.consensus import (
 )
 from mvclust.errors import RankDeficientError, RankDeficientWarning
 from mvclust.finetune import sweep_view, update_top
-from mvclust.seminmf import mp_pinv, multiplicative_step
+from mvclust.seminmf import fit_seminmf, mp_pinv, multiplicative_step
 from mvclust.spectral import spectral_embed
 
 from conftest import (
     ChainCache,
     brute_force_row_projection,
+    direct_fit_seminmf,
     random_state,
     recompute_sweep_view,
     sort_projection,
@@ -55,6 +57,45 @@ def test_update_representation_nonnegative_and_monotone(d, l, n, zero_rows, seed
     assert not H2[H == 0].any()
     before = np.linalg.norm(X - Z @ H)
     assert np.linalg.norm(X - Z @ H2) <= before * (1.0 + 1e-10)
+
+
+def _fit_outcome(fit, X, l, iters, seed):
+    """(result, messages of the RankDeficientWarnings raised) of one fit."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = fit(X, l, iters, seed)
+    assert all(w.category is RankDeficientWarning for w in caught)
+    return res, [str(w.message) for w in caught]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    shape=st.sampled_from(["d < n", "d == n", "d >> n"]),
+    width=st.floats(0.0, 1.0),
+    rank=st.integers(1, 12),
+    zero_rows=st.integers(0, 5),
+    iters=st.integers(1, 20),
+    seed=SEEDS,
+)
+@example(n=12, shape="d >> n", width=1.0, rank=12, zero_rows=0, iters=20, seed=0)
+@example(n=6, shape="d >> n", width=1.0, rank=2, zero_rows=3, iters=20, seed=0)
+def test_fit_seminmf_equals_direct_sweeps(n, shape, width, rank, zero_rows, iters, seed):
+    rng = np.random.default_rng(seed)
+    d = {"d < n": max(1, n - 1 - rng.integers(n)), "d == n": n, "d >> n": 8 * n + 3}[shape]
+    l = 1 + int(width * (n - 1))
+    r = min(rank, d, n)
+    X = rng.standard_normal((d, r)) @ rng.standard_normal((r, n))
+    X[rng.permutation(d)[: min(zero_rows, d - 1)]] = 0.0
+    res, caught = _fit_outcome(fit_seminmf, X, l, iters, seed)
+    oracle, caught_oracle = _fit_outcome(direct_fit_seminmf, X, l, iters, seed)
+    assert caught == caught_oracle
+    if d <= n:
+        assert np.array_equal(res.Z, oracle.Z) and np.array_equal(res.H, oracle.H)
+    else:
+        # the kernel form K = X^T X moves each product at rounding level only
+        assert np.abs(res.Z - oracle.Z).max() <= 1e-9 * np.abs(oracle.Z).max()
+        assert np.abs(res.H - oracle.H).max() <= 1e-9 * np.abs(oracle.H).max()
 
 
 def _update_top_four_splits(state, v):

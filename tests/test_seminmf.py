@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from mvclust.errors import RankDeficientError
-from mvclust.seminmf import fit_seminmf, mp_pinv, pos_neg_split, update_basis
+from mvclust.seminmf import fit_seminmf, mp_pinv, pos_neg_split
 
-from conftest import planted_two_blocks, traced_peak, update_representation
+from conftest import planted_two_blocks, traced_peak, update_basis, update_representation
 
 
 def test_pos_neg_split_definition():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
@@ -151,9 +153,46 @@ def _seeded_graph(n=1000):
     return update_consensus_graph(gram_similarity(np.random.default_rng(0).random((3, n))))
 
 
-def test_spectral_embed_matches_dense_formula_bit_for_bit():
+def _assert_matches_dense_oracle(S, k):
+    """Lanczos moves the embedding at rounding level only: it spans the dense
+    eigensolver's subspace and gives k-means the same labels. Returns it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = spectral_embed(S, k)
+    D = dense_spectral_embed(S, k)
+    assert subspace_angles(E, D).max() <= 1e-10
+    assert np.array_equal(kmeans(E, k, seed=0).labels, kmeans(D, k, seed=0).labels)
+    return E
+
+
+def test_spectral_embed_matches_dense_oracle():
     S = _seeded_graph()
-    assert np.array_equal(spectral_embed(S, 3), dense_spectral_embed(S, 3))
+    E = _assert_matches_dense_oracle(S, 3)
+    # the fixed start vector makes the Lanczos result deterministic
+    assert np.array_equal(spectral_embed(S, 3), E)
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (12, 11), (12, 12)])
+def test_spectral_embed_structural_edges(n, k):
+    # n = 3, k = 2 is the smallest case ARPACK runs, k = n - 1 its largest;
+    # k == n takes the dense eigh, which is the oracle's own call
+    S = _seeded_graph(n)
+    E = _assert_matches_dense_oracle(S, k)
+    if k == n:
+        assert np.array_equal(E, dense_spectral_embed(S, k))
+
+
+@pytest.mark.parametrize("sizes", [[100, 100, 100], [80, 120, 100, 60]])
+def test_spectral_embed_resolves_repeated_top_eigenvalue(sizes):
+    # k cliques give N the eigenvalue 1 k times; equal sizes make the graph
+    # regular, so the vector of ones is an exact eigenvector of N
+    S = block_graph(sizes)
+    k = len(sizes)
+    truth = np.repeat(np.arange(k), sizes)
+    E = spectral_embed(S, k)
+    assert subspace_angles(E, np.eye(k)[truth]).max() <= 1e-10
+    part = kmeans(E, k, seed=0)
+    assert len(set(zip(part.labels, truth))) == k
 
 
 def test_spectral_embed_holds_one_nxn_array():
