@@ -1,14 +1,18 @@
 """Dataset files, feature normalization, synthetic data, and result reports.
 
 A dataset directory holds a JSON `manifest.json` (fields: name, view_files,
-labels_file, k) plus one delimited text matrix per view (rows = features,
-columns = samples; comma or whitespace separated, no header) and an
-optional labels file with one 0-based integer per line. Reports are
-plain JSON carrying `schema_version`; read them with `json.load`.
+labels_file, k), one text matrix per view (rows = features, columns =
+samples, no header) and an optional labels file with one 0-based integer
+per line. In each UTF-8 text file the first non-empty line fixes the
+delimiter, a comma if it has one and else whitespace, and a line in the
+other style is an error; blank lines are skipped and there are no comment
+lines. Reports are plain JSON carrying `schema_version`; read them with
+`json.load`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -43,62 +47,51 @@ class DatasetManifest:
     k: int | None = None
 
 
-def _split_line(line: str) -> list[str]:
-    return line.split(",") if "," in line else line.split()
-
-
 def read_matrix(path) -> Array:
     """Parse a delimited text matrix; errors carry file/line/column."""
+    return _read_table(path, np.float64)
+
+
+def _read_table(path, dtype, width=None) -> Array:
+    """A text file as a 2-D `dtype` array (`width` columns, if given), read by numpy."""
     path = Path(path)
     if not path.exists():
         raise MissingFileError(str(path))
-    rows = []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = _split_line(line)
-            if width is None:
-                width = len(tokens)
-            elif len(tokens) != width:
-                raise ParseError(
-                    path, lineno, reason=f"expected {width} columns, found {len(tokens)}"
-                )
-            try:
-                rows.append([float(t) for t in tokens])
-            except ValueError:
-                col = next(i for i, t in enumerate(tokens, start=1) if not _is_float(t))
-                raise ParseError(path, lineno, col, reason=f"not a number: {tokens[col - 1]!r}")
-    if not rows:
-        raise ParseError(path, reason="empty matrix file")
-    return np.asarray(rows, dtype=np.float64)
-
-
-def _is_float(token: str) -> bool:
     try:
-        float(token)
-        return True
-    except ValueError:
-        return False
+        with open(path, encoding="utf-8") as fh:
+            lines = (line for line in fh if line.strip())
+            first = next(lines, "")
+            if not first:
+                raise ParseError(path, reason="empty file")
+            delimiter = "," if "," in first else None
+            table = np.loadtxt(
+                itertools.chain([first], lines), dtype, delimiter=delimiter, comments=None, ndmin=2
+            )
+    except UnicodeDecodeError as e:
+        raise ParseError(path, reason=f"not UTF-8 text ({e.reason})")
+    except ValueError as e:  # numpy's rows skip blank lines; the scan names the file's line
+        raise _first_bad_line(path, dtype, delimiter, width) or ParseError(path, reason=str(e))
+    if width is not None and table.shape[1] != width:
+        raise _first_bad_line(path, dtype, delimiter, width)
+    return table
 
 
-def _read_labels(path) -> Array:
-    path = Path(path)
-    if not path.exists():
-        raise MissingFileError(str(path))
-    out = []
-    with open(path) as fh:
+def _first_bad_line(path, dtype, delimiter, width) -> ParseError | None:
+    """The first ragged line, or first token `dtype` rejects, of a file numpy rejected."""
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            try:
-                out.append(int(line))
-            except ValueError:
-                raise ParseError(path, lineno, 1, reason=f"not an integer label: {line!r}")
-    return np.asarray(out, dtype=np.int64)
+            tokens = line.split(delimiter)
+            width = width or len(tokens)
+            if len(tokens) != width:
+                return ParseError(path, lineno, reason=f"expected {width} columns, found {len(tokens)}")
+            for col, token in enumerate(tokens, start=1):
+                try:
+                    dtype(token)
+                except (ValueError, OverflowError):
+                    return ParseError(path, lineno, col, reason=f"not {dtype.__name__}: {token.strip()!r}")
+    return None
 
 
 def read_manifest(directory) -> DatasetManifest:
@@ -107,9 +100,11 @@ def read_manifest(directory) -> DatasetManifest:
     if not p.exists():
         raise MissingManifestError(f"no manifest.json in {directory}")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ParseError(p, e.lineno, e.colno, reason=e.msg)
+    except UnicodeDecodeError as e:
+        raise ParseError(p, reason=f"not UTF-8 text ({e.reason})")
     if not isinstance(raw, dict):
         raise ParseError(p, reason="manifest must be a JSON object")
     files = raw.get("view_files")
@@ -137,7 +132,7 @@ def load_dataset(directory) -> MultiViewDataset:
     views = [read_matrix(directory / f) for f in manifest.view_files]
     labels = None
     if manifest.labels_file is not None:
-        labels = _read_labels(directory / manifest.labels_file)
+        labels = _read_table(directory / manifest.labels_file, np.int64, width=1)[:, 0]
     ds = validate_dataset(MultiViewDataset(views=views, labels=labels))
     if None not in (ds.k, manifest.k) and ds.k != manifest.k:
         raise LabelRangeError(f"{directory}: manifest k={manifest.k}, labels have {ds.k} classes")

@@ -5,6 +5,7 @@ peak probe."""
 import tracemalloc
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mvclust import (
     validate_dataset,
 )
 from mvclust.consensus import update_consensus_graph
-from mvclust.errors import RankDeficientError, RankDeficientWarning
+from mvclust.errors import MissingFileError, ParseError, RankDeficientError, RankDeficientWarning
 from mvclust.finetune import update_mapping, update_top
 from mvclust.seminmf import (
     RCOND,
@@ -198,6 +199,37 @@ def dense_spectral_embed(S, k):
     nz = norms > 0
     E[nz] /= norms[nz, None]
     return E
+
+
+def direct_read_matrix(path):
+    """A delimited text matrix parsed token by token with Python's `float`,
+    each line split by its own delimiter (test oracle for `read_matrix`)."""
+    path = Path(path)
+    if not path.exists():
+        raise MissingFileError(str(path))
+    rows = []
+    width = None
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            tokens = line.split(",") if "," in line else line.split()
+            if width is None:
+                width = len(tokens)
+            elif len(tokens) != width:
+                raise ParseError(
+                    path, lineno, reason=f"expected {width} columns, found {len(tokens)}"
+                )
+            for col, token in enumerate(tokens, start=1):
+                try:
+                    float(token)
+                except ValueError:
+                    raise ParseError(path, lineno, col, reason=f"not a number: {token!r}")
+            rows.append([float(t) for t in tokens])
+    if not rows:
+        raise ParseError(path, reason="empty matrix file")
+    return np.asarray(rows, dtype=np.float64)
 
 
 def traced_peak(f, *args):

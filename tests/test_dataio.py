@@ -3,6 +3,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mvclust import (
     ClusteringReport,
@@ -14,6 +16,7 @@ from mvclust import (
     save_report,
     validate_dataset,
 )
+from mvclust.cli import main
 from mvclust.dataio import read_matrix
 from mvclust.errors import (
     InfeasibleGeometryError,
@@ -24,6 +27,8 @@ from mvclust.errors import (
     ZeroColumnWarning,
 )
 from mvclust.metrics import accuracy
+
+from conftest import direct_read_matrix, traced_peak
 
 
 def toy_dataset(seed=0, labels=True):
@@ -162,6 +167,110 @@ def test_labels_parse_and_validation(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_dataset(d)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "name, text, line, col",
+    [
+        ("view0.txt", "1,2\n3 4\n5,6\n", 2, None),  # a whitespace line in a comma file
+        ("view0.txt", "1 2\n\n3,4\n", 3, None),  # a comma line in a whitespace file
+        ("view0.txt", "# header\n1 2\n", 1, 1),  # no comment lines
+        ("view0.txt", "1,2,\n3,4,\n", 1, 3),  # a trailing comma leaves an empty last field
+        ("view0.txt", "", None, None),
+        ("view0.txt", " \n\t\n", None, None),
+        ("view0.txt", "1 2\n3 1_000\n", None, None),  # only Python's float takes underscores
+        ("labels.txt", "0 1\n", 1, None),  # not flattened into two labels
+        ("labels.txt", "0\n\n1.0\n", 3, 1),
+        ("labels.txt", "", None, None),
+    ],
+)
+def test_format_edges_raise_parse_error(tmp_path, name, text, line, col):
+    save_dataset(toy_dataset(), tmp_path)
+    (tmp_path / name).write_text(text)
+    with pytest.raises(ParseError) as exc:
+        load_dataset(tmp_path)
+    assert (exc.value.path, exc.value.line, exc.value.col) == (str(tmp_path / name), line, col)
+
+
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        ("view0.txt", b"1 2\n\xff 3\n"),
+        ("labels.txt", b"0\n\xff\n"),
+        ("manifest.json", b'{"view_files": ["view0.txt"\xff]}'),
+        ("labels.txt", b"99999999999999999999\n"),
+    ],
+)
+def test_malformed_file_raises_parse_error_naming_it(tmp_path, caplog, name, data):
+    save_dataset(toy_dataset(), tmp_path / "d")
+    (tmp_path / "d" / name).write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        load_dataset(tmp_path / "d")
+    assert exc.value.path == str(tmp_path / "d" / name)
+    code = main([
+        "cluster", "--data", str(tmp_path / "d"), "--layers", "3", "--beta", "0.5",
+        "--out", str(tmp_path / "r.json"),
+    ])
+    assert code == 1  # caught and logged: nothing escapes main as a traceback
+    assert str(tmp_path / "d" / name) in caplog.text
+
+
+SPELLINGS = [
+    "0", "-0", "-0.0", "0e0", "1", "+2.5", "1e308", "-1e308", "1.7976931348623157e308",
+    "5e-324", "-2.2250738585072009e-308", "nan", "NaN", "-nan", "inf", "-inf", "+inf",
+    "Infinity", "-Infinity", "iNf",
+]
+NON_NUMBERS = ["oops", "1..2", "--1", "1e", "x1", "0x10", "nan1"]
+
+
+@st.composite
+def matrix_files(draw):
+    """A text matrix in one delimiter, with blank lines and padding, and at most
+    one fault: a ragged row or a token that is not a number."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    floats = st.floats().map(draw(st.sampled_from([repr, "%.17g".__mod__])))
+    table = [[draw(st.one_of(st.sampled_from(SPELLINGS), floats)) for _ in range(cols)] for _ in range(rows)]
+    comma = draw(st.booleans())
+    fault = draw(st.sampled_from(["none", "extra", "short", "token"]))
+    i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+    if fault == "extra":
+        table[i].append("1")
+    elif fault == "short" and i > 0 and cols > 1:
+        table[i].pop()
+    elif fault == "token":
+        table[i][j] = draw(st.sampled_from(NON_NUMBERS + ([""] if comma else [])))
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    lines = []
+    for row in table:
+        lines += draw(st.lists(st.sampled_from(["", "  ", "\t "]), max_size=2))
+        sep = "," if comma else draw(st.sampled_from([" ", "\t", "  "]))
+        lines.append(sep.join(draw(pad) + t + draw(pad) for t in row))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=matrix_files())
+def test_read_matrix_agrees_with_direct_reader(tmp_path, text):
+    f = tmp_path / "m.txt"
+    f.write_text(text)
+    try:
+        want = direct_read_matrix(f)
+    except ParseError as e:
+        with pytest.raises(ParseError) as exc:
+            read_matrix(f)
+        assert (exc.value.line, exc.value.col) == (e.line, e.col)
+        return
+    got = read_matrix(f)
+    assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+
+
+def test_read_matrix_holds_little_more_than_its_result(tmp_path):
+    # numpy's parser fills the array as it reads; a list of Python floats per
+    # token held about 5x the array
+    f = tmp_path / "m.txt"
+    np.savetxt(f, np.random.default_rng(0).standard_normal((2000, 300)), fmt="%.17g")
+    X = read_matrix(f)
+    assert traced_peak(read_matrix, f) / X.nbytes <= 1.5
 
 
 def test_normalize_three_four_five():

@@ -196,7 +196,8 @@ def test_spectral_embed_resolves_repeated_top_eigenvalue(sizes):
 
 
 def test_spectral_embed_holds_one_nxn_array():
-    # W, scaled into N in place and overwritten by eigh: about 1.1 arrays of
-    # n x n floats (separate W, N and a Fortran copy for LAPACK held 3.0)
+    # W, scaled into N in place; Lanczos reads N without overwriting it (only
+    # k == n takes eigh): about 1.05 arrays of n x n floats (separate W, N and
+    # a Fortran copy for LAPACK held 3.0)
     S = _seeded_graph()
     assert traced_peak(spectral_embed, S, 3) / S.nbytes <= 1.3
