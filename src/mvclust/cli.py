@@ -18,12 +18,12 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-
 from .dataio import (
     ClusteringReport,
     generate_synthetic,
     load_dataset,
     normalize_views,
+    read_manifest,
     save_dataset,
     save_report,
 )
@@ -94,23 +94,25 @@ def parse_beta_grid(text: str) -> list[float]:
     return grid
 
 
-def _resolve_k(ds: MultiViewDataset, layers: list[int], declared_k: int | None) -> int:
+def _resolve_k(layers: list[int], known_k: int | None) -> int:
     k = layers[-1]
-    known = ds.k if ds.k is not None else declared_k
-    if known is not None and known != k:
+    if known_k is not None and known_k != k:
         raise MvclustError(
-            f"last layer width {k} must equal the dataset's cluster count {known}"
+            f"last layer width {k} must equal the dataset's cluster count {known_k}"
         )
     if k < 2:
         raise MvclustError(f"cluster count must be >= 2, got {k}")
     return k
 
 
-def _load_normalized(args) -> MultiViewDataset:
+def _load_normalized(args) -> tuple[MultiViewDataset, int | None]:
     ds = load_dataset(args.data)
+    known = {ds.k, read_manifest(args.data).k, getattr(args, "k", None)} - {None}
+    if len(known) > 1:
+        raise MvclustError(f"labels, manifest k and --k give different cluster counts {sorted(known)}")
     if args.normalize == "sample":
         ds = normalize_views(ds)
-    return ds
+    return ds, min(known, default=None)
 
 
 def _metrics_dict(pred, truth) -> dict | None:
@@ -164,8 +166,8 @@ def _build_report(name, ds, cfg, result: FitResult, part, t_start) -> Clustering
 
 def cmd_cluster(args) -> int:
     t_start = time.perf_counter()
-    ds = _load_normalized(args)
-    k = _resolve_k(ds, args.layers, None)
+    ds, known_k = _load_normalized(args)
+    k = _resolve_k(args.layers, known_k)
     cfg = _make_config(args, args.layers, args.beta)
     result, part = _fit_and_cluster(ds, cfg, k, args.kmeans_restarts)
     report = _build_report(Path(args.data).name, ds, cfg, result, part, t_start)
@@ -199,14 +201,13 @@ def _sweep_cell(ds, args, layers: list[int], beta: float, k: int) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    ds = _load_normalized(args)
+    ds, known_k = _load_normalized(args)
     layer_grid = args.layer_grid
     if not layer_grid:
-        probe_k = ds.k if ds.k is not None else args.k
-        if probe_k is None:
-            raise MvclustError("need labels, --k, or --layer-grid to size the sweep")
-        layer_grid = _layer_grid(probe_k)
-    k = _resolve_k(ds, layer_grid[0], args.k)
+        if known_k is None:
+            raise MvclustError("need labels, a manifest k, --k, or --layer-grid to size the sweep")
+        layer_grid = _layer_grid(known_k)
+    k = _resolve_k(layer_grid[0], known_k)
     for spec in layer_grid:
         LayerSpec(spec).validate(k=k, min_view_dim=min(ds.view_dims))
     rows = [_sweep_cell(ds, args, layers, beta, k) for beta in args.beta_grid for layers in layer_grid]
@@ -271,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list (accepts 2^e); default 2^-7..2^7 odd exponents")
     p.add_argument("--layer-grid", type=parse_int_list, action="append", default=None,
                    help="explicit layer spec, repeatable; replaces the default grid")
-    p.add_argument("--k", type=int, default=None, help="cluster count for unlabelled data")
+    p.add_argument("--k", type=int, default=None, help="cluster count for unlabelled data; the manifest's k by default")
     p.add_argument("--out", required=True, help="results TSV path")
     p.set_defaults(func=cmd_sweep)
 

@@ -1,10 +1,11 @@
 """Consensus graph construction and refinement.
 
 The consensus graph S approximates the alpha-weighted mix Q of per-view
-Gram similarities H_m^T H_m. Its update is an exact row-wise Euclidean
-projection onto {s >= 0, s.1 = 1, s_i = 0}; the view weights alpha solve a
-V-dimensional simplex-constrained quadratic program exactly, by trying every
-support. That costs 2^V small solves, so the view count is capped.
+Gram similarities H_m^T H_m, the Gram of the stacked tops [sqrt(alpha_v) H_v].
+Its update is an exact row-wise Euclidean projection of Q, in Q's own buffer,
+onto {s >= 0, s.1 = 1, s_i = 0}; the view weights alpha solve a V-dimensional
+simplex-constrained quadratic program exactly, by trying every support. That
+costs 2^V small solves, so the view count is capped.
 """
 
 from __future__ import annotations
@@ -27,9 +28,14 @@ def gram_similarity(H: Array) -> Array:
     return H.T @ H
 
 
+def stacked_tops(alpha: Array, stacks) -> Array:
+    """The stacked tops G = [sqrt(alpha_v) H_v] (Vk x n, alpha >= 0): G^T G = sum_v alpha_v H_v^T H_v."""
+    return np.vstack([np.sqrt(a) * st.top for a, st in zip(alpha, stacks)])
+
+
 def compute_Q(state) -> Array:
-    """Q = sum_v alpha_v H_v^T H_v, the Gram of the stacked sqrt(alpha_v) H_v (needs alpha >= 0)."""
-    return gram_similarity(np.vstack([np.sqrt(a) * st.top for a, st in zip(state.alpha, state.stacks)]))
+    """Q = sum_v alpha_v H_v^T H_v, the Gram of the stacked tops."""
+    return gram_similarity(stacked_tops(state.alpha, state.stacks))
 
 
 def project_rows_to_simplex(V: Array) -> Array:
@@ -62,6 +68,7 @@ def _project_rows_in_place(V: Array) -> Array:
     return V
 
 
+# no caller in the package; bench/worker.py patches it by this name to count calls
 def project_to_simplex(v: Array) -> Array:
     """Euclidean projection of one vector onto the probability simplex."""
     return project_rows_to_simplex(v[None, :])[0]
@@ -72,10 +79,10 @@ def update_consensus_graph(Q: Array) -> Array:
     coordinate excluded and pinned to zero.
 
     Every row of the result sums to 1 exactly (to float precision), is
-    nonnegative, and has a zero diagonal entry. Q itself is left unchanged;
-    the projection runs in the one copy.
+    nonnegative, and has a zero diagonal entry. Q is projected in place and
+    returned (other dtypes are converted first), so pass a copy to keep Q.
     """
-    Q = np.array(Q, dtype=np.float64)
+    Q = np.asarray(Q, dtype=np.float64)
     if Q.shape[0] < 2:
         raise ValueError("graph projection needs at least 2 samples")
     if not np.isfinite(Q).all():

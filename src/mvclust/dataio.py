@@ -77,7 +77,7 @@ def _read_table(path, dtype, width=None) -> Array:
 
 
 def _first_bad_line(path, dtype, delimiter, width) -> ParseError | None:
-    """The first ragged line, or first token `dtype` rejects, of a file numpy rejected."""
+    """The first ragged line, or first token numpy's parser rejects, of a file numpy rejected."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -87,8 +87,8 @@ def _first_bad_line(path, dtype, delimiter, width) -> ParseError | None:
             if len(tokens) != width:
                 return ParseError(path, lineno, reason=f"expected {width} columns, found {len(tokens)}")
             for col, token in enumerate(tokens, start=1):
-                try:
-                    dtype(token)
+                try:  # numpy's own parser; it would skip a blank token, so "?" stands in
+                    np.loadtxt([token.strip() or "?"], dtype, delimiter=delimiter, comments=None)
                 except (ValueError, OverflowError):
                     return ParseError(path, lineno, col, reason=f"not {dtype.__name__}: {token.strip()!r}")
     return None

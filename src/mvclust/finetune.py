@@ -4,7 +4,7 @@ The objective reads every mapping Z_i but only the top representation H_m,
 so a sweep updates just those: an exact least-squares update of each Z_i,
 then two multiplicative steps of H_m. The first is `seminmf`'s graph-free
 rule; the second adds the graph terms to its numerator and denominator,
-pulling the view's Gram similarity toward the consensus graph.
+pulling the weighted Gram mix of the views' tops toward the consensus graph.
 
 A sweep is one pass that forms each chain product once: every right factor
 Z_{i+1}..Z_m H_m before any update, the left factor Z_1..Z_{i-1} as the
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .consensus import stacked_tops
 from .seminmf import mp_pinv, multiplicative_step, multiplicative_terms
 from .types import ModelState
 
@@ -39,33 +40,22 @@ def update_mapping(
     return (left @ X) @ right
 
 
-def _cross_view_gram_product(state: ModelState, v: int, H: Array) -> Array:
-    """H @ G where G = sum_{o != v} alpha_o H_o^T H_o, without forming G."""
-    HG = np.zeros_like(H)
-    for o, (a, st) in enumerate(zip(state.alpha, state.stacks)):
-        if o == v:
-            continue
-        HG += a * ((H @ st.top.T) @ st.top)
-    return HG
-
-
 def update_top(state: ModelState, v: int, PhitX: Array, PhitPhi: Array) -> Array:
     """Graph-coupled multiplicative update of the top representation H_m.
 
-    Targets ||X - Phi H||_F^2 + beta ||S - alpha_v H^T H - G||_F^2 with
-    G the other views' weighted Gram mix, built from the other views'
-    current H_m values. The caller passes PhitX = Phi^T X and
-    PhitPhi = Phi^T Phi for the view's chain Phi = Z_1..Z_m.
+    Targets ||X - Phi H||_F^2 + beta ||S - G^T G||_F^2 with G the stacked
+    tops [sqrt(alpha_o) H_o] of every view's current H_m, whose block v is
+    H itself. The caller passes PhitX = Phi^T X and PhitPhi = Phi^T Phi for
+    the view's chain Phi = Z_1..Z_m.
     """
     H = state.stacks[v].top
     a_v = float(state.alpha[v])
+    G = stacked_tops(state.alpha, state.stacks)
     num, den = multiplicative_terms(PhitX, PhitPhi, H)
-    # H, S, alpha and the other views' tops are nonnegative, so every graph
-    # product below is too: each goes whole into num or den
+    # H, S, alpha and the tops are nonnegative, so every graph product below
+    # is too: each goes whole into num or den
     num = num + a_v * state.beta * (H @ state.S + H @ state.S.T)
-    den = den + a_v * state.beta * (
-        2.0 * _cross_view_gram_product(state, v, H) + (2.0 * a_v) * ((H @ H.T) @ H)
-    )
+    den = den + a_v * state.beta * (2.0 * ((H @ G.T) @ G))
     return multiplicative_step(H, num, den)
 
 

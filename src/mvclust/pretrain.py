@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .consensus import gram_similarity, update_consensus_graph
+from .consensus import gram_similarity, stacked_tops, update_consensus_graph
 from .errors import RankDeficientError
 from .seminmf import fit_seminmf
 from .types import FactorStack, FitConfig, ModelState, MultiViewDataset
@@ -56,6 +56,6 @@ def initialize_state(ds: MultiViewDataset, cfg: FitConfig) -> ModelState:
         st.top = c * st.top
         st.mappings[-1] = st.mappings[-1] / c
     alpha = np.full(ds.num_views, 1.0 / ds.num_views)
-    Q = gram_similarity(np.vstack([np.sqrt(a) * st.top for a, st in zip(alpha, stacks)]))
-    S = update_consensus_graph(Q)
+    # called by this name, not through compute_Q: bench/worker.py patches pretrain.gram_similarity
+    S = update_consensus_graph(gram_similarity(stacked_tops(alpha, stacks)))
     return ModelState(views=list(ds.views), stacks=stacks, S=S, alpha=alpha, beta=cfg.beta)

@@ -99,7 +99,7 @@ def test_criterion_3_graph_projection_oracle():
         for trial in range(1000):
             scale = rng.choice([0.05, 0.5, 1.0, 5.0])
             Q = rng.standard_normal((n, n)) * scale
-            S = update_consensus_graph(Q)
+            S = update_consensus_graph(Q.copy())
             i = trial % n
             oracle = brute_force_row_projection(Q[i], i)
             assert np.linalg.norm(S[i] - oracle) <= 1e-8

@@ -245,6 +245,64 @@ def test_ablate_three_depths(tmp_path):
     assert [line.split("\t")[2] for line in lines[1:]] == ["3", "6,3", "12,6,3"]
 
 
+def _unlabelled_dir(tmp_path):
+    """A synthetic directory whose manifest declares k = 3 and names no labels."""
+    data = tmp_path / "u"
+    assert main(["synth", "--n", "60", "--k", "3", "--dims", "50,48", "--seed", "7", "--out", str(data)]) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    (data / manifest["labels_file"]).unlink()
+    manifest["labels_file"] = None
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    return data
+
+
+def test_cluster_checks_layers_against_the_manifest_k(tmp_path):
+    data = _unlabelled_dir(tmp_path)
+    out = tmp_path / "r.json"
+    assert main(["cluster", "--data", str(data), "--layers", "6,4", "--beta", "0.5", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_sweep_sizes_its_default_grid_by_the_manifest_k(tmp_path):
+    from mvclust.cli import _layer_grid
+
+    data = _unlabelled_dir(tmp_path)
+    out = tmp_path / "s.tsv"
+    code = main([
+        "sweep", "--data", str(data), "--beta-grid", "0.5",
+        "--max-iter", "1", "--pretrain-iters", "2", "--out", str(out),
+    ])
+    assert code == 0
+    rows = [line.split("\t") for line in out.read_text().strip().splitlines()[1:]]
+    assert [row[2] for row in rows] == [",".join(map(str, spec)) for spec in _layer_grid(3)]
+
+
+@pytest.mark.parametrize("k", ["2", "4"])
+def test_sweep_k_conflicting_with_the_manifest_fails(tmp_path, k):
+    data = _unlabelled_dir(tmp_path)
+    out = tmp_path / "s.tsv"
+    code = main([
+        "sweep", "--data", str(data), "--k", k, "--layer-grid", f"9,{k}", "--beta-grid", "0.5",
+        "--max-iter", "1", "--pretrain-iters", "2", "--out", str(out),
+    ])
+    assert code == 1
+    assert not out.exists()
+
+
+def test_sweep_k_conflicting_with_the_labels_fails(tmp_path):
+    data = make_dataset_dir(tmp_path)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["k"] = None
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "s.tsv"
+    code = main([
+        "sweep", "--data", str(data), "--k", "4", "--layer-grid", "9,3", "--beta-grid", "0.5",
+        "--max-iter", "1", "--pretrain-iters", "2", "--out", str(out),
+    ])
+    assert code == 1
+    assert not out.exists()
+
+
 def test_layer_grid_defaults():
     from mvclust.cli import _layer_grid
 

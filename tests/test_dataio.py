@@ -178,15 +178,18 @@ def test_labels_parse_and_validation(tmp_path):
         ("view0.txt", "1,2,\n3,4,\n", 1, 3),  # a trailing comma leaves an empty last field
         ("view0.txt", "", None, None),
         ("view0.txt", " \n\t\n", None, None),
-        ("view0.txt", "1 2\n3 1_000\n", None, None),  # only Python's float takes underscores
+        ("view0.txt", "1 2\n3 1_000\n", 2, 2),  # only Python's float takes underscores
+        ("view0.txt", "1 2\n\n3 1_000\n", 3, 2),  # the file's line, blank lines counted
+        ("view0.txt", "1 2\n3 \u0661\n", 2, 2),  # a non-ASCII digit
         ("labels.txt", "0 1\n", 1, None),  # not flattened into two labels
         ("labels.txt", "0\n\n1.0\n", 3, 1),
+        ("labels.txt", "0\n1_0\n", 2, 1),
         ("labels.txt", "", None, None),
     ],
 )
 def test_format_edges_raise_parse_error(tmp_path, name, text, line, col):
     save_dataset(toy_dataset(), tmp_path)
-    (tmp_path / name).write_text(text)
+    (tmp_path / name).write_text(text, encoding="utf-8")
     with pytest.raises(ParseError) as exc:
         load_dataset(tmp_path)
     assert (exc.value.path, exc.value.line, exc.value.col) == (str(tmp_path / name), line, col)

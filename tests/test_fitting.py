@@ -322,6 +322,15 @@ def test_objective_terms_holds_one_graph_residual():
     assert traced_peak(objective_terms, state) / state.S.nbytes <= 1.2
 
 
+def test_fit_holds_few_nxn_arrays():
+    # the old S, Q and the projection's masks at the peak: about 2.26 arrays
+    # of n x n floats (3.00 while the projection copied Q)
+    n = 2000
+    ds = generate_synthetic(n=n, k=3, n_views=2, dims=[6, 5], separation=10.0, noise_sigma=0.5, seed=0)
+    cfg = simple_config([3], max_outer_iters=2, pretrain_iters=5)
+    assert traced_peak(fit, ds, cfg) / (8 * n * n) <= 2.4
+
+
 def test_fit_rejects_too_many_views_before_pretraining(monkeypatch):
     import mvclust.fitting
 

@@ -16,6 +16,7 @@ from mvclust.consensus import (
     compute_Q,
     project_rows_to_simplex,
     solve_simplex_qp,
+    stacked_tops,
     update_consensus_graph,
 )
 from mvclust.errors import RankDeficientError, RankDeficientWarning
@@ -101,8 +102,9 @@ def test_fit_seminmf_equals_direct_sweeps(n, shape, width, rank, zero_rows, iter
 def _update_top_four_splits(state, v):
     """The top update with every graph product sign-split, as it was written
     before the splits of provably nonnegative products were dropped; the
-    step itself is the shared `multiplicative_step`, so only the splits are
-    compared."""
+    step itself is the shared `multiplicative_step` and the Gram-mix product
+    the shared G form (checked against the per-view sum below), so only the
+    splits are compared."""
 
     def split(A):
         return np.maximum(A, 0.0), np.maximum(-A, 0.0)
@@ -114,18 +116,14 @@ def _update_top_four_splits(state, v):
     S = state.S
     a_v = float(state.alpha[v])
     beta = state.beta
-    HG = np.zeros_like(H)
-    for o, (a, other) in enumerate(zip(state.alpha, state.stacks)):
-        if o != v:
-            HG += a * ((H @ other.top.T) @ other.top)
+    G = stacked_tops(state.alpha, state.stacks)
     xp, xm = split(Phi.T @ X)
     gram_p, gram_m = split(Phi.T @ Phi)
     sp, sm = split(H @ S)
     stp, stm = split(H @ S.T)
-    gp, gm = split(2.0 * HG)
-    qp, qm = split((2.0 * a_v) * ((H @ H.T) @ H))
-    num = xp + gram_m @ H + a_v * beta * (sp + stp + gm + qm)
-    den = xm + gram_p @ H + a_v * beta * (sm + stm + gp + qp)
+    gp, gm = split(2.0 * ((H @ G.T) @ G))
+    num = xp + gram_m @ H + a_v * beta * (sp + stp + gm)
+    den = xm + gram_p @ H + a_v * beta * (sm + stm + gp)
     return multiplicative_step(H, num, den)
 
 
@@ -148,6 +146,27 @@ def test_update_top_equals_four_split_formula(dims, layer_sizes, n, beta, zero_w
     for v in range(state.num_views):
         got = update_top(state, v, *top_products(state, v))
         assert np.array_equal(got, _update_top_four_splits(state, v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dims=st.lists(st.integers(2, 8), min_size=1, max_size=4),
+    layer_sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    n=st.integers(2, 10),
+    zero_weights=st.integers(0, 3),
+    seed=SEEDS,
+)
+def test_gram_mix_product_equals_per_view_sum(dims, layer_sizes, n, zero_weights, seed):
+    # (H G^T) G with G the stacked sqrt(alpha_o) H_o is sum_o alpha_o (H H_o^T) H_o
+    state = random_state(dims=dims, layer_sizes=layer_sizes, n=n, seed=seed)
+    state.alpha[: min(zero_weights, len(dims) - 1)] = 0.0
+    state.alpha /= state.alpha.sum()
+    G = stacked_tops(state.alpha, state.stacks)
+    for stack in state.stacks:
+        H = stack.top
+        per_view = sum(a * ((H @ o.top.T) @ o.top) for a, o in zip(state.alpha, state.stacks))
+        got = (H @ G.T) @ G
+        assert np.abs(got - per_view).max() <= 1e-12 * np.abs(per_view).max()
 
 
 def _rank_warnings(sweep, state):
@@ -201,7 +220,7 @@ def test_graph_projection_feasible_and_exact(n, distinct, exponents, constant_ro
     values = rng.standard_normal(distinct) * 10.0 ** rng.integers(lo, hi + 1, size=distinct)
     Q = values[rng.integers(distinct, size=(n, n))]
     Q[:constant_rows] = Q[:constant_rows, :1]
-    S = update_consensus_graph(Q)
+    S = update_consensus_graph(Q.copy())
     assert np.isfinite(S).all()
     assert S.min() >= 0
     assert np.all(np.diag(S) == 0)
