@@ -1,9 +1,11 @@
 """Single-layer semi-NMF: X ~ Z H with H >= 0 and Z unconstrained in sign.
 
 Used as the layer-by-layer pretraining workhorse. The basis update is the
-exact least-squares solution through a right pseudo-inverse; the
-representation update is Ding, Li & Jordan's KKT-targeting multiplicative
-rule, which keeps H nonnegative and never increases the reconstruction error.
+exact least-squares solution Z = X H^T (H H^T)^{-1}, taken from the l x l
+Gram of H when that Gram is certified well conditioned and through the
+rank-revealing pseudo-inverse `mp_pinv` otherwise; the representation update
+is Ding, Li & Jordan's KKT-targeting multiplicative rule, which keeps H
+nonnegative and never increases the reconstruction error.
 """
 
 from __future__ import annotations
@@ -27,6 +29,12 @@ EPS_DENOM = 1e-12
 # Singular values below RCOND * sigma_max are treated as zero when forming
 # pseudo-inverses.
 RCOND = 1e-10
+
+# A sweep solves with G = H H^T when lambda_min(G) > GRAM_RCOND * lambda_max(G),
+# that is cond(H) < 316: far from the RCOND cut, so `mp_pinv` would keep full
+# rank there and warn nothing. The normal equations lose about cond(H)^2 * eps;
+# with cond(H) up to 1e4 they drifted 1e-8 from the pseudo-inverse in 20 sweeps.
+GRAM_RCOND = 1e-5
 
 
 def pos_neg_split(A: Array) -> tuple[Array, Array]:
@@ -110,18 +118,38 @@ class SemiNmfResult:
     iters: int
 
 
+def _certified_gram(H: Array) -> Array | None:
+    """G = H H^T if it is finite and lambda_min(G) > GRAM_RCOND * lambda_max(G),
+    else None (a zero, non-finite or ill-conditioned H goes to `mp_pinv`)."""
+    G = H @ H.T
+    if not np.isfinite(G).all():
+        return None
+    w = np.linalg.eigvalsh(G)
+    return G if w[0] > GRAM_RCOND * w[-1] else None
+
+
+def _basis_t(X: Array, H: Array, G: Array | None, P: Array | None) -> Array:
+    """Z^T of the least-squares basis for H: G^{-1} (H X^T) from the certified
+    Gram G, else (X P)^T from P = pinv(H)."""
+    return (X @ P).T if G is None else np.linalg.solve(G, H @ X.T)
+
+
 def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
     """Alternate basis/representation updates from a seeded random H, exactly
     `iters` sweeps.
 
     `l` must not exceed the sample count; widths above the feature count are
     permitted (the basis update only needs H to have full row rank). The basis
-    is the least-squares Z = X P with P = pinv(H), so each sweep needs only
-    the l x n product Z^T X and the l x l Gram Z^T Z, never a d x n array.
-    A layer with d <= n forms Z and both products directly, 2dnl flops a
-    sweep. A wide layer (d > n) uses the kernel form: K = X^T X once per
-    layer, then Z^T X = P^T K and Z^T Z = (P^T K) P, n^2 l flops a sweep, with
-    Z = X P formed once, at the end.
+    is the least-squares Z = X H^T G^{-1} with G = H H^T, so each sweep needs
+    only the l x n product Z^T X and the l x l Gram Z^T Z, never a d x n
+    array. When G is certified well conditioned (`GRAM_RCOND`), the sweep
+    solves with G and forms no n x l pseudo-inverse; otherwise it takes
+    P = `mp_pinv`(H), which owns the rank decision and its warnings, and
+    Z = X P. A layer with d <= n forms Z^T = G^{-1} (H X^T) (or X P) and both
+    products directly, 2dnl flops a sweep. A wide layer (d > n) uses the
+    kernel form: K = X^T X once per layer, then Z^T X = G^{-1} (H K) and
+    Z^T Z = (Z^T X) H^T G^{-1} (or P^T K and (P^T K) P), n^2 l flops a sweep,
+    with Z formed once, at the end, from the last sweep's H and form.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[1]
@@ -135,14 +163,17 @@ def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
     H = (1.0 - np.random.default_rng(seed).random((l, n))) * scale
     K = X.T @ X if X.shape[0] > n else None
     for _ in range(iters):
-        P = mp_pinv(H, warn_context="update_basis")
+        G = _certified_gram(H)
+        P = mp_pinv(H, warn_context="update_basis") if G is None else None
         if K is None:
-            Z = X @ P
-            ZtX, ZtZ = Z.T @ X, Z.T @ Z
-        else:
+            Zt = _basis_t(X, H, G, P)
+            ZtX, ZtZ = Zt @ X, Zt @ Zt.T
+        elif G is None:
             ZtX = P.T @ K
             ZtZ = ZtX @ P
-        H = multiplicative_step(H, *multiplicative_terms(ZtX, ZtZ, H))
-    if K is not None:
-        Z = X @ P
+        else:
+            ZtX = np.linalg.solve(G, H @ K)
+            ZtZ = np.linalg.solve(G, H @ ZtX.T).T
+        H_basis, H = H, multiplicative_step(H, *multiplicative_terms(ZtX, ZtZ, H))
+    Z = (Zt if K is None else _basis_t(X, H_basis, G, P)).T
     return SemiNmfResult(Z=Z, H=H, iters=iters)

@@ -7,10 +7,12 @@ import copy
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
+from mvclust import seminmf
 from mvclust.consensus import (
     WeightQp,
     compute_Q,
@@ -91,10 +93,64 @@ def test_fit_seminmf_equals_direct_sweeps(n, shape, width, rank, zero_rows, iter
     res, caught = _fit_outcome(fit_seminmf, X, l, iters, seed)
     oracle, caught_oracle = _fit_outcome(direct_fit_seminmf, X, l, iters, seed)
     assert caught == caught_oracle
-    if d <= n:
+    # the Gram solve on certified layers, and the kernel form K = X^T X of
+    # wide ones, move each product at rounding level only
+    assert np.abs(res.Z - oracle.Z).max() <= 1e-9 * np.abs(oracle.Z).max()
+    assert np.abs(res.H - oracle.H).max() <= 1e-9 * np.abs(oracle.H).max()
+
+
+class _PlantedStart:
+    """Stands in for `np.random.default_rng(seed)` so that a fit's seeded
+    start (1 - U) * scale is H0 * scale."""
+
+    def __init__(self, H0):
+        self.H0 = H0
+
+    def random(self, shape):
+        assert shape == self.H0.shape
+        return 1.0 - self.H0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(3, 10),
+    wide=st.booleans(),
+    width=st.floats(0.0, 1.0),
+    tilt=st.sampled_from([0.0, 1e-14, 1e-11, 1e-8, 1e-6]),
+    iters=st.integers(1, 8),
+    seed=SEEDS,
+)
+def test_fit_seminmf_ill_conditioned_start_takes_pinv(n, wide, width, tilt, iters, seed):
+    # two nearly collinear rows in the start: the Gram certificate fails and
+    # the sweep falls back to mp_pinv, which warns exactly where the oracle
+    # does. With d <= n that sweep is the direct one, bit for bit. A wide
+    # layer's kernel form K = X^T X drifts from the direct sweep by up to
+    # cond(H)^2 * eps, so it is compared only past the RCOND cut, where the
+    # collinear direction is dropped.
+    assume(not wide or tilt <= 1e-11)
+    rng = np.random.default_rng(seed)
+    l = 2 + int(width * (n - 2))
+    d = 8 * n + 3 if wide else n - 1
+    X = rng.standard_normal((d, n))
+    H0 = 0.1 + 0.9 * rng.random((l, n))
+    H0[1] = 0.5 * H0[0] + tilt * rng.standard_normal(n)
+    assume(np.linalg.cond(H0) > 1e4)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mp_pinv(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda _seed: _PlantedStart(H0))
+        mp.setattr(seminmf, "mp_pinv", counted)
+        res, caught = _fit_outcome(fit_seminmf, X, l, iters, seed)
+        oracle, caught_oracle = _fit_outcome(direct_fit_seminmf, X, l, iters, seed)
+    assert calls
+    assert caught == caught_oracle
+    if not wide:
         assert np.array_equal(res.Z, oracle.Z) and np.array_equal(res.H, oracle.H)
     else:
-        # the kernel form K = X^T X moves each product at rounding level only
         assert np.abs(res.Z - oracle.Z).max() <= 1e-9 * np.abs(oracle.Z).max()
         assert np.abs(res.H - oracle.H).max() <= 1e-9 * np.abs(oracle.H).max()
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from mvclust import seminmf
 from mvclust.errors import RankDeficientError
 from mvclust.seminmf import fit_seminmf, mp_pinv, pos_neg_split
 
-from conftest import planted_two_blocks, traced_peak, update_basis, update_representation
+from conftest import direct_fit_seminmf, planted_two_blocks, traced_peak, update_basis, update_representation
 
 
 def test_pos_neg_split_definition():
@@ -148,3 +149,30 @@ def test_fit_seminmf_holds_no_dxn_array():
     # l x n products only; a d x n residual per sweep took 2.04 X.nbytes
     X = np.random.default_rng(23).standard_normal((2000, 300))
     assert traced_peak(fit_seminmf, X, 10, 3, 0) / X.nbytes <= 0.25
+
+
+@pytest.mark.parametrize("d", [20, 700], ids=["d<=n", "d>n"])
+def test_fit_seminmf_certified_layer_forms_no_pinv(monkeypatch, d):
+    # a well-conditioned H takes the l x l Gram solve in every sweep
+    X = np.random.default_rng(24).standard_normal((d, 80))
+    calls = []
+    monkeypatch.setattr(seminmf, "mp_pinv", lambda *a, **k: calls.append(a) or mp_pinv(*a, **k))
+    res = fit_seminmf(X, 6, iters=30, seed=1)
+    assert calls == []
+    oracle = direct_fit_seminmf(X, 6, 30, 1)
+    assert np.abs(res.Z - oracle.Z).max() <= 1e-9 * np.abs(oracle.Z).max()
+    assert np.abs(res.H - oracle.H).max() <= 1e-9 * np.abs(oracle.H).max()
+
+
+@pytest.mark.parametrize("d", [4, 12], ids=["d<=n", "d>n"])
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf])
+def test_fit_seminmf_bad_input_raises_rank_deficient(d, bad):
+    # zero and non-finite inputs fail the Gram certificate and reach mp_pinv's
+    # typed error (eigvalsh raises LinAlgError on an infinite 3 x 3 Gram)
+    X = np.random.default_rng(25).standard_normal((d, 6))
+    if bad == 0.0:
+        X[:] = 0.0
+    else:
+        X[1, 2] = bad
+    with pytest.raises(RankDeficientError):
+        fit_seminmf(X, 3, iters=2, seed=0)
