@@ -2,10 +2,12 @@
 
 The consensus graph S approximates the alpha-weighted mix Q of per-view
 Gram similarities H_m^T H_m, the Gram of the stacked tops [sqrt(alpha_v) H_v].
-Its update is an exact row-wise Euclidean projection of Q, in Q's own buffer,
-onto {s >= 0, s.1 = 1, s_i = 0}; the view weights alpha solve a V-dimensional
-simplex-constrained quadratic program exactly, by trying every support. That
-costs 2^V small solves, so the view count is capped.
+Its update is an exact row-wise Euclidean projection of Q onto
+{s >= 0, s.1 = 1, s_i = 0}. Q is formed and projected BLOCK_ROWS rows at a
+time, straight into S's buffer, so S is the only n x n array the step holds.
+The view weights alpha solve a V-dimensional simplex-constrained quadratic
+program exactly, by trying every support. That costs 2^V small solves, so
+the view count is capped.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ Array = np.ndarray
 # Most views the exact weight solver takes: 2^10 - 1 supports per solve.
 MAX_VIEWS = 10
 
+# Rows of Q formed at a time: one block is 128 x n floats beside S, small
+# next to it and large enough for a full-speed matrix product.
+BLOCK_ROWS = 128
+
 
 def gram_similarity(H: Array) -> Array:
     """Sample-by-sample inner-product similarity H^T H (symmetric PSD)."""
@@ -33,6 +39,16 @@ def stacked_tops(alpha: Array, stacks) -> Array:
     return np.vstack([np.sqrt(a) * st.top for a, st in zip(alpha, stacks)])
 
 
+def gram_row_blocks(G: Array, out: Array | None = None):
+    """Yield (i, Q[i:j]) over Q = G^T G, BLOCK_ROWS rows at a time; each block
+    is written into out[i:j] when out (n x n) is given."""
+    n = G.shape[1]
+    for i in range(0, n, BLOCK_ROWS):
+        rows = slice(i, min(i + BLOCK_ROWS, n))
+        yield i, np.matmul(G[:, rows].T, G, out=None if out is None else out[rows])
+
+
+# no caller in the package; bench/worker.py wraps fitting.compute_Q by this name
 def compute_Q(state) -> Array:
     """Q = sum_v alpha_v H_v^T H_v, the Gram of the stacked tops."""
     return gram_similarity(stacked_tops(state.alpha, state.stacks))
@@ -74,6 +90,17 @@ def project_to_simplex(v: Array) -> Array:
     return project_rows_to_simplex(v[None, :])[0]
 
 
+def _project_graph_block(B: Array, first_row: int) -> Array:
+    """Project rows first_row.. of a graph, held in B, in place: row r's
+    diagonal coordinate first_row + r is excluded and pinned to zero."""
+    if not np.isfinite(B).all():
+        raise ValueError("graph projection needs a finite Q")
+    r = np.arange(B.shape[0])
+    # a -inf entry never enters the support, and projects to 0.0
+    B[r, first_row + r] = -np.inf
+    return _project_rows_in_place(B)
+
+
 def update_consensus_graph(Q: Array) -> Array:
     """Nearest feasible graph to Q: row-wise projection with the diagonal
     coordinate excluded and pinned to zero.
@@ -81,15 +108,34 @@ def update_consensus_graph(Q: Array) -> Array:
     Every row of the result sums to 1 exactly (to float precision), is
     nonnegative, and has a zero diagonal entry. Q is projected in place and
     returned (other dtypes are converted first), so pass a copy to keep Q.
+    This is `consensus_graph`'s projection with all of Q as one block.
     """
     Q = np.asarray(Q, dtype=np.float64)
     if Q.shape[0] < 2:
         raise ValueError("graph projection needs at least 2 samples")
-    if not np.isfinite(Q).all():
-        raise ValueError("graph projection needs a finite Q")
-    # a -inf entry never enters the support, and projects to 0.0
-    np.fill_diagonal(Q, -np.inf)
-    return _project_rows_in_place(Q)
+    return _project_graph_block(Q, 0)
+
+
+def consensus_graph(G: Array, out: Array | None = None) -> Array:
+    """update_consensus_graph(G^T G) for the stacked tops G (Vk x n), without
+    forming G^T G whole.
+
+    Q = G^T G is formed BLOCK_ROWS rows at a time in out's rows and each
+    block is projected where it lies; the projection is row-separable, so
+    this is exact. out (n x n float64) is overwritten and never read, so the
+    current S may be passed; a fresh array is used when it is None. A non-finite G raises before out is written; a Q entry that
+    overflows raises with out's earlier blocks already replaced.
+    """
+    n = G.shape[1]
+    if n < 2:
+        raise ValueError("graph projection needs at least 2 samples")
+    if not np.isfinite(G).all():
+        raise ValueError("graph projection needs finite tops")
+    if out is None:
+        out = np.empty((n, n))
+    for i, block in gram_row_blocks(G, out):
+        _project_graph_block(block, i)
+    return out
 
 
 @dataclass

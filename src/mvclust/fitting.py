@@ -15,7 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .consensus import MAX_VIEWS, compute_Q, update_consensus_graph, update_view_weights
+from .consensus import MAX_VIEWS, consensus_graph, gram_row_blocks, stacked_tops, update_view_weights
+# no caller here; bench/worker.py wraps fitting.compute_Q and fitting.update_consensus_graph
+from .consensus import compute_Q, update_consensus_graph  # noqa: F401
 from .errors import TooManyViewsError
 from .finetune import sweep_view
 from .pretrain import initialize_state
@@ -37,8 +39,8 @@ def objective_terms(state: ModelState) -> tuple[float, float]:
 
     Both terms are computed directly from their residual arrays, not from an
     expansion, since this is the objective that is reported and judged. One
-    d x n residual is alive at a time, and the graph residual is formed in
-    Q's buffer.
+    d x n residual is alive at a time, and the graph residual is summed over
+    blocks of Q's rows, each formed in the block's own buffer.
     """
     recon = 0.0
     for v, X in enumerate(state.views):
@@ -48,9 +50,11 @@ def objective_terms(state: ModelState) -> tuple[float, float]:
         R -= X
         recon += float(np.linalg.norm(R) ** 2)
         del R  # before the next view's product is formed
-    R = compute_Q(state)
-    R -= state.S
-    graph = float(np.linalg.norm(R) ** 2)
+    graph = 0.0
+    for i, R in gram_row_blocks(stacked_tops(state.alpha, state.stacks)):
+        R -= state.S[i : i + R.shape[0]]
+        graph += float(np.vdot(R, R))
+        del R  # before the next block is formed
     return recon, graph
 
 
@@ -97,7 +101,9 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     Convergence is declared when the relative objective change stays below
     cfg.tol_rel_objective for CONVERGENCE_WINDOW consecutive iterations.
     `on_iteration(state, iteration, objective_value)` is called after every
-    outer iteration when given. Deterministic for a fixed (dataset, config).
+    outer iteration when given. The graph step overwrites `state.S` in place,
+    so the S it sees is replaced by the next iteration: copy it to keep it.
+    Deterministic for a fixed (dataset, config).
     """
     validate_dataset(ds)
     if ds.num_views > MAX_VIEWS:
@@ -116,7 +122,7 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     for it in range(1, cfg.max_outer_iters + 1):
         for v in range(state.num_views):
             sweep_view(state, v)
-        state.S = update_consensus_graph(compute_Q(state))
+        consensus_graph(stacked_tops(state.alpha, state.stacks), out=state.S)
         state.alpha = update_view_weights(state)
 
         recon, graph = objective_terms(state)

@@ -9,14 +9,17 @@ each view's top is scaled by its own c_v (and Z_m by 1/c_v) so that its Gram
 has mean row sum 1, like the graph's, and so has Q under any weights: a view's
 units do not move them. Without that the graph term is ~||S||^2 whatever the
 weights, and neither alpha nor beta has any effect. The initial graph is Q
-projected onto the feasible set so every state invariant holds from iteration 0.
+projected onto the feasible set, block by block into a fresh array, so every
+state invariant holds from iteration 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .consensus import gram_similarity, stacked_tops, update_consensus_graph
+from .consensus import consensus_graph, stacked_tops
+# no caller here; bench/worker.py wraps pretrain.gram_similarity by this name
+from .consensus import gram_similarity  # noqa: F401
 from .errors import RankDeficientError
 from .seminmf import fit_seminmf
 from .types import FactorStack, FitConfig, ModelState, MultiViewDataset
@@ -56,6 +59,5 @@ def initialize_state(ds: MultiViewDataset, cfg: FitConfig) -> ModelState:
         st.top = c * st.top
         st.mappings[-1] = st.mappings[-1] / c
     alpha = np.full(ds.num_views, 1.0 / ds.num_views)
-    # called by this name, not through compute_Q: bench/worker.py patches pretrain.gram_similarity
-    S = update_consensus_graph(gram_similarity(stacked_tops(alpha, stacks)))
+    S = consensus_graph(stacked_tops(alpha, stacks))
     return ModelState(views=list(ds.views), stacks=stacks, S=S, alpha=alpha, beta=cfg.beta)

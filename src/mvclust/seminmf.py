@@ -128,10 +128,12 @@ def _certified_gram(H: Array) -> Array | None:
     return G if w[0] > GRAM_RCOND * w[-1] else None
 
 
-def _basis_t(X: Array, H: Array, G: Array | None, P: Array | None) -> Array:
+def _basis_t(X: Array, H: Array, G: Array | None) -> Array:
     """Z^T of the least-squares basis for H: G^{-1} (H X^T) from the certified
-    Gram G, else (X P)^T from P = pinv(H)."""
-    return (X @ P).T if G is None else np.linalg.solve(G, H @ X.T)
+    Gram G, else (X P)^T from P = `mp_pinv`(H)."""
+    if G is None:
+        return (X @ mp_pinv(H, warn_context="update_basis")).T
+    return np.linalg.solve(G, H @ X.T)
 
 
 def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
@@ -144,12 +146,12 @@ def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
     only the l x n product Z^T X and the l x l Gram Z^T Z, never a d x n
     array. When G is certified well conditioned (`GRAM_RCOND`), the sweep
     solves with G and forms no n x l pseudo-inverse; otherwise it takes
-    P = `mp_pinv`(H), which owns the rank decision and its warnings, and
-    Z = X P. A layer with d <= n forms Z^T = G^{-1} (H X^T) (or X P) and both
-    products directly, 2dnl flops a sweep. A wide layer (d > n) uses the
-    kernel form: K = X^T X once per layer, then Z^T X = G^{-1} (H K) and
-    Z^T Z = (Z^T X) H^T G^{-1} (or P^T K and (P^T K) P), n^2 l flops a sweep,
-    with Z formed once, at the end, from the last sweep's H and form.
+    P = `mp_pinv`(H), which owns the rank decision and its warnings, forms
+    Z^T = (X P)^T and both products directly, as a layer with d <= n does
+    in every sweep (Z^T = G^{-1} (H X^T)), 2dnl flops a sweep. A certified
+    sweep of a wide layer (d > n) uses the kernel form: K = X^T X once per
+    layer, then Z^T X = G^{-1} (H K) and Z^T Z = (Z^T X) H^T G^{-1}, n^2 l
+    flops a sweep, with Z formed from the sweep's H only if it is the last.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[1]
@@ -164,16 +166,13 @@ def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
     K = X.T @ X if X.shape[0] > n else None
     for _ in range(iters):
         G = _certified_gram(H)
-        P = mp_pinv(H, warn_context="update_basis") if G is None else None
-        if K is None:
-            Zt = _basis_t(X, H, G, P)
+        if K is None or G is None:
+            Zt = _basis_t(X, H, G)
             ZtX, ZtZ = Zt @ X, Zt @ Zt.T
-        elif G is None:
-            ZtX = P.T @ K
-            ZtZ = ZtX @ P
         else:
+            Zt = None
             ZtX = np.linalg.solve(G, H @ K)
             ZtZ = np.linalg.solve(G, H @ ZtX.T).T
         H_basis, H = H, multiplicative_step(H, *multiplicative_terms(ZtX, ZtZ, H))
-    Z = (Zt if K is None else _basis_t(X, H_basis, G, P)).T
+    Z = (_basis_t(X, H_basis, G) if Zt is None else Zt).T
     return SemiNmfResult(Z=Z, H=H, iters=iters)

@@ -4,9 +4,10 @@ Normalized-cut variant: symmetrize the graph, embed each sample with the
 eigenvectors of the symmetric normalized Laplacian's k smallest eigenvalues
 (rows scaled to unit length), and run seeded k-means++ / Lloyd on the
 embedding. The eigenvectors come from ARPACK's implicitly restarted Lanczos
-(Lehoucq, Sorensen & Yang, 1998), which computes only those k, started from
-a fixed random vector so that the labels are deterministic; at k = n, where
-ARPACK cannot run, LAPACK's dense eigh computes them.
+(Lehoucq, Sorensen & Yang, 1998), which computes only those k from products
+with the graph itself, started from a fixed random vector so that the labels
+are deterministic; at k = n, where ARPACK cannot run, LAPACK's dense eigh
+computes them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import DegenerateGraphWarning
 
@@ -47,25 +48,30 @@ def spectral_embed(S: Array, k: int) -> Array:
     """(n, k) embedding from the k smallest eigenvectors of L_sym.
 
     W = (S + S^T)/2; L_sym = I - N with N = D^{-1/2} W D^{-1/2} and D the
-    degree diagonal, so these are the k largest eigenvectors of N. N is
-    scaled in W's buffer, so the step holds one n x n array. For k < n,
-    ARPACK's implicitly restarted Lanczos computes only those k eigenvectors
-    from a fixed random start vector, so the result is deterministic; the
-    start is not the vector of ones, because on a regular graph that is an
-    exact eigenvector of N and its Krylov space does not grow. ARPACK needs
-    k < n, so k == n takes LAPACK's eigh, which overwrites N. A graph with
-    more connected components than k has a repeated top eigenvalue and no
-    unique embedding. Rows of the eigenvector block are normalized to unit
-    length; all-zero rows are left as zero. Isolated samples (zero degree)
-    trigger a DegenerateGraphWarning and have their degree floored.
+    degree diagonal, so these are the k largest eigenvectors of N. For k < n,
+    ARPACK's implicitly restarted Lanczos computes only those k, reading N
+    through its product N x = D^{-1/2} (S y + S^T y) / 2 with y = D^{-1/2} x,
+    so no n x n array beside S is formed; the degrees are the mean of S's row
+    and column sums. It starts from a fixed random vector, so the result is
+    deterministic; the start is not the vector of ones, because on a regular
+    graph that is an exact eigenvector of N and its Krylov space does not
+    grow. ARPACK needs k < n, so k == n forms N in W's buffer for LAPACK's
+    eigh. A graph with more connected components than k has a repeated top
+    eigenvalue and no unique embedding. Rows of the eigenvector block are
+    normalized to unit length; all-zero rows are left as zero. Isolated
+    samples (zero degree) trigger a DegenerateGraphWarning and have their
+    degree floored.
     """
     S = np.asarray(S, dtype=np.float64)
     n = S.shape[0]
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    W = S + S.T
-    W *= 0.5
-    deg = W.sum(axis=1)
+    if k < n:
+        deg = 0.5 * (S.sum(axis=1) + S.sum(axis=0))
+    else:
+        W = S + S.T
+        W *= 0.5
+        deg = W.sum(axis=1)
     if deg.min() <= 0:
         warnings.warn(
             f"{int((deg <= 0).sum())} isolated sample(s); degrees floored",
@@ -74,17 +80,26 @@ def spectral_embed(S: Array, k: int) -> Array:
         )
         deg = np.maximum(deg, DEGREE_FLOOR)
     d_isqrt = 1.0 / np.sqrt(deg)
-    # float addition commutes, so W is exactly symmetric and its transpose is
-    # the same matrix in the Fortran order LAPACK overwrites without a copy
-    N = W.T
-    N *= d_isqrt[:, None]
-    N *= d_isqrt[None, :]
     # both solvers return N's top k in ascending order; L_sym = I - N has
     # the same eigenvectors, its smallest first in reverse order
     if k < n:
+
+        def matvec(x):
+            y = d_isqrt * x.ravel()
+            z = S @ y
+            z += y @ S
+            z *= 0.5 * d_isqrt
+            return z
+
         v0 = np.random.default_rng(0).standard_normal(n)
+        N = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
         _, U = eigsh(N, k, which="LA", v0=v0)
     else:
+        # float addition commutes, so W is exactly symmetric and its transpose
+        # is the same matrix in the Fortran order LAPACK overwrites without a copy
+        N = W.T
+        N *= d_isqrt[:, None]
+        N *= d_isqrt[None, :]
         _, U = eigh(N, overwrite_a=True, subset_by_index=[n - k, n - 1])
     E = U[:, ::-1]
     norms = np.linalg.norm(E, axis=1)

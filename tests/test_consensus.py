@@ -1,10 +1,14 @@
 import numpy as np
+import pytest
 
 from mvclust.consensus import (
+    BLOCK_ROWS,
     WeightQp,
     compute_Q,
+    consensus_graph,
     gram_similarity,
     project_to_simplex,
+    stacked_tops,
     update_consensus_graph,
     update_view_weights,
 )
@@ -208,3 +212,19 @@ def test_graph_projection_holds_few_nxn_arrays():
     arrays = traced_peak(update_consensus_graph, Q) / Q.nbytes
     assert arrays <= 0.5
     assert np.array_equal(Q, expected)
+
+
+def test_graph_step_with_a_non_finite_top_leaves_s_untouched():
+    # S is overwritten in place, so the tops are checked before any block
+    state = random_state(dims=(6, 8), n=BLOCK_ROWS + 5, seed=11)
+    state.stacks[1].top[0, BLOCK_ROWS + 2] = np.nan
+    before = state.S.copy()
+    with pytest.raises(ValueError, match="finite tops"):
+        consensus_graph(stacked_tops(state.alpha, state.stacks), out=state.S)
+    assert np.array_equal(state.S, before)
+
+
+def test_graph_step_rejects_an_overflowing_q():
+    G = np.full((2, 2 * BLOCK_ROWS + 3), 1e200)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite Q"):
+        consensus_graph(G)

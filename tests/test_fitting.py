@@ -14,7 +14,7 @@ from mvclust import (
     generate_synthetic,
     normalize_views,
 )
-from mvclust.consensus import compute_Q, update_consensus_graph
+from mvclust.consensus import BLOCK_ROWS, compute_Q, update_consensus_graph
 from mvclust.errors import RankDeficientError, RankDeficientWarning, TooManyViewsError
 from mvclust.fitting import objective, objective_terms
 from mvclust.pretrain import initialize_state, pretrain_view
@@ -329,6 +329,23 @@ def test_fit_holds_few_nxn_arrays():
     ds = generate_synthetic(n=n, k=3, n_views=2, dims=[6, 5], separation=10.0, noise_sigma=0.5, seed=0)
     cfg = simple_config([3], max_outer_iters=2, pretrain_iters=5)
     assert traced_peak(fit, ds, cfg) / (8 * n * n) <= 2.4
+
+
+def test_fit_holds_one_nxn_array():
+    # S, overwritten in place by the graph step, and one block of Q's rows at
+    # a time: about 1.07 arrays of n x n floats (2.26 with Q formed whole)
+    n = 2000
+    ds = generate_synthetic(n=n, k=3, n_views=3, dims=[12, 10, 9], separation=10.0, noise_sigma=0.5, seed=1)
+    cfg = simple_config([6, 3], max_outer_iters=3, pretrain_iters=5)
+    assert traced_peak(fit, ds, cfg) / (8 * n * n) <= 1.2
+
+
+@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 3])
+def test_blocked_graph_term_matches_dense_residual(n):
+    state = random_state(dims=(5, 7), n=n, seed=n)
+    _, graph = objective_terms(state)
+    dense = float(np.linalg.norm(state.S - compute_Q(state)) ** 2)
+    assert graph == pytest.approx(dense, rel=1e-12, abs=0)
 
 
 def test_fit_rejects_too_many_views_before_pretraining(monkeypatch):

@@ -14,8 +14,12 @@ from scipy.linalg import subspace_angles
 
 from mvclust import seminmf
 from mvclust.consensus import (
+    BLOCK_ROWS,
     WeightQp,
     compute_Q,
+    consensus_graph,
+    gram_row_blocks,
+    gram_similarity,
     project_rows_to_simplex,
     solve_simplex_qp,
     stacked_tops,
@@ -123,11 +127,8 @@ class _PlantedStart:
 def test_fit_seminmf_ill_conditioned_start_takes_pinv(n, wide, width, tilt, iters, seed):
     # two nearly collinear rows in the start: the Gram certificate fails and
     # the sweep falls back to mp_pinv, which warns exactly where the oracle
-    # does. With d <= n that sweep is the direct one, bit for bit. A wide
-    # layer's kernel form K = X^T X drifts from the direct sweep by up to
-    # cond(H)^2 * eps, so it is compared only past the RCOND cut, where the
-    # collinear direction is dropped.
-    assume(not wide or tilt <= 1e-11)
+    # does. That sweep forms Z and its products directly, even in a wide
+    # layer that has K = X^T X, so it is the direct sweep bit for bit.
     rng = np.random.default_rng(seed)
     l = 2 + int(width * (n - 2))
     d = 8 * n + 3 if wide else n - 1
@@ -148,11 +149,7 @@ def test_fit_seminmf_ill_conditioned_start_takes_pinv(n, wide, width, tilt, iter
         oracle, caught_oracle = _fit_outcome(direct_fit_seminmf, X, l, iters, seed)
     assert calls
     assert caught == caught_oracle
-    if not wide:
-        assert np.array_equal(res.Z, oracle.Z) and np.array_equal(res.H, oracle.H)
-    else:
-        assert np.abs(res.Z - oracle.Z).max() <= 1e-9 * np.abs(oracle.Z).max()
-        assert np.abs(res.H - oracle.H).max() <= 1e-9 * np.abs(oracle.H).max()
+    assert np.array_equal(res.Z, oracle.Z) and np.array_equal(res.H, oracle.H)
 
 
 def _update_top_four_splits(state, v):
@@ -284,6 +281,33 @@ def test_graph_projection_feasible_and_exact(n, distinct, exponents, constant_ro
     if np.abs(Q).max() <= 1e3:
         for i in range(n):
             assert np.abs(S[i] - brute_force_row_projection(Q[i], i)).max() <= 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]),
+    rows=st.integers(1, 9),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    zero_cols=st.integers(0, 3),
+    seed=SEEDS,
+)
+def test_blocked_graph_step_matches_dense_projection(n, rows, scale, zero_cols, seed):
+    rng = np.random.default_rng(seed)
+    G = scale * rng.random((rows, n))
+    G[:, rng.permutation(n)[:zero_cols]] = 0.0
+    # the step overwrites its output and never reads it
+    S = consensus_graph(G, out=np.full((n, n), np.nan))
+    assert S.min() >= 0
+    assert np.all(np.diag(S) == 0)
+    assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-12
+    # the projection is row-separable, so blocks of Q project bit for bit as Q
+    Q = np.vstack([block for _, block in gram_row_blocks(G)])
+    assert np.array_equal(S, update_consensus_graph(Q))
+    # blockwise products in place of one symmetric Gram move Q at rounding
+    # level, and the projection is nonexpansive
+    dense = gram_similarity(G)
+    oracle = update_consensus_graph(dense.copy())
+    assert np.abs(S - oracle).max() <= 1e-12 * max(1.0, dense.max())
 
 
 @settings(max_examples=100, deadline=None)

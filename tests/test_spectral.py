@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from mvclust import cluster_graph, kmeans
-from mvclust.consensus import gram_similarity, update_consensus_graph
+from mvclust.consensus import BLOCK_ROWS, consensus_graph, gram_similarity, update_consensus_graph
 from mvclust.errors import DegenerateGraphWarning
 from mvclust.spectral import _lloyd, spectral_embed
 
@@ -196,8 +196,28 @@ def test_spectral_embed_resolves_repeated_top_eigenvalue(sizes):
 
 
 def test_spectral_embed_holds_one_nxn_array():
-    # W, scaled into N in place; Lanczos reads N without overwriting it (only
-    # k == n takes eigh): about 1.05 arrays of n x n floats (separate W, N and
-    # a Fortran copy for LAPACK held 3.0)
+    # Lanczos reads N through products with S, so no W or N is formed: about
+    # 0.03 arrays of n x n floats (1.05 with N in W's buffer; separate W, N
+    # and a Fortran copy for LAPACK held 3.0)
     S = _seeded_graph()
     assert traced_peak(spectral_embed, S, 3) / S.nbytes <= 1.3
+
+
+def test_cluster_graph_holds_no_second_nxn_array():
+    S = _seeded_graph()
+    assert traced_peak(cluster_graph, S, 3) / S.nbytes <= 0.1
+
+
+@pytest.mark.parametrize("graph", ["blocked projection", "unnormalized"])
+def test_spectral_operator_matches_dense_n(graph):
+    # the operator takes the degrees from S's row and column sums; the oracle
+    # forms W and N. Column sums differ from row sums in both graphs, and the
+    # second is not row-stochastic
+    n = 2 * BLOCK_ROWS + 3
+    rng = np.random.default_rng(3)
+    if graph == "blocked projection":
+        S = consensus_graph(rng.random((4, n)) ** 4)
+    else:
+        S = rng.random((n, n)) ** 3
+        np.fill_diagonal(S, 0.0)
+    _assert_matches_dense_oracle(S, 4)
