@@ -12,6 +12,7 @@ with, and the types those calls return. The solver's pieces stay in their
 modules (`mvclust.consensus`, `mvclust.finetune`, ...).
 """
 
+from .consensus import ConsensusGraph
 from .dataio import (
     ClusteringReport,
     DatasetManifest,
@@ -28,6 +29,7 @@ from .types import FactorStack, FitConfig, LayerSpec, ModelState, MultiViewDatas
 
 __all__ = [
     "ClusteringReport",
+    "ConsensusGraph",
     "DatasetManifest",
     "FactorStack",
     "FitConfig",

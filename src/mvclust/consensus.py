@@ -1,13 +1,18 @@
 """Consensus graph construction and refinement.
 
 The consensus graph S approximates the alpha-weighted mix Q of per-view
-Gram similarities H_m^T H_m, the Gram of the stacked tops [sqrt(alpha_v) H_v].
+Gram similarities H_m^T H_m, the Gram of the stacked tops G = [sqrt(alpha_v) H_v].
 Its update is an exact row-wise Euclidean projection of Q onto
-{s >= 0, s.1 = 1, s_i = 0}. Q is formed and projected BLOCK_ROWS rows at a
-time, straight into S's buffer, so S is the only n x n array the step holds.
-The view weights alpha solve a V-dimensional simplex-constrained quadratic
-program exactly, by trying every support. That costs 2^V small solves, so
-the view count is capped.
+{s >= 0, s.1 = 1, s_i = 0}: row i keeps max(Q_ij - theta_i, 0) off its
+diagonal, for its simplex threshold theta_i. So S is stored as a
+`ConsensusGraph`, S = G^T G - theta 1^T - diag(q - theta) + C with q the
+diagonal of Q and C a sparse correction at the entries the projection cut
+to zero, and no n x n array is formed: Q is scanned BLOCK_ROWS rows at a
+time for the cut entries, and every consumer reads the structure. A graph
+that the structure would not hold cheaply or exactly is held as its n x n
+array (see `consensus_graph`). The view weights alpha solve a
+V-dimensional simplex-constrained quadratic program exactly, by trying
+every support. That costs 2^V small solves, so the view count is capped.
 """
 
 from __future__ import annotations
@@ -16,15 +21,27 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 Array = np.ndarray
 
 # Most views the exact weight solver takes: 2^10 - 1 supports per solve.
 MAX_VIEWS = 10
 
-# Rows of Q formed at a time: one block is 128 x n floats beside S, small
-# next to it and large enough for a full-speed matrix product.
+# Rows of Q formed at a time: one block is 128 x n floats, small next to
+# n x n and large enough for a full-speed matrix product.
 BLOCK_ROWS = 128
+
+# A threshold from Q's row sums is off by about eps * Vk * sum_j |Q_ij|,
+# while the graph's rows sum to 1: a graph with a row of |Q| summing to more
+# than this is held as its n x n array, projected relative to each row's
+# maximum. The views' gauge keeps Q's mean row sum near 1 in a fit.
+ROW_SUM_LIMIT = 64.0
+
+# Most entries, as a share of n^2, that the correction C holds: 12 bytes
+# each in CSR, so at most 0.09 of an n x n float array. A graph that needs
+# more is held as its n x n array.
+CUT_SHARE = 1.0 / 16.0
 
 
 def gram_similarity(H: Array) -> Array:
@@ -39,13 +56,147 @@ def stacked_tops(alpha: Array, stacks) -> Array:
     return np.vstack([np.sqrt(a) * st.top for a, st in zip(alpha, stacks)])
 
 
-def gram_row_blocks(G: Array, out: Array | None = None):
-    """Yield (i, Q[i:j]) over Q = G^T G, BLOCK_ROWS rows at a time; each block
-    is written into out[i:j] when out (n x n) is given."""
+def gram_row_blocks(G: Array, H: Array | None = None, out: Array | None = None):
+    """Yield (i, (G^T H)[i:j]) BLOCK_ROWS rows at a time (H defaults to G).
+
+    Each block is written into out[i:j] when out (n x n) is given, and
+    otherwise into one buffer, which the next block overwrites: use each
+    block before asking for the next.
+    """
+    H = G if H is None else H
     n = G.shape[1]
+    buf = np.empty((min(BLOCK_ROWS, n), H.shape[1])) if out is None else None
     for i in range(0, n, BLOCK_ROWS):
-        rows = slice(i, min(i + BLOCK_ROWS, n))
-        yield i, np.matmul(G[:, rows].T, G, out=None if out is None else out[rows])
+        j = min(i + BLOCK_ROWS, n)
+        dest = buf[: j - i] if out is None else out[i:j]
+        yield i, np.matmul(G[:, i:j].T, H, out=dest)
+
+
+class ConsensusGraph:
+    """The consensus graph S = G^T G - theta 1^T - diag(q - theta) + C, held
+    without an n x n array.
+
+    G (r x n) holds the stacked tops S was projected from and q_i = ||g_i||^2;
+    theta_i is row i's simplex threshold; C (sparse CSR) holds theta_i - Q_ij
+    at each entry the projection cut to zero. The low-rank part's diagonal
+    is zero by definition, so S_ii = C_ii. Any matrix is the case with G
+    empty, theta 0 and C = S, and `from_dense` holds an array S as that C
+    itself, so this is the one form of S. Products and sums cost
+    O(n r m + nnz C) for m right-hand sides, and `row_blocks` yields S
+    BLOCK_ROWS rows at a time. G and theta become the graph's own and
+    read-only: a new graph replaces an old one.
+    """
+
+    def __init__(self, G: Array, theta: Array, C):
+        self.G = np.asarray(G, dtype=np.float64)
+        self.theta = np.asarray(theta, dtype=np.float64)
+        if isinstance(C, np.ndarray):
+            self.C = np.asarray(C, dtype=np.float64)
+        else:
+            self.C = sparse.csr_array(C, dtype=np.float64)
+            self.C.sum_duplicates()
+        if self.theta.shape != (self.C.shape[0],) or self.C.shape[1] != self.G.shape[1]:
+            raise ValueError(
+                f"G {self.G.shape}, theta {self.theta.shape} and C {self.C.shape} do not match"
+            )
+        self.q = np.einsum("ij,ij->j", self.G, self.G)
+        for a in (self.G, self.theta, self.q):
+            a.flags.writeable = False
+
+    @classmethod
+    def from_dense(cls, S) -> "ConsensusGraph":
+        """The matrix S as the graph: G empty, theta 0 and C = S, not copied."""
+        S = np.asarray(S, dtype=np.float64)
+        if S.ndim != 2:
+            raise ValueError(f"a graph is a 2-D matrix, got ndim={S.ndim}")
+        return cls(np.empty((0, S.shape[1])), np.zeros(S.shape[0]), S)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.C.shape
+
+    def matmat(self, X: Array) -> Array:
+        """S X, for X with n rows (or n entries)."""
+        X = np.asarray(X, dtype=np.float64)
+        out = self.G.T @ (self.G @ X)
+        out -= np.multiply.outer(self.theta, X.sum(axis=0))
+        return self._off_low_rank(out, X, self.C)
+
+    def rmatmat(self, X: Array) -> Array:
+        """S^T X, for X with n rows (or n entries)."""
+        X = np.asarray(X, dtype=np.float64)
+        out = self.G.T @ (self.G @ X)
+        out -= self.theta @ X
+        return self._off_low_rank(out, X, self.C.T)
+
+    def _off_low_rank(self, out: Array, X: Array, C) -> Array:
+        # the diagonal term and the correction, shared by S X and S^T X
+        out -= ((self.q - self.theta) * X.T).T
+        out += C @ X
+        return out
+
+    def row_sums(self) -> Array:
+        return self.matmat(np.ones(self.shape[1]))
+
+    def col_sums(self) -> Array:
+        return self.rmatmat(np.ones(self.shape[0]))
+
+    def _entries(self, i: int, m: int) -> tuple[Array, Array, Array]:
+        """(row - i, col, value) of a sparse C's entries in rows i..i+m-1."""
+        ptr = self.C.indptr[i : i + m + 1]
+        rows = np.repeat(np.arange(m), np.diff(ptr))
+        return rows, self.C.indices[ptr[0] : ptr[-1]], self.C.data[ptr[0] : ptr[-1]]
+
+    def add_correction(self, B: Array, i: int, sign: float = 1.0) -> None:
+        """B += sign * C[i:i+m] for a block B of C's rows i..i+m-1."""
+        if isinstance(self.C, np.ndarray):
+            B += sign * self.C[i : i + B.shape[0]]
+            return
+        rows, cols, vals = self._entries(i, B.shape[0])
+        B[rows, cols] += sign * vals
+
+    def row_blocks(self):
+        """Yield (i, S[i:j]) BLOCK_ROWS rows at a time, in one reused buffer
+        (see `gram_row_blocks`). A cut entry is Q_ij - theta_i plus its
+        correction theta_i - Q_ij, from the same product: exactly 0."""
+        for i, B in gram_row_blocks(self.G):
+            m = B.shape[0]
+            B -= self.theta[i : i + m, None]
+            B[np.arange(m), i + np.arange(m)] = 0.0
+            self.add_correction(B, i)
+            yield i, B
+
+    def min(self) -> float:
+        """The smallest entry of S, from blocks of Q: off C's entries S_ij is
+        fl(Q_ij - theta_i), which is below 0 exactly when Q_ij < theta_i, so
+        only C's entries are formed as entries of S."""
+        if isinstance(self.C, np.ndarray):
+            return min(float(B.min()) for _, B in self.row_blocks())
+        lowest = 0.0  # S_ii = C_ii, which is 0 off C's entries
+        for i, B in gram_row_blocks(self.G):
+            m = B.shape[0]
+            rows, cols, vals = self._entries(i, m)
+            at = B[rows, cols] - self.theta[i + rows]
+            at[cols == i + rows] = 0.0
+            at += vals
+            B[np.arange(m), i + np.arange(m)] = np.inf
+            B[rows, cols] = np.inf
+            lowest = min(lowest, float((B.min(axis=1) - self.theta[i : i + m]).min()))
+            if at.size:
+                lowest = min(lowest, float(at.min()))
+        return lowest
+
+    def dense(self) -> Array:
+        """S as an n x n array."""
+        out = np.empty(self.shape)
+        for i, B in self.row_blocks():
+            out[i : i + B.shape[0]] = B
+        return out
+
+
+def as_graph(S) -> ConsensusGraph:
+    """S when it is a ConsensusGraph, else the matrix S as one."""
+    return S if isinstance(S, ConsensusGraph) else ConsensusGraph.from_dense(S)
 
 
 # no caller in the package; bench/worker.py wraps fitting.compute_Q by this name
@@ -62,13 +213,17 @@ def project_rows_to_simplex(V: Array) -> Array:
     changes, within p passes. -inf entries never enter it and project to 0.
     V itself is left unchanged.
     """
-    return _project_rows_in_place(np.array(V, dtype=np.float64))
+    V = np.array(V, dtype=np.float64)
+    _project_rows_in_place(V)
+    return V
 
 
-def _project_rows_in_place(V: Array) -> Array:
-    """project_rows_to_simplex on a float64 array it may overwrite; returns V."""
+def _project_rows_in_place(V: Array) -> tuple[Array, Array]:
+    """project_rows_to_simplex on a float64 array it overwrites. Returns
+    (theta, shift): row i kept max(V_ij - shift_i - theta_i, 0)."""
     # shift-invariant; a row maximum of 0 keeps huge sums from absorbing the 1
-    V -= V.max(axis=1, keepdims=True)
+    shift = V.max(axis=1)
+    V -= shift[:, None]
     support = np.isfinite(V)
     count = np.count_nonzero(support, axis=1)
     while True:
@@ -81,7 +236,7 @@ def _project_rows_in_place(V: Array) -> Array:
         count = shrunk
     V -= theta[:, None]
     np.maximum(V, 0.0, out=V)
-    return V
+    return theta, shift
 
 
 # no caller in the package; bench/worker.py patches it by this name to count calls
@@ -90,14 +245,12 @@ def project_to_simplex(v: Array) -> Array:
     return project_rows_to_simplex(v[None, :])[0]
 
 
-def _project_graph_block(B: Array, first_row: int) -> Array:
-    """Project rows first_row.. of a graph, held in B, in place: row r's
-    diagonal coordinate first_row + r is excluded and pinned to zero."""
-    if not np.isfinite(B).all():
-        raise ValueError("graph projection needs a finite Q")
-    r = np.arange(B.shape[0])
+def _project_graph_block(B: Array, diag: Array) -> tuple[Array, Array]:
+    """Project rows of a graph, held in B, in place: row r's diagonal
+    coordinate diag[r] is excluded and pinned to zero. Returns the
+    kernel's (theta, shift)."""
     # a -inf entry never enters the support, and projects to 0.0
-    B[r, first_row + r] = -np.inf
+    B[np.arange(B.shape[0]), diag] = -np.inf
     return _project_rows_in_place(B)
 
 
@@ -108,34 +261,81 @@ def update_consensus_graph(Q: Array) -> Array:
     Every row of the result sums to 1 exactly (to float precision), is
     nonnegative, and has a zero diagonal entry. Q is projected in place and
     returned (other dtypes are converted first), so pass a copy to keep Q.
-    This is `consensus_graph`'s projection with all of Q as one block.
+    `consensus_graph` is the same projection, held as a `ConsensusGraph`.
     """
     Q = np.asarray(Q, dtype=np.float64)
     if Q.shape[0] < 2:
         raise ValueError("graph projection needs at least 2 samples")
-    return _project_graph_block(Q, 0)
+    if not np.isfinite(Q).all():
+        raise ValueError("graph projection needs a finite Q")
+    _project_graph_block(Q, np.arange(Q.shape[0]))
+    return Q
 
 
-def consensus_graph(G: Array, out: Array | None = None) -> Array:
-    """update_consensus_graph(G^T G) for the stacked tops G (Vk x n), without
-    forming G^T G whole.
+def _dense_graph(G: Array) -> ConsensusGraph:
+    """update_consensus_graph(G^T G), projected block by block in one n x n
+    array and held as that (G empty, C = S)."""
+    n = G.shape[1]
+    S = np.empty((n, n))
+    for i, B in gram_row_blocks(G, out=S):
+        _project_graph_block(B, i + np.arange(B.shape[0]))
+    return ConsensusGraph.from_dense(S)
 
-    Q = G^T G is formed BLOCK_ROWS rows at a time in out's rows and each
-    block is projected where it lies; the projection is row-separable, so
-    this is exact. out (n x n float64) is overwritten and never read, so the
-    current S may be passed; a fresh array is used when it is None. A non-finite G raises before out is written; a Q entry that
-    overflows raises with out's earlier blocks already replaced.
+
+def consensus_graph(G: Array) -> ConsensusGraph:
+    """update_consensus_graph(G^T G) for the stacked tops G (Vk x n), as a
+    `ConsensusGraph` on a copy of G.
+
+    A row whose every off-diagonal Q_ij exceeds theta_i = (sum_{j!=i} Q_ij -
+    1)/(n - 1) keeps them all (Michelot's first pass), and the row sums come
+    from G^T (G 1) - q in O(n Vk). So Q is formed BLOCK_ROWS rows at a time
+    only to read each row's off-diagonal minimum; the rows that fail go
+    through the projection kernel, which gives their theta_i, and C takes
+    their cut entries. S is held as its n x n array instead when a row sum
+    of |Q| exceeds ROW_SUM_LIMIT, or once C would hold more than CUT_SHARE
+    of n^2 entries. A non-finite G, or a Q entry or row sum that overflows,
+    raises.
     """
+    G = np.array(G, dtype=np.float64)
     n = G.shape[1]
     if n < 2:
         raise ValueError("graph projection needs at least 2 samples")
     if not np.isfinite(G).all():
         raise ValueError("graph projection needs finite tops")
-    if out is None:
-        out = np.empty((n, n))
-    for i, block in gram_row_blocks(G, out):
-        _project_graph_block(block, i)
-    return out
+    q = np.einsum("ij,ij->j", G, G)
+    # |Q_ij| <= sqrt(q_i q_j), so a finite q means a finite Q
+    if not np.isfinite(q).all():
+        raise ValueError("graph projection needs a finite Q")
+    theta = (G.T @ G.sum(axis=1) - q - 1.0) / (n - 1)
+    if not np.isfinite(theta).all():
+        raise ValueError("graph projection needs finite row sums of Q")
+    absG = np.abs(G)
+    if (absG.T @ absG.sum(axis=1)).max() > ROW_SUM_LIMIT:
+        return _dense_graph(G)
+    cuts, count = [], 0
+    for i, B in gram_row_blocks(G):
+        m = B.shape[0]
+        diag = i + np.arange(m)
+        B[np.arange(m), diag] = np.inf
+        fail = np.flatnonzero(B.min(axis=1) <= theta[diag])
+        if not fail.size:
+            continue
+        t, shift = _project_graph_block(B[fail], diag[fail])
+        theta[diag[fail]] = shift + t
+        # a kept entry is fl(Q_ij - theta_i) >= 0; a cut one is that plus
+        # its correction -fl(Q_ij - theta_i): exactly 0
+        D = B[fail] - theta[diag[fail], None]
+        r, c = np.nonzero(D < 0)
+        cuts.append((diag[fail][r], c, -D[r, c]))
+        count += r.size
+        if count > CUT_SHARE * n * n:
+            del cuts  # before the n x n array is allocated
+            return _dense_graph(G)
+    C = sparse.csr_array((n, n))
+    if cuts:
+        rows, cols, vals = (np.concatenate(a) for a in zip(*cuts))
+        C = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+    return ConsensusGraph(G, theta, C)
 
 
 @dataclass
@@ -143,8 +343,9 @@ class WeightQp:
     """Quadratic program data for the view weights.
 
     A[p, q] = Tr(H_p^T H_p H_q^T H_q) = ||H_p H_q^T||_F^2 and f[v] = Tr(S^T H_v^T H_v)
-    = <H_v S, H_v>, both formed from the k x n tops without an n x n Gram. A is
-    PSD, and the weights minimize 0.5 a^T A a - f^T a over the simplex.
+    = <H_v S, H_v>, both formed from the k x n tops without an n x n array:
+    H_v S comes from the graph's structure in O(n Vk k + nnz C). A is PSD,
+    and the weights minimize 0.5 a^T A a - f^T a over the simplex.
     """
 
     A: Array
@@ -158,7 +359,8 @@ class WeightQp:
         for p in range(V):
             for q in range(p, V):
                 A[p, q] = A[q, p] = float(np.square(tops[p] @ tops[q].T).sum())
-        f = np.array([float(np.vdot(H @ state.S, H)) for H in tops])
+        # <H S, H>, with (H S)^T = S^T H^T from the graph's structure
+        f = np.array([float(np.vdot(state.S.rmatmat(H.T), H.T)) for H in tops])
         return cls(A=A, f=f)
 
     def objective(self, alpha: Array) -> float:

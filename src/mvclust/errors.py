@@ -19,6 +19,21 @@ class NonFiniteEntryError(MvclustError):
         super().__init__(f"non-finite entry at view={view}, row={row}, col={col}")
 
 
+class NonFiniteFactorError(MvclustError):
+    """A factor holds NaN or infinity: names the view, the layer (None for the
+    top representation) and, in a fit, the outer iteration."""
+
+    def __init__(self, view: int | None, layer: int | None, iteration: int | None = None):
+        self.view = view
+        self.layer = layer
+        self.iteration = iteration
+        where = "top" if layer is None else f"layer {layer}"
+        what = "representation" if layer is None else "mapping"
+        prefix = "" if iteration is None else f"iteration {iteration}: "
+        prefix += "" if view is None else f"view {view}: "
+        super().__init__(f"{prefix}{where}: non-finite {what} entries")
+
+
 class LabelRangeError(MvclustError):
     """Labels are malformed: wrong length, negative, or class ids with gaps."""
 

@@ -53,8 +53,12 @@ def update_top(state: ModelState, v: int, PhitX: Array, PhitPhi: Array) -> Array
     G = stacked_tops(state.alpha, state.stacks)
     num, den = multiplicative_terms(PhitX, PhitPhi, H)
     # H, S, alpha and the tops are nonnegative, so every graph product below
-    # is too: each goes whole into num or den
-    num = num + a_v * state.beta * (H @ state.S + H @ state.S.T)
+    # is too: each goes whole into num or den. (H S + H S^T)^T comes from S's
+    # structure, where rounding may leave it a little below 0: clamp it
+    HS = state.S.matmat(H.T)
+    HS += state.S.rmatmat(H.T)
+    np.maximum(HS, 0.0, out=HS)
+    num = num + a_v * state.beta * HS.T
     den = den + a_v * state.beta * (2.0 * ((H @ G.T) @ G))
     return multiplicative_step(H, num, den)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .consensus import MAX_VIEWS, consensus_graph, gram_row_blocks, stacked_tops, update_view_weights
 # no caller here; bench/worker.py wraps fitting.compute_Q and fitting.update_consensus_graph
 from .consensus import compute_Q, update_consensus_graph  # noqa: F401
-from .errors import TooManyViewsError
+from .errors import NonFiniteFactorError, TooManyViewsError
 from .finetune import sweep_view
 from .pretrain import initialize_state
 from .types import FitConfig, ModelState, MultiViewDataset, validate_dataset
@@ -39,8 +39,11 @@ def objective_terms(state: ModelState) -> tuple[float, float]:
 
     Both terms are computed directly from their residual arrays, not from an
     expansion, since this is the objective that is reported and judged. One
-    d x n residual is alive at a time, and the graph residual is summed over
-    blocks of Q's rows, each formed in the block's own buffer.
+    d x n residual is alive at a time. The graph residual Q - S is summed
+    over blocks of rows in one buffer: with S = G_S^T G_S - theta 1^T -
+    diag(q_S - theta) + C, a block is one product of the stacked
+    [G; G_S; theta^T] and [G; -G_S; 1^T], with the diagonal Q_ii, less C's
+    rows.
     """
     recon = 0.0
     for v, X in enumerate(state.views):
@@ -50,11 +53,17 @@ def objective_terms(state: ModelState) -> tuple[float, float]:
         R -= X
         recon += float(np.linalg.norm(R) ** 2)
         del R  # before the next view's product is formed
+    S = state.S
+    G = stacked_tops(state.alpha, state.stacks)
+    q = np.einsum("ij,ij->j", G, G)
     graph = 0.0
-    for i, R in gram_row_blocks(stacked_tops(state.alpha, state.stacks)):
-        R -= state.S[i : i + R.shape[0]]
+    left, right = np.vstack([G, S.G, S.theta]), np.vstack([G, -S.G, np.ones(S.shape[1])])
+    for i, R in gram_row_blocks(left, right):
+        m = R.shape[0]
+        # S's low-rank part has a zero diagonal
+        R[np.arange(m), i + np.arange(m)] = q[i : i + m]
+        S.add_correction(R, i, sign=-1.0)
         graph += float(np.vdot(R, R))
-        del R  # before the next block is formed
     return recon, graph
 
 
@@ -101,8 +110,10 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     Convergence is declared when the relative objective change stays below
     cfg.tol_rel_objective for CONVERGENCE_WINDOW consecutive iterations.
     `on_iteration(state, iteration, objective_value)` is called after every
-    outer iteration when given. The graph step overwrites `state.S` in place,
-    so the S it sees is replaced by the next iteration: copy it to keep it.
+    outer iteration when given. The S it sees is an immutable
+    `ConsensusGraph`, which the next graph step replaces rather than changes;
+    `state.S.dense()` gives its n x n array. A factor that turns non-finite
+    in a view's sweep raises NonFiniteFactorError naming the iteration.
     Deterministic for a fixed (dataset, config).
     """
     validate_dataset(ds)
@@ -122,7 +133,14 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     for it in range(1, cfg.max_outer_iters + 1):
         for v in range(state.num_views):
             sweep_view(state, v)
-        consensus_graph(stacked_tops(state.alpha, state.stacks), out=state.S)
+            try:
+                state.stacks[v].validate(view=v)
+            except NonFiniteFactorError as e:
+                raise NonFiniteFactorError(e.view, e.layer, iteration=it) from e
+        # the step reads no old graph: drop it first, so that a graph held
+        # as an n x n array is not held twice
+        state.S = None
+        state.S = consensus_graph(stacked_tops(state.alpha, state.stacks))
         state.alpha = update_view_weights(state)
 
         recon, graph = objective_terms(state)

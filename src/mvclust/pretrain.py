@@ -9,8 +9,8 @@ each view's top is scaled by its own c_v (and Z_m by 1/c_v) so that its Gram
 has mean row sum 1, like the graph's, and so has Q under any weights: a view's
 units do not move them. Without that the graph term is ~||S||^2 whatever the
 weights, and neither alpha nor beta has any effect. The initial graph is Q
-projected onto the feasible set, block by block into a fresh array, so every
-state invariant holds from iteration 0.
+projected onto the feasible set, held as a `ConsensusGraph`, so every state
+invariant holds from iteration 0.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+from .consensus import ConsensusGraph, as_graph
 from .errors import DegenerateGraphWarning
 
 Array = np.ndarray
@@ -44,32 +45,35 @@ class Partition:
         return self.labels.shape[0]
 
 
-def spectral_embed(S: Array, k: int) -> Array:
+def spectral_embed(S: ConsensusGraph | Array, k: int) -> Array:
     """(n, k) embedding from the k smallest eigenvectors of L_sym.
 
     W = (S + S^T)/2; L_sym = I - N with N = D^{-1/2} W D^{-1/2} and D the
     degree diagonal, so these are the k largest eigenvectors of N. For k < n,
     ARPACK's implicitly restarted Lanczos computes only those k, reading N
     through its product N x = D^{-1/2} (S y + S^T y) / 2 with y = D^{-1/2} x,
-    so no n x n array beside S is formed; the degrees are the mean of S's row
-    and column sums. It starts from a fixed random vector, so the result is
+    taken from the graph's structure, so no n x n array is formed; the
+    degrees are the mean of S's row and column sums. An array S is read as
+    the graph it is. It starts from a fixed random vector, so the result is
     deterministic; the start is not the vector of ones, because on a regular
     graph that is an exact eigenvector of N and its Krylov space does not
-    grow. ARPACK needs k < n, so k == n forms N in W's buffer for LAPACK's
-    eigh. A graph with more connected components than k has a repeated top
-    eigenvalue and no unique embedding. Rows of the eigenvector block are
-    normalized to unit length; all-zero rows are left as zero. Isolated
-    samples (zero degree) trigger a DegenerateGraphWarning and have their
-    degree floored.
+    grow. ARPACK needs k < n, so k == n forms S and N in W's buffer for
+    LAPACK's eigh. A graph with more connected components than k has a
+    repeated top eigenvalue and no unique embedding. Rows of the eigenvector
+    block are normalized to unit length; all-zero rows are left as zero.
+    Isolated samples (zero degree) trigger a DegenerateGraphWarning and have
+    their degree floored.
     """
-    S = np.asarray(S, dtype=np.float64)
+    S = as_graph(S)
     n = S.shape[0]
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if k < n:
-        deg = 0.5 * (S.sum(axis=1) + S.sum(axis=0))
+        deg = 0.5 * (S.row_sums() + S.col_sums())
     else:
-        W = S + S.T
+        D = S.dense()
+        W = D + D.T
+        del D
         W *= 0.5
         deg = W.sum(axis=1)
     if deg.min() <= 0:
@@ -86,8 +90,8 @@ def spectral_embed(S: Array, k: int) -> Array:
 
         def matvec(x):
             y = d_isqrt * x.ravel()
-            z = S @ y
-            z += y @ S
+            z = S.matmat(y)
+            z += S.rmatmat(y)
             z *= 0.5 * d_isqrt
             return z
 
@@ -167,6 +171,6 @@ def kmeans(points: Array, k: int, restarts: int = 10, seed=0) -> Partition:
     return Partition(labels=best_labels, k=k)
 
 
-def cluster_graph(S: Array, k: int, restarts: int = 10, seed=0) -> Partition:
-    """Spectral embedding of S followed by k-means."""
+def cluster_graph(S: ConsensusGraph | Array, k: int, restarts: int = 10, seed=0) -> Partition:
+    """Spectral embedding of S (a `ConsensusGraph` or an n x n array) followed by k-means."""
     return kmeans(spectral_embed(S, k), k, restarts=restarts, seed=seed)

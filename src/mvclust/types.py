@@ -4,7 +4,8 @@ Conventions: matrices are dense float64, samples are columns. A dataset holds
 V view matrices X^(v) of shape (d_v, n) over the same n samples. A factor
 stack holds per-layer mappings Z_i with composing shapes and the nonnegative
 top representation H_m; the model state adds the n x n consensus graph S (row
-sums 1, zero diagonal, nonnegative) and the simplex weight vector alpha.
+sums 1, zero diagonal, nonnegative), held as a `ConsensusGraph`, and the
+simplex weight vector alpha.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .consensus import ConsensusGraph, as_graph
 from .errors import (
     DimensionMismatchError,
     LabelRangeError,
     LayerSpecError,
     MvclustError,
     NonFiniteEntryError,
+    NonFiniteFactorError,
 )
 
 Array = np.ndarray
@@ -149,7 +152,11 @@ class FactorStack:
     def depth(self) -> int:
         return len(self.mappings)
 
-    def validate(self, d: int | None = None, n: int | None = None) -> "FactorStack":
+    def validate(
+        self, d: int | None = None, n: int | None = None, view: int | None = None
+    ) -> "FactorStack":
+        """Check the shape chain, finiteness and H_m >= 0; `view` goes into a
+        NonFiniteFactorError."""
         if not self.mappings:
             raise MvclustError("a stack needs at least one mapping")
         rows = d
@@ -159,7 +166,7 @@ class FactorStack:
                     f"layer {i}: Z has {Z.shape[0]} rows, expected {rows}"
                 )
             if not np.isfinite(Z).all():
-                raise MvclustError(f"layer {i}: non-finite mapping entries")
+                raise NonFiniteFactorError(view, i)
             rows = Z.shape[1]
         H = self.top
         if H.shape[0] != rows:
@@ -167,7 +174,7 @@ class FactorStack:
         if n is not None and H.shape[1] != n:
             raise DimensionMismatchError(f"top: H_m has {H.shape[1]} samples, expected {n}")
         if not np.isfinite(H).all():
-            raise MvclustError("top: non-finite representation entries")
+            raise NonFiniteFactorError(view, None)
         if H.min() < 0:
             raise MvclustError("top: representation has negative entries")
         return self
@@ -178,18 +185,19 @@ class ModelState:
     """Complete optimization state: data views, factor stacks, graph S, weights alpha.
 
     The view matrices are carried alongside the factors so that update rules
-    and the objective can be evaluated from the state alone.
+    and the objective can be evaluated from the state alone. S may be given
+    as an n x n array, which is held as the `ConsensusGraph` it is.
     """
 
     views: list[Array]
     stacks: list[FactorStack]
-    S: Array
+    S: ConsensusGraph
     alpha: Array
     beta: float
 
     def __post_init__(self):
         self.views = [_as_matrix(v) for v in self.views]
-        self.S = np.asarray(self.S, dtype=np.float64)
+        self.S = as_graph(self.S)
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
         self.beta = float(self.beta)
 
@@ -202,19 +210,26 @@ class ModelState:
         return len(self.views)
 
     def validate(self) -> "ModelState":
-        """Check every state invariant (graph, weights, stacks); raise on violation."""
+        """Check every state invariant (graph, weights, stacks); raise on violation.
+
+        A non-finite factor raises NonFiniteFactorError. The graph is checked
+        on its structure: its smallest entry block by block, its diagonal in
+        C and its row sums from the factors.
+        """
         n = self.n
         if len(self.stacks) != self.num_views:
             raise DimensionMismatchError("one factor stack per view is required")
         for v, (X, st) in enumerate(zip(self.views, self.stacks)):
-            st.validate(d=X.shape[0], n=n)
-        if self.S.shape != (n, n):
-            raise DimensionMismatchError(f"S has shape {self.S.shape}, expected ({n}, {n})")
-        if self.S.min() < 0:
-            raise MvclustError(f"S has a negative entry ({self.S.min():.3e})")
-        if np.abs(np.diag(self.S)).max() != 0.0:
+            st.validate(d=X.shape[0], n=n, view=v)
+        S = self.S
+        if S.shape != (n, n):
+            raise DimensionMismatchError(f"S has shape {S.shape}, expected ({n}, {n})")
+        lowest = S.min()
+        if lowest < 0:
+            raise MvclustError(f"S has a negative entry ({lowest:.3e})")
+        if S.C.diagonal().any():
             raise MvclustError("S has a nonzero diagonal entry")
-        row_err = np.abs(self.S.sum(axis=1) - 1.0).max()
+        row_err = np.abs(S.row_sums() - 1.0).max()
         if row_err > ROW_SUM_TOL:
             raise MvclustError(f"S row sums deviate from 1 by {row_err:.3e}")
         if self.alpha.shape != (self.num_views,):

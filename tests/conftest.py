@@ -345,7 +345,7 @@ def top_kkt_residual(state, v):
     g = (
         -(Phi.T @ X)
         + (Phi.T @ Phi) @ H
-        - a_v * beta * (H @ state.S + H @ state.S.T)
+        - a_v * beta * (H @ state.S.dense() + H @ state.S.dense().T)
         + 2.0 * a_v * beta * H @ G
         + 2.0 * (a_v**2) * beta * ((H @ H.T) @ H)
     )

@@ -61,9 +61,9 @@ def test_criterion_1_constraint_suite():
         checked = []
 
         def check(state, it, obj):
-            assert np.abs(state.S.sum(axis=1) - 1.0).max() <= 1e-9
-            assert state.S.min() >= 0.0
-            assert np.abs(np.diag(state.S)).max() == 0.0
+            assert np.abs(state.S.dense().sum(axis=1) - 1.0).max() <= 1e-9
+            assert state.S.dense().min() >= 0.0
+            assert np.abs(np.diag(state.S.dense())).max() == 0.0
             assert state.alpha.min() >= 0.0
             assert abs(state.alpha.sum() - 1.0) <= 1e-12
             for stack in state.stacks:
@@ -123,7 +123,7 @@ def test_criterion_4_weight_qp_oracle():
             grams = np.stack(
                 [gram_similarity(st.top).ravel() for st in state.stacks]
             )
-            s_flat = state.S.ravel()
+            s_flat = state.S.dense().ravel()
 
             def graph_fit(a):
                 return float(((s_flat - a @ grams) ** 2).sum())

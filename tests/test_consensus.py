@@ -3,6 +3,8 @@ import pytest
 
 from mvclust.consensus import (
     BLOCK_ROWS,
+    CUT_SHARE,
+    ROW_SUM_LIMIT,
     WeightQp,
     compute_Q,
     consensus_graph,
@@ -188,9 +190,9 @@ def test_weights_kkt_stationarity():
 def test_weights_never_worsen_graph_fit():
     for seed in range(8):
         state = random_state(dims=(6, 8), layer_sizes=(3,), seed=40 + seed)
-        before = np.linalg.norm(state.S - compute_Q(state)) ** 2
+        before = np.linalg.norm(state.S.dense() - compute_Q(state)) ** 2
         state.alpha = update_view_weights(state)
-        after = np.linalg.norm(state.S - compute_Q(state)) ** 2
+        after = np.linalg.norm(state.S.dense() - compute_Q(state)) ** 2
         assert after <= before + 1e-9
 
 
@@ -215,13 +217,38 @@ def test_graph_projection_holds_few_nxn_arrays():
 
 
 def test_graph_step_with_a_non_finite_top_leaves_s_untouched():
-    # S is overwritten in place, so the tops are checked before any block
+    # the tops are checked before any block of Q is formed
     state = random_state(dims=(6, 8), n=BLOCK_ROWS + 5, seed=11)
     state.stacks[1].top[0, BLOCK_ROWS + 2] = np.nan
-    before = state.S.copy()
+    before = state.S.dense()
     with pytest.raises(ValueError, match="finite tops"):
-        consensus_graph(stacked_tops(state.alpha, state.stacks), out=state.S)
-    assert np.array_equal(state.S, before)
+        state.S = consensus_graph(stacked_tops(state.alpha, state.stacks))
+    assert np.array_equal(state.S.dense(), before)
+
+
+@pytest.mark.parametrize("case", ["most entries cut", "large row sums"])
+def test_graph_step_holds_some_graphs_as_arrays(case):
+    n = 2 * BLOCK_ROWS + 3
+    rng = np.random.default_rng(4)
+    if case == "most entries cut":
+        # a correction C would cost more than S itself; Q's row sums stay
+        # below ROW_SUM_LIMIT, so the cut count alone decides
+        G = rng.random((3, n)) ** 8
+        G *= 2.0 / np.sqrt((G.T @ G.sum(axis=1)).mean())
+        assert (G.T @ G.sum(axis=1)).max() <= ROW_SUM_LIMIT
+    else:
+        # Q near 1e6 and each row spread by less than 1/(n - 1): every entry
+        # is kept, and theta_i from the row sums would be off by about 1e-10
+        G = np.vstack([np.full(n, 1e3), 0.01 * rng.random(n)])
+    graph = consensus_graph(G)
+    assert isinstance(graph.C, np.ndarray) and graph.G.shape == (0, n)
+    S = graph.dense()
+    assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-12
+    Q = gram_similarity(G)
+    expected = update_consensus_graph(Q.copy())
+    assert np.abs(S - expected).max() <= 1e-12 * max(1.0, Q.max())
+    if case == "most entries cut":
+        assert (expected > 0).sum() < (1 - CUT_SHARE) * n * n
 
 
 def test_graph_step_rejects_an_overflowing_q():

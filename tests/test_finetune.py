@@ -3,7 +3,7 @@ import copy
 import numpy as np
 
 from mvclust import FactorStack, ModelState
-from mvclust.consensus import compute_Q, update_consensus_graph, update_view_weights
+from mvclust.consensus import ConsensusGraph, compute_Q, update_consensus_graph, update_view_weights
 from mvclust.finetune import sweep_view, update_mapping, update_top
 from mvclust.fitting import objective
 
@@ -99,7 +99,7 @@ def test_update_top_single_view_drops_cross_term():
     xm = np.maximum(-(Phi.T @ X), 0)
     gp = np.maximum(Phi.T @ Phi, 0)
     gm = np.maximum(-(Phi.T @ Phi), 0)
-    HS, HSt = H @ state.S, H @ state.S.T
+    HS, HSt = H @ state.S.dense(), H @ state.S.dense().T
     quart = 2.0 * ((H @ H.T) @ H)
     num = xp + gm @ H + 0.7 * (HS + HSt)
     den = xm + gp @ H + 0.7 * quart
@@ -131,7 +131,7 @@ def test_one_sweep_never_increases_objective():
         before = objective(state)
         for v in range(state.num_views):
             sweep_view(state, v)
-        state.S = update_consensus_graph(compute_Q(state))
+        state.S = ConsensusGraph.from_dense(update_consensus_graph(compute_Q(state)))
         state.alpha = update_view_weights(state)
         after = objective(state)
         assert after <= before * (1 + 1e-8)

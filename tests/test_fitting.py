@@ -15,7 +15,12 @@ from mvclust import (
     normalize_views,
 )
 from mvclust.consensus import BLOCK_ROWS, compute_Q, update_consensus_graph
-from mvclust.errors import RankDeficientError, RankDeficientWarning, TooManyViewsError
+from mvclust.errors import (
+    NonFiniteFactorError,
+    RankDeficientError,
+    RankDeficientWarning,
+    TooManyViewsError,
+)
 from mvclust.fitting import objective, objective_terms
 from mvclust.pretrain import initialize_state, pretrain_view
 
@@ -38,7 +43,7 @@ def _exactly_factorable_state(beta, seed=0, n=15):
 def test_objective_zero_reconstruction_term():
     state = _exactly_factorable_state(beta=3.7)
     Q = compute_Q(state)
-    expected = 3.7 * np.linalg.norm(state.S - Q) ** 2
+    expected = 3.7 * np.linalg.norm(state.S.dense() - Q) ** 2
     assert objective(state) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
@@ -63,7 +68,7 @@ def test_objective_matches_independent_evaluation():
     for a, st in zip(state.alpha, state.stacks):
         H = st.top
         Q += a * np.einsum("li,lj->ij", H, H)
-    D = state.S - Q
+    D = state.S.dense() - Q
     total += state.beta * float((D * D).sum())
     assert objective(state) == pytest.approx(total, rel=1e-10)
 
@@ -105,7 +110,7 @@ def test_fit_deterministic():
     a = fit(ds, cfg)
     b = fit(ds, cfg)
     assert np.array_equal(a.objective_history, b.objective_history)
-    assert np.array_equal(a.state.S, b.state.S)
+    assert np.array_equal(a.state.S.dense(), b.state.S.dense())
     assert np.array_equal(a.state.alpha, b.state.alpha)
 
 
@@ -225,7 +230,7 @@ def test_fit_on_unnormalized_data_at_scale_1e10():
     ds = MultiViewDataset(views=[1e10 * X for X in ds.views], labels=ds.labels)
     res = fit(ds, simple_config([3]))
     S = res.state.S
-    assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-9
+    assert np.abs(S.dense().sum(axis=1) - 1.0).max() <= 1e-9
     assert accuracy(ds.labels, cluster_graph(S, 3).labels) == 1.0
 
 
@@ -309,6 +314,26 @@ def test_fit_rejects_an_all_zero_view():
         fit(ds, cfg)
 
 
+def test_fit_names_the_iteration_of_a_non_finite_factor(monkeypatch):
+    import mvclust.fitting
+
+    sweep_view = mvclust.fitting.sweep_view
+    calls = []
+
+    def poisoned_sweep(state, v):
+        sweep_view(state, v)
+        calls.append(v)
+        if len(calls) == state.num_views + 2:  # iteration 2, view 1
+            state.stacks[v].mappings[0][0, 0] = np.nan
+
+    monkeypatch.setattr(mvclust.fitting, "sweep_view", poisoned_sweep)
+    with pytest.raises(NonFiniteFactorError, match=r"^iteration 2: view 1: layer 0: ") as caught:
+        fit(_small_dataset(), simple_config([4, 3], max_outer_iters=5, pretrain_iters=10))
+    err = caught.value
+    assert (err.iteration, err.view, err.layer) == (2, 1, 0)
+    assert isinstance(err.__cause__, NonFiniteFactorError) and err.__cause__.iteration is None
+
+
 def test_objective_terms_holds_one_view_residual():
     # one d x n residual alive at a time; X - Phi H per view took 2.02 of the largest view
     state = random_state(dims=(2000, 1500), n=200)
@@ -319,32 +344,55 @@ def test_objective_terms_holds_one_view_residual():
 def test_objective_terms_holds_one_graph_residual():
     # S - Q in a fresh array beside Q took 2.00 n x n arrays; Q - S in Q's buffer takes 1
     state = random_state(dims=(10, 12), n=1000)
-    assert traced_peak(objective_terms, state) / state.S.nbytes <= 1.2
+    assert traced_peak(objective_terms, state) / state.S.dense().nbytes <= 1.2
 
 
 def test_fit_holds_few_nxn_arrays():
-    # the old S, Q and the projection's masks at the peak: about 2.26 arrays
-    # of n x n floats (3.00 while the projection copied Q)
+    # S is held as the tops, its thresholds and a sparse correction, and Q and
+    # S are read a block of 128 rows at a time: about 0.14 arrays of n x n
+    # floats at the peak (1.07 with S held whole, 2.26 with Q formed whole)
     n = 2000
     ds = generate_synthetic(n=n, k=3, n_views=2, dims=[6, 5], separation=10.0, noise_sigma=0.5, seed=0)
     cfg = simple_config([3], max_outer_iters=2, pretrain_iters=5)
-    assert traced_peak(fit, ds, cfg) / (8 * n * n) <= 2.4
+    assert traced_peak(fit, ds, cfg) / (8 * n * n) <= 0.25
 
 
 def test_fit_holds_one_nxn_array():
-    # S, overwritten in place by the graph step, and one block of Q's rows at
-    # a time: about 1.07 arrays of n x n floats (2.26 with Q formed whole)
+    # no n x n array is held: one block of 128 rows at a time and the kernel's
+    # rows for the rows the projection cuts, about 0.17 arrays of n x n floats
+    # at the peak (1.07 with S held whole and overwritten in place)
     n = 2000
     ds = generate_synthetic(n=n, k=3, n_views=3, dims=[12, 10, 9], separation=10.0, noise_sigma=0.5, seed=1)
     cfg = simple_config([6, 3], max_outer_iters=3, pretrain_iters=5)
-    assert traced_peak(fit, ds, cfg) / (8 * n * n) <= 1.2
+    assert traced_peak(fit, ds, cfg) / (8 * n * n) <= 0.25
+
+
+def test_an_outer_iteration_allocates_no_nxn_array():
+    # with C empty, pretraining and one outer iteration peak at about 0.53 n^2
+    # bytes: no array of n^2 entries, not even of bools, was ever alive
+    n = 3000
+    ds = generate_synthetic(n=n, k=3, n_views=3, dims=[12, 10, 9], separation=10.0, noise_sigma=0.5, seed=0)
+    cfg = simple_config([6, 3], max_outer_iters=1, pretrain_iters=5)
+    nnz = []
+    peak = traced_peak(fit, ds, cfg, lambda state, it, obj: nnz.append(state.S.C.nnz))
+    assert nnz == [0]
+    assert peak < n * n
+
+
+def test_restarts_hold_no_nxn_array():
+    # the best restart's graph is kept beside the running one's, and neither
+    # is an n x n array: about 0.17 arrays of n x n floats (2.07 with S whole)
+    n = 2000
+    ds = generate_synthetic(n=n, k=3, n_views=3, dims=[12, 10, 9], separation=10.0, noise_sigma=0.5, seed=1)
+    cfg = simple_config([6, 3], max_outer_iters=3, pretrain_iters=5, restarts=2)
+    assert traced_peak(fit_with_restarts, ds, cfg) / (8 * n * n) <= 0.25
 
 
 @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 3])
 def test_blocked_graph_term_matches_dense_residual(n):
     state = random_state(dims=(5, 7), n=n, seed=n)
     _, graph = objective_terms(state)
-    dense = float(np.linalg.norm(state.S - compute_Q(state)) ** 2)
+    dense = float(np.linalg.norm(state.S.dense() - compute_Q(state)) ** 2)
     assert graph == pytest.approx(dense, rel=1e-12, abs=0)
 
 
@@ -395,7 +443,7 @@ def test_beta_changes_the_depth3_fit():
     ds = _acceptance_data()
     lo, hi = (fit(ds, _depth3_config(2.0**e)).state for e in (-7, 7))
     assert np.abs(lo.alpha - hi.alpha).max() >= 0.05
-    assert np.linalg.norm(lo.S - hi.S) >= 0.01 * np.linalg.norm(hi.S)
+    assert np.linalg.norm(lo.S.dense() - hi.S.dense()) >= 0.01 * np.linalg.norm(hi.S.dense())
 
 
 def test_noise_view_gets_the_smallest_weight():

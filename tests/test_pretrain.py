@@ -58,8 +58,8 @@ def test_initialize_state_uniform_alpha_and_feasible_graph():
     state = initialize_state(ds, cfg)
     assert np.allclose(state.alpha, 1.0 / 3.0)
     state.validate()
-    assert np.abs(state.S.sum(axis=1) - 1.0).max() <= 1e-12
-    assert np.all(np.diag(state.S) == 0)
+    assert np.abs(state.S.dense().sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.all(np.diag(state.S.dense()) == 0)
 
 
 def test_initialize_state_single_view():

@@ -12,13 +12,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from mvclust import seminmf
+from mvclust import FactorStack, ModelState, seminmf
 from mvclust.consensus import (
     BLOCK_ROWS,
     WeightQp,
     compute_Q,
     consensus_graph,
-    gram_row_blocks,
     gram_similarity,
     project_rows_to_simplex,
     solve_simplex_qp,
@@ -166,7 +165,7 @@ def _update_top_four_splits(state, v):
     Phi = ChainCache.compute(stack, stack.depth - 1).Phi
     X = state.views[v]
     H = stack.top
-    S = state.S
+    S = state.S.dense()
     a_v = float(state.alpha[v])
     beta = state.beta
     G = stacked_tops(state.alpha, state.stacks)
@@ -295,14 +294,10 @@ def test_blocked_graph_step_matches_dense_projection(n, rows, scale, zero_cols, 
     rng = np.random.default_rng(seed)
     G = scale * rng.random((rows, n))
     G[:, rng.permutation(n)[:zero_cols]] = 0.0
-    # the step overwrites its output and never reads it
-    S = consensus_graph(G, out=np.full((n, n), np.nan))
+    S = consensus_graph(G).dense()
     assert S.min() >= 0
     assert np.all(np.diag(S) == 0)
     assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-12
-    # the projection is row-separable, so blocks of Q project bit for bit as Q
-    Q = np.vstack([block for _, block in gram_row_blocks(G)])
-    assert np.array_equal(S, update_consensus_graph(Q))
     # blockwise products in place of one symmetric Gram move Q at rounding
     # level, and the projection is nonexpansive
     dense = gram_similarity(G)
@@ -340,6 +335,41 @@ def test_projection_equals_sort_oracle(p, rows, large, distinct, offset_exp, pin
     assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-12
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.sampled_from([2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]),
+    rows=st.integers(1, 6),
+    cut=st.integers(1, 3),
+    row_sum=st.sampled_from([1.1, 1.3]),
+    seed=SEEDS,
+)
+def test_structured_graph_matches_its_dense_form(n, rows, cut, row_sum, seed):
+    rng = np.random.default_rng(seed)
+    G = 0.5 + rng.random((rows, n))
+    # Q's row sums are about row_sum > 1, so every theta_i > 0 and each row
+    # cuts the samples whose top is zero, whose Q_ij is 0
+    G *= np.sqrt(row_sum / (G.T @ G.sum(axis=1)).mean())
+    G[:, rng.permutation(n)[: min(cut, n - 1)]] = 0.0
+    graph = consensus_graph(G)
+    if n > 2:
+        assert graph.C.nnz > 0
+    Q = gram_similarity(G)
+    S = update_consensus_graph(Q.copy())
+    assert np.abs(graph.dense() - S).max() <= 1e-12 * max(1.0, Q.max())
+    H = rng.random((3, n))
+    pairs = [
+        (graph.matmat(H.T).T, H @ S.T),
+        (graph.rmatmat(H.T).T, H @ S),
+        (graph.row_sums(), S.sum(axis=1)),
+        (graph.col_sums(), S.sum(axis=0)),
+    ]
+    stack = FactorStack(mappings=[np.eye(3)], top=H)
+    state = ModelState(views=[H.copy()], stacks=[stack], S=graph, alpha=np.ones(1), beta=1.0)
+    pairs.append((WeightQp.from_state(state).f, np.array([np.vdot(H @ S, H)])))
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def _dense_Q(state):
     """Q as the sum of per-view n x n Grams, as it was formed before the one-Gram form."""
     Q = np.zeros((state.n, state.n))
@@ -352,7 +382,7 @@ def _dense_weight_qp(state):
     """The weight QP's A and f as inner products of per-view n x n Grams."""
     grams = [stack.top.T @ stack.top for stack in state.stacks]
     A = np.array([[np.vdot(Gp, Gq) for Gq in grams] for Gp in grams])
-    f = np.array([np.vdot(state.S, G) for G in grams])
+    f = np.array([np.vdot(state.S.dense(), G) for G in grams])
     return A, f
 
 

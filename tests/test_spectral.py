@@ -5,7 +5,13 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from mvclust import cluster_graph, kmeans
-from mvclust.consensus import BLOCK_ROWS, consensus_graph, gram_similarity, update_consensus_graph
+from mvclust.consensus import (
+    BLOCK_ROWS,
+    as_graph,
+    consensus_graph,
+    gram_similarity,
+    update_consensus_graph,
+)
 from mvclust.errors import DegenerateGraphWarning
 from mvclust.spectral import _lloyd, spectral_embed
 
@@ -159,7 +165,7 @@ def _assert_matches_dense_oracle(S, k):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         E = spectral_embed(S, k)
-    D = dense_spectral_embed(S, k)
+    D = dense_spectral_embed(as_graph(S).dense(), k)
     assert subspace_angles(E, D).max() <= 1e-10
     assert np.array_equal(kmeans(E, k, seed=0).labels, kmeans(D, k, seed=0).labels)
     return E

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from mvclust.errors import (
     LayerSpecError,
     MvclustError,
     NonFiniteEntryError,
+    NonFiniteFactorError,
 )
 
 from conftest import random_state
@@ -106,18 +109,22 @@ def test_fit_config_validation():
 def test_model_state_invariants_on_random_state():
     state = random_state(seed=5)
     state.validate()
-    assert np.allclose(state.S.sum(axis=1), 1.0, atol=1e-9)
-    assert state.S.min() >= 0 and np.all(np.diag(state.S) == 0)
+    assert np.allclose(state.S.dense().sum(axis=1), 1.0, atol=1e-9)
+    assert state.S.dense().min() >= 0 and np.all(np.diag(state.S.dense()) == 0)
     assert abs(state.alpha.sum() - 1.0) <= 1e-12
 
 
 def test_model_state_rejects_bad_graph():
     state = random_state(seed=6)
-    state.S[0, 1] = -0.1
+    S = state.S.dense()
+    S[0, 1] = -0.1
+    state = replace(state, S=S)
     with pytest.raises(MvclustError):
         state.validate()
     state = random_state(seed=6)
-    state.S[2, 2] = 0.5
+    S = state.S.dense()
+    S[2, 2] = 0.5
+    state = replace(state, S=S)
     with pytest.raises(MvclustError):
         state.validate()
     state = random_state(seed=6)
@@ -128,6 +135,23 @@ def test_model_state_rejects_bad_graph():
     state.stacks[0].top[0, 0] = -1e-3
     with pytest.raises(MvclustError):
         state.validate()
+
+
+@pytest.mark.parametrize("layer", [0, 1, None])
+def test_model_state_names_a_non_finite_factor(layer):
+    # default random_state: views 8 and 6 wide, layers 4,2
+    state = random_state(seed=7)
+    if layer is None:
+        state.stacks[1].top[0, 3] = np.nan
+    else:
+        state.stacks[1].mappings[layer][1, 0] = np.inf
+    with pytest.raises(NonFiniteFactorError) as caught:
+        state.validate()
+    err = caught.value
+    assert isinstance(err, MvclustError)
+    assert (err.view, err.layer, err.iteration) == (1, layer, None)
+    where = "top" if layer is None else f"layer {layer}"
+    assert str(err).startswith(f"view 1: {where}: non-finite")
 
 
 @pytest.mark.parametrize(
