@@ -38,9 +38,9 @@ BLOCK_ROWS = 128
 # maximum. The views' gauge keeps Q's mean row sum near 1 in a fit.
 ROW_SUM_LIMIT = 64.0
 
-# Most entries, as a share of n^2, that the correction C holds: 12 bytes
-# each in CSR, so at most 0.09 of an n x n float array. A graph that needs
-# more is held as its n x n array.
+# Most entries, as a share of the rows scanned, that the correction C holds:
+# 12 bytes each in CSR, so at most 0.09 of an n x n float array. A graph
+# that needs more is held as its n x n array.
 CUT_SHARE = 1.0 / 16.0
 
 
@@ -291,10 +291,13 @@ def consensus_graph(G: Array) -> ConsensusGraph:
     from G^T (G 1) - q in O(n Vk). So Q is formed BLOCK_ROWS rows at a time
     only to read each row's off-diagonal minimum; the rows that fail go
     through the projection kernel, which gives their theta_i, and C takes
-    their cut entries. S is held as its n x n array instead when a row sum
-    of |Q| exceeds ROW_SUM_LIMIT, or once C would hold more than CUT_SHARE
-    of n^2 entries. A non-finite G, or a Q entry or row sum that overflows,
-    raises.
+    their cut entries. S is held as its n x n array instead, projected by
+    the kernel block by block as `update_consensus_graph` would, when a row
+    sum of |Q| exceeds ROW_SUM_LIMIT, or once C would hold more than
+    CUT_SHARE of the entries of the rows scanned so far, judged also before
+    each block is projected: a graph cut heavily throughout turns to the
+    array after its first block's row minima. A non-finite G, or a Q entry
+    or row sum that overflows, raises.
     """
     G = np.array(G, dtype=np.float64)
     n = G.shape[1]
@@ -320,22 +323,30 @@ def consensus_graph(G: Array) -> ConsensusGraph:
         fail = np.flatnonzero(B.min(axis=1) <= theta[diag])
         if not fail.size:
             continue
-        t, shift = _project_graph_block(B[fail], diag[fail])
-        theta[diag[fail]] = shift + t
+        rows, P = diag[fail], B[fail]
+        # Michelot's thresholds only rise, so these rows cut at least their
+        # entries at or below theta_i: checked before the block is projected
+        limit = CUT_SHARE * n * (i + m)
+        if count + np.count_nonzero(P <= theta[rows, None]) > limit:
+            break
+        t, shift = _project_graph_block(P, rows)
+        theta[rows] = shift + t
         # a kept entry is fl(Q_ij - theta_i) >= 0; a cut one is that plus
         # its correction -fl(Q_ij - theta_i): exactly 0
-        D = B[fail] - theta[diag[fail], None]
+        D = B[fail] - theta[rows, None]
         r, c = np.nonzero(D < 0)
-        cuts.append((diag[fail][r], c, -D[r, c]))
+        cuts.append((rows[r], c, -D[r, c]))
         count += r.size
-        if count > CUT_SHARE * n * n:
-            del cuts  # before the n x n array is allocated
-            return _dense_graph(G)
-    C = sparse.csr_array((n, n))
-    if cuts:
-        rows, cols, vals = (np.concatenate(a) for a in zip(*cuts))
-        C = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
-    return ConsensusGraph(G, theta, C)
+        if count > limit:
+            break
+    else:
+        C = sparse.csr_array((n, n))
+        if cuts:
+            rows, cols, vals = (np.concatenate(a) for a in zip(*cuts))
+            C = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+        return ConsensusGraph(G, theta, C)
+    del cuts  # before the n x n array is allocated
+    return _dense_graph(G)
 
 
 @dataclass

@@ -113,8 +113,10 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     outer iteration when given. The S it sees is an immutable
     `ConsensusGraph`, which the next graph step replaces rather than changes;
     `state.S.dense()` gives its n x n array. A factor that turns non-finite
-    in a view's sweep raises NonFiniteFactorError naming the iteration.
-    Deterministic for a fixed (dataset, config).
+    in a view's sweep raises NonFiniteFactorError naming the iteration. The
+    old graph is dropped before the graph step, so that a graph held as an
+    n x n array is never held twice: if the step raises (Q overflows), the
+    state is left with S None. Deterministic for a fixed (dataset, config).
     """
     validate_dataset(ds)
     if ds.num_views > MAX_VIEWS:

@@ -227,7 +227,17 @@ def test_graph_step_with_a_non_finite_top_leaves_s_untouched():
 
 
 @pytest.mark.parametrize("case", ["most entries cut", "large row sums"])
-def test_graph_step_holds_some_graphs_as_arrays(case):
+def test_graph_step_holds_some_graphs_as_arrays(case, monkeypatch):
+    import mvclust.consensus
+
+    kernel = mvclust.consensus._project_graph_block
+    projected = []
+
+    def counted(B, diag):
+        projected.append(len(diag))
+        return kernel(B, diag)
+
+    monkeypatch.setattr(mvclust.consensus, "_project_graph_block", counted)
     n = 2 * BLOCK_ROWS + 3
     rng = np.random.default_rng(4)
     if case == "most entries cut":
@@ -242,6 +252,9 @@ def test_graph_step_holds_some_graphs_as_arrays(case):
         G = np.vstack([np.full(n, 1e3), 0.01 * rng.random(n)])
     graph = consensus_graph(G)
     assert isinstance(graph.C, np.ndarray) and graph.G.shape == (0, n)
+    # both are found before the scan projects a block, so the kernel runs
+    # only on the array's own blocks and the step costs what the array does
+    assert projected == [BLOCK_ROWS, BLOCK_ROWS, 3]
     S = graph.dense()
     assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-12
     Q = gram_similarity(G)

@@ -334,6 +334,26 @@ def test_fit_names_the_iteration_of_a_non_finite_factor(monkeypatch):
     assert isinstance(err.__cause__, NonFiniteFactorError) and err.__cause__.iteration is None
 
 
+def test_a_failed_graph_step_leaves_no_graph(monkeypatch):
+    import mvclust.fitting
+
+    consensus_graph = mvclust.fitting.consensus_graph
+    steps, seen = [], []
+
+    def overflowing_step(G):
+        steps.append(G)
+        if len(steps) == 2:
+            raise ValueError("graph projection needs a finite Q")
+        return consensus_graph(G)
+
+    monkeypatch.setattr(mvclust.fitting, "consensus_graph", overflowing_step)
+    cfg = simple_config([4, 3], max_outer_iters=5, pretrain_iters=10)
+    with pytest.raises(ValueError, match="finite Q"):
+        fit(_small_dataset(), cfg, on_iteration=lambda state, it, obj: seen.append(state))
+    # the state that on_iteration kept has no graph after the failed step
+    assert len(seen) == 1 and seen[0].S is None
+
+
 def test_objective_terms_holds_one_view_residual():
     # one d x n residual alive at a time; X - Phi H per view took 2.02 of the largest view
     state = random_state(dims=(2000, 1500), n=200)

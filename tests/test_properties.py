@@ -18,6 +18,7 @@ from mvclust.consensus import (
     WeightQp,
     compute_Q,
     consensus_graph,
+    gram_row_blocks,
     gram_similarity,
     project_rows_to_simplex,
     solve_simplex_qp,
@@ -294,10 +295,16 @@ def test_blocked_graph_step_matches_dense_projection(n, rows, scale, zero_cols, 
     rng = np.random.default_rng(seed)
     G = scale * rng.random((rows, n))
     G[:, rng.permutation(n)[:zero_cols]] = 0.0
-    S = consensus_graph(G).dense()
+    graph = consensus_graph(G)
+    S = graph.dense()
     assert S.min() >= 0
     assert np.all(np.diag(S) == 0)
     assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-12
+    if isinstance(graph.C, np.ndarray):
+        # held as an array, S is the kernel's projection of Q's blocks; the
+        # projection is row-separable, so they project bit for bit as Q
+        Q = np.vstack([block.copy() for _, block in gram_row_blocks(G)])
+        assert np.array_equal(S, update_consensus_graph(Q))
     # blockwise products in place of one symmetric Gram move Q at rounding
     # level, and the projection is nonexpansive
     dense = gram_similarity(G)
