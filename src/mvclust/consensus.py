@@ -56,20 +56,19 @@ def stacked_tops(alpha: Array, stacks) -> Array:
     return np.vstack([np.sqrt(a) * st.top for a, st in zip(alpha, stacks)])
 
 
-def gram_row_blocks(G: Array, H: Array | None = None, out: Array | None = None):
-    """Yield (i, (G^T H)[i:j]) BLOCK_ROWS rows at a time (H defaults to G).
+def gram_row_blocks(G: Array, out: Array | None = None):
+    """Yield (i, (G^T G)[i:j]) BLOCK_ROWS rows at a time.
 
     Each block is written into out[i:j] when out (n x n) is given, and
     otherwise into one buffer, which the next block overwrites: use each
     block before asking for the next.
     """
-    H = G if H is None else H
     n = G.shape[1]
-    buf = np.empty((min(BLOCK_ROWS, n), H.shape[1])) if out is None else None
+    buf = np.empty((min(BLOCK_ROWS, n), n)) if out is None else None
     for i in range(0, n, BLOCK_ROWS):
         j = min(i + BLOCK_ROWS, n)
         dest = buf[: j - i] if out is None else out[i:j]
-        yield i, np.matmul(G[:, i:j].T, H, out=dest)
+        yield i, np.matmul(G[:, i:j].T, G, out=dest)
 
 
 class ConsensusGraph:
@@ -84,7 +83,10 @@ class ConsensusGraph:
     itself, so this is the one form of S. Products and sums cost
     O(n r m + nnz C) for m right-hand sides, and `row_blocks` yields S
     BLOCK_ROWS rows at a time. G and theta become the graph's own and
-    read-only: a new graph replaces an old one.
+    read-only: a new graph replaces an old one. `alpha` is None, or the
+    weights G stacks the tops with, set by whoever stacked them (`fit` and
+    `initialize_state` do), so that the graph can tell whether it was
+    projected from a state's tops (`projected_from`).
     """
 
     def __init__(self, G: Array, theta: Array, C):
@@ -100,6 +102,7 @@ class ConsensusGraph:
                 f"G {self.G.shape}, theta {self.theta.shape} and C {self.C.shape} do not match"
             )
         self.q = np.einsum("ij,ij->j", self.G, self.G)
+        self.alpha: Array | None = None
         for a in (self.G, self.theta, self.q):
             a.flags.writeable = False
 
@@ -147,14 +150,6 @@ class ConsensusGraph:
         rows = np.repeat(np.arange(m), np.diff(ptr))
         return rows, self.C.indices[ptr[0] : ptr[-1]], self.C.data[ptr[0] : ptr[-1]]
 
-    def add_correction(self, B: Array, i: int, sign: float = 1.0) -> None:
-        """B += sign * C[i:i+m] for a block B of C's rows i..i+m-1."""
-        if isinstance(self.C, np.ndarray):
-            B += sign * self.C[i : i + B.shape[0]]
-            return
-        rows, cols, vals = self._entries(i, B.shape[0])
-        B[rows, cols] += sign * vals
-
     def row_blocks(self):
         """Yield (i, S[i:j]) BLOCK_ROWS rows at a time, in one reused buffer
         (see `gram_row_blocks`). A cut entry is Q_ij - theta_i plus its
@@ -163,7 +158,11 @@ class ConsensusGraph:
             m = B.shape[0]
             B -= self.theta[i : i + m, None]
             B[np.arange(m), i + np.arange(m)] = 0.0
-            self.add_correction(B, i)
+            if isinstance(self.C, np.ndarray):
+                B += self.C[i : i + m]
+            else:
+                rows, cols, vals = self._entries(i, m)
+                B[rows, cols] += vals
             yield i, B
 
     def min(self) -> float:
@@ -185,6 +184,54 @@ class ConsensusGraph:
             if at.size:
                 lowest = min(lowest, float(at.min()))
         return lowest
+
+    def projected_from(self, stacks) -> bool:
+        """Whether G is exactly `stacked_tops(alpha, stacks)` for the recorded
+        weights, with C sparse: then S is the projection of those tops'
+        Gram, and `residual_sq` holds. O(n Vk)."""
+        return (
+            self.alpha is not None
+            and not isinstance(self.C, np.ndarray)
+            and self.alpha.shape == (len(stacks),)
+            and np.array_equal(self.G, stacked_tops(self.alpha, stacks))
+        )
+
+    def residual_sq(self, alpha: Array, stacks) -> float:
+        """||Q - S||_F^2 for Q = sum_v alpha_v H_v^T H_v, on a graph
+        `projected_from` the stacks' tops H_v, from the structure in
+        O(n Vk k + nnz C).
+
+        With Q_S = G^T G and delta = alpha - self.alpha, Q - S = R + dQ for
+        R = Q_S - S = theta 1^T + diag(q - theta) - C and dQ = sum_v delta_v
+        H_v^T H_v. R is theta_i at an off-diagonal entry outside C, theta_i -
+        C_ij at one in C and q_i - C_ii on the diagonal, so ||R||^2 is a sum
+        of squares of its own entries, and ||Q - S||^2 = ||R||^2 + 2 <R, dQ>
+        + delta^T A delta, with A the weight QP's matrix. No two large norms
+        are subtracted: the terms past ||R||^2 scale with delta.
+        """
+        n = self.shape[0]
+        theta, q = self.theta, self.q
+        rows, cols, vals = self._entries(0, n)
+        off = rows != cols
+        cuts = np.bincount(rows[off], minlength=n)
+        diag = q - self.C.diagonal()
+        r2 = (
+            np.dot((n - 1 - cuts) * theta, theta)
+            + np.square(theta[rows[off]] - vals[off]).sum()
+            + np.dot(diag, diag)
+        )
+        # <R, K_r^T K_r> for each row K_r of the stacked unweighted tops:
+        # theta^T M 1 + sum_i (q_i - theta_i) M_ii - <C, M> for M = K_r^T K_r
+        tops = [st.top for st in stacks]
+        K = np.vstack(tops)
+        cross = (
+            (K @ theta) * K.sum(axis=1)
+            + np.square(K) @ (q - theta)
+            - np.einsum("ri,ir->r", K, self.C @ K.T)
+        )
+        delta = np.asarray(alpha, dtype=np.float64) - self.alpha
+        w = np.repeat(delta, [H.shape[0] for H in tops])
+        return float(r2 + 2.0 * (w @ cross) + delta @ view_gram_products(tops) @ delta)
 
     def dense(self) -> Array:
         """S as an n x n array."""
@@ -349,6 +396,17 @@ def consensus_graph(G: Array) -> ConsensusGraph:
     return _dense_graph(G)
 
 
+def view_gram_products(tops) -> Array:
+    """A[p, q] = Tr(H_p^T H_p H_q^T H_q) = ||H_p H_q^T||_F^2 (V x V, PSD), from
+    the k x n tops without an n x n array."""
+    V = len(tops)
+    A = np.empty((V, V))
+    for p in range(V):
+        for q in range(p, V):
+            A[p, q] = A[q, p] = float(np.square(tops[p] @ tops[q].T).sum())
+    return A
+
+
 @dataclass
 class WeightQp:
     """Quadratic program data for the view weights.
@@ -365,11 +423,7 @@ class WeightQp:
     @classmethod
     def from_state(cls, state) -> "WeightQp":
         tops = [st.top for st in state.stacks]
-        V = len(tops)
-        A = np.empty((V, V))
-        for p in range(V):
-            for q in range(p, V):
-                A[p, q] = A[q, p] = float(np.square(tops[p] @ tops[q].T).sum())
+        A = view_gram_products(tops)
         # <H S, H>, with (H S)^T = S^T H^T from the graph's structure
         f = np.array([float(np.vdot(state.S.rmatmat(H.T), H.T)) for H in tops])
         return cls(A=A, f=f)

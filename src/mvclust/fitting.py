@@ -4,6 +4,9 @@ One outer iteration sweeps every view (each mapping, then the two top
 steps), projects the consensus graph onto its feasible set, and re-solves
 the view weights. The objective is tracked per iteration; it should be
 non-increasing up to small float noise, and any larger increase is logged.
+Its graph term comes from the consensus graph's structure whenever the
+graph was projected from the current tops, as in every step of a fit, and
+from Q - S read in blocks of 128 rows otherwise (see `objective_terms`).
 """
 
 from __future__ import annotations
@@ -37,13 +40,15 @@ CONVERGENCE_WINDOW = 5
 def objective_terms(state: ModelState) -> tuple[float, float]:
     """(total reconstruction error, graph-fit error), both squared Frobenius.
 
-    Both terms are computed directly from their residual arrays, not from an
-    expansion, since this is the objective that is reported and judged. One
-    d x n residual is alive at a time. The graph residual Q - S is summed
-    over blocks of rows in one buffer: with S = G_S^T G_S - theta 1^T -
-    diag(q_S - theta) + C, a block is one product of the stacked
-    [G; G_S; theta^T] and [G; -G_S; 1^T], with the diagonal Q_ii, less C's
-    rows.
+    The reconstruction is summed from its residual arrays, one d x n
+    residual alive at a time. The graph term ||Q - S||^2 of a graph
+    `projected_from` the state's tops, as every graph of a fit is, comes
+    from the graph's structure in O(n Vk k + nnz C) (`residual_sq`): Q - S
+    is the projection's residual R plus the Gram change of the weight step,
+    and R is summed from its own entries, so no two large norms cancel.
+    Any other graph (one held as an n x n array, or one from other tops)
+    has no such structure, and the expansion ||Q||^2 - 2 <Q, S> + ||S||^2
+    would cancel, so Q - S is read directly, in blocks of 128 rows.
     """
     recon = 0.0
     for v, X in enumerate(state.views):
@@ -54,15 +59,12 @@ def objective_terms(state: ModelState) -> tuple[float, float]:
         recon += float(np.linalg.norm(R) ** 2)
         del R  # before the next view's product is formed
     S = state.S
-    G = stacked_tops(state.alpha, state.stacks)
-    q = np.einsum("ij,ij->j", G, G)
+    if S.projected_from(state.stacks):
+        return recon, S.residual_sq(state.alpha, state.stacks)
     graph = 0.0
-    left, right = np.vstack([G, S.G, S.theta]), np.vstack([G, -S.G, np.ones(S.shape[1])])
-    for i, R in gram_row_blocks(left, right):
-        m = R.shape[0]
-        # S's low-rank part has a zero diagonal
-        R[np.arange(m), i + np.arange(m)] = q[i : i + m]
-        S.add_correction(R, i, sign=-1.0)
+    Q_blocks = gram_row_blocks(stacked_tops(state.alpha, state.stacks))
+    for (_, R), (_, B) in zip(Q_blocks, S.row_blocks()):
+        R -= B
         graph += float(np.vdot(R, R))
     return recon, graph
 
@@ -75,11 +77,15 @@ def objective(state: ModelState) -> float:
 
 @dataclass
 class RestartSummary:
+    """One restart of `fit_with_restarts`. A failed restart has no objective
+    or iteration count, and `error` names its exception."""
+
     seed: int
-    final_objective: float
-    iters_run: int
+    final_objective: float | None
+    iters_run: int | None
     converged: bool
     wall_time: float
+    error: str | None = None
 
 
 @dataclass
@@ -143,6 +149,7 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
         # as an n x n array is not held twice
         state.S = None
         state.S = consensus_graph(stacked_tops(state.alpha, state.stacks))
+        state.S.alpha = state.alpha.copy()
         state.alpha = update_view_weights(state)
 
         recon, graph = objective_terms(state)
@@ -176,16 +183,34 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
 
 def fit_with_restarts(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     """Run cfg.restarts fits with seeds seed, seed+1, ...; keep the lowest
-    final objective. Summaries of every run are attached to the result."""
+    final objective. Summaries of every run are attached to the result.
+
+    A restart that raises is logged and recorded in its summary, and the
+    others still run; only when every restart fails is the last error
+    raised again."""
     best: FitResult | None = None
     summaries: list[RestartSummary] = []
     for r in range(cfg.restarts):
         run_cfg = replace(cfg, rng_seed=cfg.rng_seed + r, restarts=1)
-        res = fit(ds, run_cfg, on_iteration=on_iteration)
+        t0 = time.perf_counter()
+        try:
+            res = fit(ds, run_cfg, on_iteration=on_iteration)
+        except Exception as e:  # one failed restart leaves the others to run
+            log.warning("restart with seed %d failed", run_cfg.rng_seed, exc_info=True)
+            error = e
+            summaries.append(
+                RestartSummary(
+                    run_cfg.rng_seed, None, None, False, time.perf_counter() - t0,
+                    error=f"{type(e).__name__}: {e}",
+                )
+            )
+            continue
         summaries.append(
             RestartSummary(res.seed, res.final_objective, res.iters_run, res.converged, res.wall_time)
         )
         if best is None or res.final_objective < best.final_objective:
             best = res
+    if best is None:
+        raise error
     best.restart_summaries = summaries
     return best

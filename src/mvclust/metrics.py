@@ -8,7 +8,8 @@ minimum-cost assignment on the negated contingency table.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy import sparse
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import LengthMismatchError
 from .spectral import Partition
@@ -17,14 +18,22 @@ Array = np.ndarray
 
 
 def hungarian(cost: Array) -> Array:
-    """Permutation p minimizing sum_i cost[i, p[i]] over a square cost matrix."""
+    """Permutation p minimizing sum_i cost[i, p[i]] over a square cost matrix.
+
+    scipy's sparse matcher (LAPJVsp) takes the cost shifted to a minimum of
+    1: a shift changes every permutation's total alike, and with every entry
+    positive every edge is stored, so a full matching exists. Importing it
+    keeps `scipy.optimize` out of the process.
+    """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix must be finite")
-    _, col_ind = linear_sum_assignment(cost)
-    return col_ind
+    if cost.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    rows, cols = min_weight_full_bipartite_matching(sparse.csr_array(cost - cost.min() + 1.0))
+    return cols[np.argsort(rows)].astype(np.int64)
 
 
 def _labels_of(p) -> Array:

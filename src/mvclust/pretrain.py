@@ -60,4 +60,5 @@ def initialize_state(ds: MultiViewDataset, cfg: FitConfig) -> ModelState:
         st.mappings[-1] = st.mappings[-1] / c
     alpha = np.full(ds.num_views, 1.0 / ds.num_views)
     S = consensus_graph(stacked_tops(alpha, stacks))
+    S.alpha = alpha.copy()
     return ModelState(views=list(ds.views), stacks=stacks, S=S, alpha=alpha, beta=cfg.beta)

@@ -214,7 +214,9 @@ class ModelState:
 
         A non-finite factor raises NonFiniteFactorError. The graph is checked
         on its structure: its smallest entry block by block, its diagonal in
-        C and its row sums from the factors.
+        C and its row sums from the factors, after a structured graph's G,
+        theta and C entries are checked finite. Each check is written so
+        that a NaN fails it.
         """
         n = self.n
         if len(self.stacks) != self.num_views:
@@ -224,19 +226,25 @@ class ModelState:
         S = self.S
         if S.shape != (n, n):
             raise DimensionMismatchError(f"S has shape {S.shape}, expected ({n}, {n})")
+        # an array's NaN entry fails the checks below; a structure's would
+        # reach only some entries, so its parts are checked once here
+        if not isinstance(S.C, np.ndarray) and not all(
+            np.isfinite(a).all() for a in (S.G, S.theta, S.C.data)
+        ):
+            raise MvclustError("S has a non-finite top, threshold or correction entry")
         lowest = S.min()
-        if lowest < 0:
-            raise MvclustError(f"S has a negative entry ({lowest:.3e})")
+        if not lowest >= 0:
+            raise MvclustError(f"S has a negative or NaN entry ({lowest:.3e})")
         if S.C.diagonal().any():
             raise MvclustError("S has a nonzero diagonal entry")
         row_err = np.abs(S.row_sums() - 1.0).max()
-        if row_err > ROW_SUM_TOL:
+        if not row_err <= ROW_SUM_TOL:
             raise MvclustError(f"S row sums deviate from 1 by {row_err:.3e}")
         if self.alpha.shape != (self.num_views,):
             raise DimensionMismatchError("alpha must have one weight per view")
-        if self.alpha.min() < 0:
-            raise MvclustError(f"alpha has a negative weight ({self.alpha.min():.3e})")
-        if abs(self.alpha.sum() - 1.0) > ALPHA_SUM_TOL:
+        if not self.alpha.min() >= 0:
+            raise MvclustError(f"alpha has a negative or NaN weight ({self.alpha.min():.3e})")
+        if not abs(self.alpha.sum() - 1.0) <= ALPHA_SUM_TOL:
             raise MvclustError(f"alpha sums to {self.alpha.sum()!r}, expected 1")
         return self
 

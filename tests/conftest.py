@@ -19,7 +19,7 @@ from mvclust import (
     MultiViewDataset,
     validate_dataset,
 )
-from mvclust.consensus import update_consensus_graph
+from mvclust.consensus import BLOCK_ROWS, stacked_tops, update_consensus_graph
 from mvclust.errors import MissingFileError, ParseError, RankDeficientError, RankDeficientWarning
 from mvclust.finetune import update_mapping, update_top
 from mvclust.seminmf import (
@@ -62,6 +62,31 @@ def random_state(
     S = update_consensus_graph(rng.random((n, n)))
     state = ModelState(views=views, stacks=stacks, S=S, alpha=alpha, beta=beta)
     return state.validate()
+
+
+def blockwise_graph_term(state) -> float:
+    """||Q - S||_F^2 summed over blocks of 128 rows, each read directly
+    (test oracle for the graph term from the graph's structure).
+
+    With S = G_S^T G_S - theta 1^T - diag(q_S - theta) + C, a block of
+    Q - S is one product of the stacked [G; G_S; theta^T] and
+    [G; -G_S; 1^T], with the diagonal Q_ii, less C's rows.
+    """
+    S = state.S
+    G = stacked_tops(state.alpha, state.stacks)
+    q = np.einsum("ij,ij->j", G, G)
+    n = S.shape[0]
+    graph = 0.0
+    left, right = np.vstack([G, S.G, S.theta]), np.vstack([G, -S.G, np.ones(n)])
+    for i in range(0, n, BLOCK_ROWS):
+        j = min(i + BLOCK_ROWS, n)
+        R = left[:, i:j].T @ right
+        # S's low-rank part has a zero diagonal
+        R[np.arange(j - i), np.arange(i, j)] = q[i:j]
+        C = S.C[i:j]
+        R -= C if isinstance(C, np.ndarray) else C.toarray()
+        graph += float(np.vdot(R, R))
+    return graph
 
 
 def planted_two_blocks(d=6, n=12, noise=0.0, seed=0):

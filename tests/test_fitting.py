@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from mvclust.errors import (
 from mvclust.fitting import objective, objective_terms
 from mvclust.pretrain import initialize_state, pretrain_view
 
-from conftest import random_state, simple_config, traced_peak
+from conftest import blockwise_graph_term, random_state, simple_config, traced_peak
 
 
 def _exactly_factorable_state(beta, seed=0, n=15):
@@ -536,3 +538,94 @@ def test_fit_warns_on_each_objective_increase(monkeypatch, caplog):
     warned = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warned) == 2
     assert all(r.getMessage().startswith("objective increased at iteration") for r in warned)
+
+
+def test_fit_graph_terms_match_the_blockwise_oracle():
+    # at this seed iteration 1's graph is held as an array and iteration 2's
+    # cuts 26 entries in structured form; every structured graph of the fit
+    # takes the closed form, and every history entry matches the oracle
+    ds = normalize_views(
+        generate_synthetic(n=60, k=3, n_views=2, dims=(10, 12), separation=10.0, noise_sigma=0.5, seed=1)
+    )
+    cfg = simple_config([6, 3], max_outer_iters=6, pretrain_iters=20, tol_rel_objective=0.0)
+    forms = []
+
+    def check(state, it, obj):
+        structured = not isinstance(state.S.C, np.ndarray)
+        assert state.S.projected_from(state.stacks) == structured
+        recon, graph = objective_terms(state)
+        assert obj == recon + state.beta * graph
+        oracle = blockwise_graph_term(state)
+        assert abs(graph - oracle) <= 1e-12 * oracle
+        forms.append(state.S.C.nnz if structured else "array")
+
+    res = fit(ds, cfg, on_iteration=check)
+    assert "array" in forms and any(f != "array" and f > 0 for f in forms)
+    state = initialize_state(ds, cfg)
+    recon, _ = objective_terms(state)
+    graph = blockwise_graph_term(state)
+    assert abs(res.objective_history[0] - (recon + state.beta * graph)) <= 1e-12 * res.objective_history[0]
+
+
+def test_a_graph_from_other_tops_reads_the_graph_term_directly():
+    state = initialize_state(_small_dataset(), simple_config([4, 3], pretrain_iters=20))
+    assert state.S.projected_from(state.stacks)
+    state.stacks[0].top = 1.5 * state.stacks[0].top
+    assert not state.S.projected_from(state.stacks)
+    _, graph = objective_terms(state)
+    oracle = blockwise_graph_term(state)
+    assert abs(graph - oracle) <= 1e-12 * oracle
+
+
+def test_fit_calls_objective_terms_once_per_iteration_and_once_at_the_start(monkeypatch):
+    # the benchmark finds iteration boundaries from these calls
+    import mvclust.fitting as fitting
+
+    calls = []
+    objective_terms = fitting.objective_terms
+
+    def counted(state):
+        calls.append(state)
+        return objective_terms(state)
+
+    monkeypatch.setattr(fitting, "objective_terms", counted)
+    cfg = simple_config([3], max_outer_iters=3, pretrain_iters=5, tol_rel_objective=0.0)
+    res = fitting.fit(_small_dataset(), cfg)
+    assert res.iters_run == 3
+    assert len(calls) == 1 + 3
+
+
+def _fail_at(iteration, restarts_to_fail):
+    """An on_iteration that raises at `iteration` in the first
+    `restarts_to_fail` restarts, as the benchmark's --fail-at-iteration does."""
+    failures = []
+
+    def on_iteration(state, it, obj):
+        if it == iteration and len(failures) < restarts_to_fail:
+            failures.append(it)
+            raise RuntimeError(f"injected failure {len(failures)}")
+
+    return on_iteration
+
+
+def test_one_failed_restart_leaves_the_others(caplog):
+    import logging
+
+    ds = _small_dataset(seed=6)
+    cfg = simple_config([4, 3], max_outer_iters=4, pretrain_iters=20, restarts=3, rng_seed=10)
+    with caplog.at_level(logging.WARNING, logger="mvclust.fitting"):
+        res = fit_with_restarts(ds, cfg, on_iteration=_fail_at(2, restarts_to_fail=1))
+    assert [r.getMessage() for r in caplog.records] == ["restart with seed 10 failed"]
+    failed, *done = res.restart_summaries
+    assert (failed.seed, failed.final_objective, failed.iters_run, failed.converged) == (10, None, None, False)
+    assert failed.error == "RuntimeError: injected failure 1"
+    assert [s.seed for s in done] == [11, 12] and all(s.error is None for s in done)
+    assert res.final_objective == min(s.final_objective for s in done)
+    assert res.seed in (11, 12)
+    assert np.array_equal(res.objective_history, fit(ds, replace(cfg, rng_seed=res.seed, restarts=1)).objective_history)
+
+
+def test_every_failed_restart_raises_the_last_error():
+    cfg = simple_config([4, 3], max_outer_iters=3, pretrain_iters=20, restarts=2)
+    with pytest.raises(RuntimeError, match="^injected failure 2$"):
+        fit_with_restarts(_small_dataset(seed=6), cfg, on_iteration=_fail_at(1, restarts_to_fail=2))

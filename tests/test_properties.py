@@ -15,6 +15,7 @@ from scipy.linalg import subspace_angles
 from mvclust import FactorStack, ModelState, seminmf
 from mvclust.consensus import (
     BLOCK_ROWS,
+    ConsensusGraph,
     WeightQp,
     compute_Q,
     consensus_graph,
@@ -27,11 +28,13 @@ from mvclust.consensus import (
 )
 from mvclust.errors import RankDeficientError, RankDeficientWarning
 from mvclust.finetune import sweep_view, update_top
+from mvclust.fitting import objective_terms
 from mvclust.seminmf import fit_seminmf, mp_pinv, multiplicative_step
 from mvclust.spectral import spectral_embed
 
 from conftest import (
     ChainCache,
+    blockwise_graph_term,
     brute_force_row_projection,
     direct_fit_seminmf,
     random_state,
@@ -375,6 +378,49 @@ def test_structured_graph_matches_its_dense_form(n, rows, cut, row_sum, seed):
     pairs.append((WeightQp.from_state(state).f, np.array([np.vdot(H @ S, H)])))
     for got, want in pairs:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
+    views=st.integers(1, 3),
+    k=st.integers(1, 3),
+    cut=st.integers(0, 3),
+    moved=st.booleans(),
+    diagonal=st.booleans(),
+    seed=SEEDS,
+)
+def test_graph_term_from_structure_matches_blockwise_oracle(n, views, k, cut, moved, diagonal, seed):
+    rng = np.random.default_rng(seed)
+    alpha_S = rng.dirichlet(np.ones(views))
+    tops = [0.5 + rng.random((k, n)) for _ in range(views)]
+    # Q's row sums are about 1.1, so every theta_i > 0 is below every entry
+    # of Q but those of the samples whose tops are zero, which are 0 and cut
+    c = np.sqrt(1.1 / sum(a * (H.T @ H.sum(axis=1)) for a, H in zip(alpha_S, tops)).mean())
+    zero = rng.permutation(n)[: min(cut, n - 1)]
+    stacks = []
+    for H in tops:
+        H = c * H
+        H[:, zero] = 0.0
+        stacks.append(FactorStack(mappings=[np.eye(k)], top=H))
+    graph = consensus_graph(stacked_tops(alpha_S, stacks))
+    assert not isinstance(graph.C, np.ndarray)
+    assert (graph.C.nnz > 0) == (cut > 0 and n > 2)
+    if diagonal:
+        # S_ii = C_ii: an invalid graph, whose graph term is still defined
+        C = graph.C.tolil()
+        C[n - 1, n - 1] = 0.5
+        graph = ConsensusGraph(graph.G, graph.theta, C)
+    graph.alpha = alpha_S
+    # a moved alpha is the weight step after the graph step: delta != 0 for V > 1
+    alpha = rng.dirichlet(np.ones(views)) if moved else alpha_S
+    state = ModelState(
+        views=[st.top.copy() for st in stacks], stacks=stacks, S=graph, alpha=alpha, beta=1.0
+    )
+    assert graph.projected_from(state.stacks)
+    _, graph_term = objective_terms(state)
+    oracle = blockwise_graph_term(state)
+    assert abs(graph_term - oracle) <= 1e-12 * oracle
 
 
 def _dense_Q(state):

@@ -51,3 +51,15 @@ def test_cli_module_runs_as_a_script():
     proc = _run_in_fresh_interpreter(["-m", "mvclust.cli", "--help"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: mvclust")
+
+
+def test_scoring_imports_no_scipy_optimize():
+    # scipy.optimize adds about 17 MB to every process that imports it
+    code = (
+        "import sys\n"
+        "import mvclust\n"
+        "assert mvclust.accuracy([0, 0, 1, 2], [1, 1, 0, 2]) == 1.0\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    proc = _run_in_fresh_interpreter(["-c", code])
+    assert proc.returncode == 0, proc.stderr

@@ -2,8 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mvclust import FitConfig, LayerSpec, MultiViewDataset, validate_dataset
+from mvclust.consensus import ConsensusGraph, consensus_graph
 from mvclust.errors import (
     DimensionMismatchError,
     LabelRangeError,
@@ -134,6 +136,53 @@ def test_model_state_rejects_bad_graph():
     state = random_state(seed=6)
     state.stacks[0].top[0, 0] = -1e-3
     with pytest.raises(MvclustError):
+        state.validate()
+
+
+def test_model_state_rejects_a_nan_graph_entry():
+    state = random_state(seed=6)
+    S = state.S.dense()
+    S[0, 1] = np.nan
+    with pytest.raises(MvclustError, match="negative or NaN entry"):
+        replace(state, S=S).validate()
+
+
+@pytest.mark.parametrize("part", ["G", "theta", "C"])
+def test_model_state_rejects_a_non_finite_graph_structure(part):
+    state = random_state(seed=6)
+    graph = consensus_graph(np.ones((2, state.n)))
+    G, theta = graph.G.copy(), graph.theta.copy()
+    C = sparse.csr_array(([0.0], ([0], [1])), shape=graph.shape)
+    if part == "G":
+        G[1, 3] = np.nan
+    elif part == "theta":
+        theta[3] = np.inf
+    else:
+        C.data[0] = np.nan
+    with pytest.raises(MvclustError, match="non-finite top, threshold or correction"):
+        replace(state, S=ConsensusGraph(G, theta, C)).validate()
+
+
+def test_model_state_rejects_nan_row_sums():
+    # finite tops whose Gram overflows: every entry of S is +inf off the
+    # diagonal, so the smallest is 0, but the row sums are inf - inf = NaN
+    state = random_state(seed=6)
+    n = state.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = ConsensusGraph(np.full((1, n), 1e155), np.zeros(n), sparse.csr_array((n, n)))
+        assert np.isnan(S.row_sums()).all()
+        with pytest.raises(MvclustError, match="row sums deviate"):
+            replace(state, S=S).validate()
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [([np.nan, 1.0], "negative or NaN weight"), ([np.inf, 0.0], "alpha sums to")],
+)
+def test_model_state_rejects_non_finite_weights(alpha, message):
+    state = random_state(seed=6)
+    state.alpha = np.array(alpha)
+    with pytest.raises(MvclustError, match=message):
         state.validate()
 
 
