@@ -66,7 +66,8 @@ def update_top(state: ModelState, v: int, PhitX: Array, PhitPhi: Array) -> Array
 def sweep_view(state: ModelState, v: int) -> None:
     """One fine-tuning pass over view v: Z_1..Z_m in order, then the
     graph-free and the graph-coupled top steps. Mutates the view's stack, so
-    views swept in turn see each other's freshest tops."""
+    views swept in turn see each other's freshest tops. For a view with d >= n
+    it records the right factor P of Z_1 = X P in `right_factor`."""
     stack = state.stacks[v]
     X = state.views[v]
     mappings = stack.mappings
@@ -83,7 +84,16 @@ def sweep_view(state: ModelState, v: int) -> None:
     Phi = None
     for i, hhat in enumerate(hhats):
         hhat_rank = min(min(widths[i:]), hhat.shape[1])
-        mappings[i] = update_mapping(X, Phi, hhat, psi_rank, hhat_rank)
+        if Phi is None:
+            # Z_1 = X P as `update_mapping` forms it, with P kept where it is
+            # no larger than Z_1: a view fitted in its row space lifts Z_1 by it
+            P = mp_pinv(hhat, warn_context="update_mapping", expected_rank=hhat_rank)
+            mappings[0] = X @ P
+            if X.shape[0] >= X.shape[1]:
+                stack.right_factor = P
+            del P  # not held through the top steps
+        else:
+            mappings[i] = update_mapping(X, Phi, hhat, psi_rank, hhat_rank)
         Phi = mappings[i] if Phi is None else Phi @ mappings[i]
     PhitX = Phi.T @ X
     PhitPhi = Phi.T @ Phi

@@ -38,8 +38,10 @@ def pretrain_view(X: Array, cfg: FitConfig, seed_seq: np.random.SeedSequence) ->
         except RankDeficientError as e:
             raise RankDeficientError(f"pretraining layer {i}: {e}") from e
         mappings.append(res.Z)
+        if i == 0:
+            right_factor = res.P  # Z_1 = X P
         H = res.H  # seeds the next layer; only the top is kept
-    return FactorStack(mappings=mappings, top=H)
+    return FactorStack(mappings=mappings, top=H, right_factor=right_factor)
 
 
 def initialize_state(ds: MultiViewDataset, cfg: FitConfig) -> ModelState:
@@ -58,6 +60,8 @@ def initialize_state(ds: MultiViewDataset, cfg: FitConfig) -> ModelState:
         c = np.sqrt(ds.n / np.square(st.top.sum(axis=1)).sum())
         st.top = c * st.top
         st.mappings[-1] = st.mappings[-1] / c
+        if st.depth == 1 and st.right_factor is not None:  # Z_m is Z_1 = X P
+            st.right_factor = st.right_factor / c
     alpha = np.full(ds.num_views, 1.0 / ds.num_views)
     S = consensus_graph(stacked_tops(alpha, stacks))
     S.alpha = alpha.copy()

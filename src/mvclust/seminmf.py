@@ -111,11 +111,15 @@ def multiplicative_step(H: Array, num: Array, den: Array) -> Array:
 @dataclass
 class SemiNmfResult:
     """Factorization output: basis Z (d, l), representation H (l, n) >= 0,
-    and the number of sweeps run."""
+    the number of sweeps run, and for d >= n the (n, l) right factor P of
+    the last basis step, Z = X P up to rounding (H^T G^{-1} from the
+    certified Gram, else pinv(H)); P is None for d < n, where it would be
+    larger than Z."""
 
     Z: Array
     H: Array
     iters: int
+    P: Array | None = None
 
 
 def _certified_gram(H: Array) -> Array | None:
@@ -128,12 +132,13 @@ def _certified_gram(H: Array) -> Array | None:
     return G if w[0] > GRAM_RCOND * w[-1] else None
 
 
-def _basis_t(X: Array, H: Array, G: Array | None) -> Array:
-    """Z^T of the least-squares basis for H: G^{-1} (H X^T) from the certified
-    Gram G, else (X P)^T from P = `mp_pinv`(H)."""
+def _basis_t(X: Array, H: Array, G: Array | None) -> tuple[Array, Array | None]:
+    """(Z^T, P) of the least-squares basis for H: G^{-1} (H X^T) from the
+    certified Gram G, with P None, else (X P)^T with P = `mp_pinv`(H)."""
     if G is None:
-        return (X @ mp_pinv(H, warn_context="update_basis")).T
-    return np.linalg.solve(G, H @ X.T)
+        P = mp_pinv(H, warn_context="update_basis")
+        return (X @ P).T, P
+    return np.linalg.solve(G, H @ X.T), None
 
 
 def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
@@ -147,11 +152,15 @@ def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
     array. When G is certified well conditioned (`GRAM_RCOND`), the sweep
     solves with G and forms no n x l pseudo-inverse; otherwise it takes
     P = `mp_pinv`(H), which owns the rank decision and its warnings, forms
-    Z^T = (X P)^T and both products directly, as a layer with d <= n does
+    Z^T = (X P)^T and both products directly, as a layer with d < n does
     in every sweep (Z^T = G^{-1} (H X^T)), 2dnl flops a sweep. A certified
-    sweep of a wide layer (d > n) uses the kernel form: K = X^T X once per
+    sweep of a layer with d >= n uses the kernel form: K = X^T X once per
     layer, then Z^T X = G^{-1} (H K) and Z^T Z = (Z^T X) H^T G^{-1}, n^2 l
     flops a sweep, with Z formed from the sweep's H only if it is the last.
+    At d = n, as for a view's n x n row-space factor (`fitting.fit`), the
+    kernel form is the cheaper one too. There the result also carries the
+    last basis step's right factor P, so that a basis fitted to such a
+    factor R of X = QR lifts to X's basis X P.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[1]
@@ -163,16 +172,21 @@ def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
     # well inside float range
     scale = np.linalg.norm(X) / (l * n)
     H = (1.0 - np.random.default_rng(seed).random((l, n))) * scale
-    K = X.T @ X if X.shape[0] > n else None
+    K = X.T @ X if X.shape[0] >= n else None
     for _ in range(iters):
         G = _certified_gram(H)
         if K is None or G is None:
-            Zt = _basis_t(X, H, G)
+            Zt, P = _basis_t(X, H, G)
             ZtX, ZtZ = Zt @ X, Zt @ Zt.T
         else:
             Zt = None
             ZtX = np.linalg.solve(G, H @ K)
             ZtZ = np.linalg.solve(G, H @ ZtX.T).T
         H_basis, H = H, multiplicative_step(H, *multiplicative_terms(ZtX, ZtZ, H))
-    Z = (_basis_t(X, H_basis, G) if Zt is None else Zt).T
-    return SemiNmfResult(Z=Z, H=H, iters=iters)
+    if Zt is None:
+        Zt, _ = _basis_t(X, H_basis, G)
+    if K is None:  # d < n: P would be larger than Z
+        P = None
+    elif G is not None:  # the certified Gram's right factor H^T G^{-1}
+        P = np.linalg.solve(G, H_basis).T
+    return SemiNmfResult(Z=Zt.T, H=H, iters=iters, P=P)

@@ -143,10 +143,16 @@ class FactorStack:
 
     Z_1 is (d_v, l_1); Z_i is (l_{i-1}, l_i) for i >= 2; H_m is (l_m, n).
     The objective reads no hidden representation, so none is kept.
+    `right_factor` is the (n, l_1) right factor P of the step that last set
+    Z_1, with Z_1 = X P up to rounding. It is kept only for a view with at
+    least as many features as samples (d >= n), where it is no larger than
+    Z_1, and is None otherwise: a view fitted in its row space (n x n) lifts
+    its Z_1 back to feature space through it.
     """
 
     mappings: list[Array]
     top: Array
+    right_factor: Array | None = None
 
     @property
     def depth(self) -> int:
@@ -215,8 +221,8 @@ class ModelState:
         A non-finite factor raises NonFiniteFactorError. The graph is checked
         on its structure: its smallest entry block by block, its diagonal in
         C and its row sums from the factors, after a structured graph's G,
-        theta and C entries are checked finite. Each check is written so
-        that a NaN fails it.
+        theta and C entries, and the diagonal q of Q = G^T G, are checked
+        finite. Each check is written so that a NaN fails it.
         """
         n = self.n
         if len(self.stacks) != self.num_views:
@@ -228,10 +234,13 @@ class ModelState:
             raise DimensionMismatchError(f"S has shape {S.shape}, expected ({n}, {n})")
         # an array's NaN entry fails the checks below; a structure's would
         # reach only some entries, so its parts are checked once here
-        if not isinstance(S.C, np.ndarray) and not all(
-            np.isfinite(a).all() for a in (S.G, S.theta, S.C.data)
-        ):
-            raise MvclustError("S has a non-finite top, threshold or correction entry")
+        if not isinstance(S.C, np.ndarray):
+            if not all(np.isfinite(a).all() for a in (S.G, S.theta, S.C.data)):
+                raise MvclustError("S has a non-finite top, threshold or correction entry")
+            # finite tops can still overflow their Gram; a row sum would
+            # then read inf - inf
+            if not np.isfinite(S.q).all():
+                raise MvclustError("S has a non-finite Q: the tops' Gram overflows")
         lowest = S.min()
         if not lowest >= 0:
             raise MvclustError(f"S has a negative or NaN entry ({lowest:.3e})")

@@ -19,9 +19,17 @@ from mvclust import (
     MultiViewDataset,
     validate_dataset,
 )
-from mvclust.consensus import BLOCK_ROWS, stacked_tops, update_consensus_graph
+from mvclust.consensus import (
+    BLOCK_ROWS,
+    consensus_graph,
+    stacked_tops,
+    update_consensus_graph,
+    update_view_weights,
+)
 from mvclust.errors import MissingFileError, ParseError, RankDeficientError, RankDeficientWarning
-from mvclust.finetune import update_mapping, update_top
+from mvclust.finetune import sweep_view, update_mapping, update_top
+from mvclust.fitting import objective
+from mvclust.pretrain import initialize_state
 from mvclust.seminmf import (
     RCOND,
     SemiNmfResult,
@@ -87,6 +95,22 @@ def blockwise_graph_term(state) -> float:
         R -= C if isinstance(C, np.ndarray) else C.toarray()
         graph += float(np.vdot(R, R))
     return graph
+
+
+def direct_fit(ds, cfg):
+    """`fit`'s loop run on the views as given, every view in feature space,
+    for cfg.max_outer_iters iterations (test oracle for fitting tall views
+    in their row space). Returns (state, objective history)."""
+    state = initialize_state(ds, cfg)
+    history = [objective(state)]
+    for _ in range(cfg.max_outer_iters):
+        for v in range(state.num_views):
+            sweep_view(state, v)
+        state.S = consensus_graph(stacked_tops(state.alpha, state.stacks))
+        state.S.alpha = state.alpha.copy()
+        state.alpha = update_view_weights(state)
+        history.append(objective(state))
+    return state, np.asarray(history)
 
 
 def planted_two_blocks(d=6, n=12, noise=0.0, seed=0):

@@ -106,6 +106,35 @@ def test_fit_zero_iterations_returns_initial_state():
     res.state.validate()
 
 
+def _tall_dataset(n=40, seed=0):
+    # view 0 is 3n tall, so the fit takes it in its row space; view 1 is not
+    ds = generate_synthetic(
+        n=n, k=3, n_views=2, dims=(3 * n, 12), separation=8.0, noise_sigma=0.6, seed=seed
+    )
+    return normalize_views(ds)
+
+
+@pytest.mark.parametrize("layers", [[6, 3], [3]], ids=["depth 2", "depth 1"])
+@pytest.mark.parametrize("iters", [0, 3])
+def test_a_row_space_fit_returns_the_callers_views_and_a_feature_space_basis(layers, iters):
+    # at 0 iterations Z_1 is lifted by pretraining's right factor, which at
+    # depth 1 is rescaled with Z_1 = Z_m
+    ds = _tall_dataset()
+    seen = []
+    cfg = simple_config(layers, max_outer_iters=iters, pretrain_iters=20, tol_rel_objective=0.0)
+    res = fit(ds, cfg, on_iteration=lambda state, it, obj: seen.append(state.views[0].shape))
+    assert seen == [(ds.n, ds.n)] * iters
+    assert all(X is Y for X, Y in zip(res.state.views, ds.views))
+    for X, stack in zip(ds.views, res.state.stacks):
+        assert stack.mappings[0].shape == (X.shape[0], layers[0])
+    # the tall view's basis is X P; the thin view keeps no right factor
+    tall, thin = res.state.stacks
+    assert np.array_equal(tall.mappings[0], ds.views[0] @ tall.right_factor)
+    assert thin.right_factor is None
+    assert objective(res.state) == pytest.approx(res.final_objective, rel=1e-12, abs=0)
+    res.state.validate()
+
+
 def test_fit_deterministic():
     ds = _small_dataset(seed=1)
     cfg = simple_config([4, 3], max_outer_iters=8, pretrain_iters=25, rng_seed=7)

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from mvclust import FactorStack, ModelState, seminmf
+from mvclust import FactorStack, FitConfig, LayerSpec, ModelState, MultiViewDataset, fit, seminmf
 from mvclust.consensus import (
     BLOCK_ROWS,
     ConsensusGraph,
@@ -30,12 +30,13 @@ from mvclust.errors import RankDeficientError, RankDeficientWarning
 from mvclust.finetune import sweep_view, update_top
 from mvclust.fitting import objective_terms
 from mvclust.seminmf import fit_seminmf, mp_pinv, multiplicative_step
-from mvclust.spectral import spectral_embed
+from mvclust.spectral import cluster_graph, spectral_embed
 
 from conftest import (
     ChainCache,
     blockwise_graph_term,
     brute_force_row_projection,
+    direct_fit,
     direct_fit_seminmf,
     random_state,
     recompute_sweep_view,
@@ -563,3 +564,51 @@ def test_pinv_equals_full_svd_oracle(m, p, rank, claim_rank, tail, scale_exp, se
     else:
         assert P.shape == (p, m)
         assert np.abs(P - P_oracle).max() <= 1e-12 * np.abs(P_oracle).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(6, 20),
+    k=st.integers(2, 3),
+    depth=st.integers(1, 3),
+    height=st.sampled_from(["2n-1", "2n", "5n"]),
+    duplicates=st.booleans(),
+    seed=SEEDS,
+)
+@example(n=12, k=3, depth=3, height="5n", duplicates=True, seed=0)
+@example(n=12, k=2, depth=2, height="2n-1", duplicates=True, seed=0)
+def test_row_space_fit_matches_the_feature_space_loop(n, k, depth, height, duplicates, seed):
+    # view 0 is d x n with d in {2n - 1, 2n, 5n}; duplicated sample columns
+    # make X rank-deficient and its R singular
+    rng = np.random.default_rng(seed)
+    d = {"2n-1": 2 * n - 1, "2n": 2 * n, "5n": 5 * n}[height]
+    labels = np.arange(n) % k
+    views = []
+    for rows in (d, int(rng.integers(k, 2 * n))):
+        centers = 5.0 * rng.standard_normal((rows, k))
+        views.append(np.abs(centers[:, labels] + rng.standard_normal((rows, n))))
+    if duplicates:
+        m = n // 4
+        for X in views:
+            X[:, -m:] = X[:, :m]
+    l1 = int(rng.integers(k, min(n, views[1].shape[0]) + 1))
+    layers = {1: [k], 2: [l1, k], 3: [l1, (l1 + k + 1) // 2, k]}[depth]
+    ds = MultiViewDataset(views=views)
+    cfg = FitConfig(
+        beta=0.5, layers=LayerSpec(layers), max_outer_iters=5, pretrain_iters=20,
+        tol_rel_objective=0.0, rng_seed=seed,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficientWarning)
+        res = fit(ds, cfg)
+        state, history = direct_fit(ds, cfg)
+    if height == "2n-1":  # below ROW_SPACE_RATIO: no view is compressed
+        assert np.array_equal(res.objective_history, history)
+        assert np.array_equal(res.state.alpha, state.alpha)
+        assert all(np.array_equal(a.mappings[0], b.mappings[0]) for a, b in zip(res.state.stacks, state.stacks))
+    assert (np.abs(res.objective_history - history) <= 1e-10 * np.abs(history)).all()
+    assert np.abs(res.state.alpha - state.alpha).max() <= 1e-10
+    for a, b in zip(res.state.stacks, state.stacks):
+        assert a.mappings[0].shape == b.mappings[0].shape
+        assert np.abs(a.mappings[0] - b.mappings[0]).max() <= 1e-9 * np.abs(b.mappings[0]).max()
+    assert np.array_equal(cluster_graph(res.state.S, k, seed=0).labels, cluster_graph(state.S, k, seed=0).labels)

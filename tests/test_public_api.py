@@ -63,3 +63,23 @@ def test_scoring_imports_no_scipy_optimize():
     )
     proc = _run_in_fresh_interpreter(["-c", code])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_row_space_fit_imports_nothing_new():
+    # a 3n-tall view is fitted through LAPACK's QR from scipy.linalg, which
+    # `import mvclust` has loaded: set-up time and its RSS stay the imports'
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import mvclust\n"
+        "loaded = set(sys.modules)\n"
+        "rng = np.random.default_rng(0)\n"
+        "ds = mvclust.MultiViewDataset(views=[rng.random((60, 20)), rng.random((60, 20))])\n"
+        "cfg = mvclust.FitConfig(beta=1.0, layers=mvclust.LayerSpec([4, 2]), max_outer_iters=2,"
+        " pretrain_iters=5)\n"
+        "assert mvclust.fit(ds, cfg).state.stacks[0].mappings[0].shape == (60, 4)\n"
+        "new = sorted(set(sys.modules) - loaded)\n"
+        "assert not new, new\n"
+    )
+    proc = _run_in_fresh_interpreter(["-c", code])
+    assert proc.returncode == 0, proc.stderr

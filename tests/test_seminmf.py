@@ -164,6 +164,25 @@ def test_fit_seminmf_certified_layer_forms_no_pinv(monkeypatch, d):
     assert np.abs(res.H - oracle.H).max() <= 1e-9 * np.abs(oracle.H).max()
 
 
+@pytest.mark.parametrize("d, sweeps_forming_z", [(79, 30), (80, 1)], ids=["d<n", "d=n"])
+def test_fit_seminmf_takes_the_kernel_form_from_d_equal_n(monkeypatch, d, sweeps_forming_z):
+    # a certified direct sweep forms Z^T in every sweep; the kernel form
+    # forms it once, for the returned basis
+    X = np.random.default_rng(26).standard_normal((d, 80))
+    basis_t, calls = seminmf._basis_t, []
+    monkeypatch.setattr(seminmf, "_basis_t", lambda *a: calls.append(a) or basis_t(*a))
+    res = fit_seminmf(X, 6, iters=30, seed=1)
+    assert len(calls) == sweeps_forming_z
+    oracle = direct_fit_seminmf(X, 6, 30, 1)
+    assert np.abs(res.Z - oracle.Z).max() <= 1e-9 * np.abs(oracle.Z).max()
+    assert np.abs(res.H - oracle.H).max() <= 1e-9 * np.abs(oracle.H).max()
+    # the right factor, no larger than the basis from d = n, gives the basis
+    if d < 80:
+        assert res.P is None
+    else:
+        assert np.abs(X @ res.P - res.Z).max() <= 1e-9 * np.abs(res.Z).max()
+
+
 @pytest.mark.parametrize("d", [4, 12], ids=["d<=n", "d>n"])
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf])
 def test_fit_seminmf_bad_input_raises_rank_deficient(d, bad):
