@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from .errors import DimensionMismatchError, MvclustError
+
 Array = np.ndarray
 
 # Most views the exact weight solver takes: 2^10 - 1 supports per solve.
@@ -42,6 +44,9 @@ ROW_SUM_LIMIT = 64.0
 # 12 bytes each in CSR, so at most 0.09 of an n x n float array. A graph
 # that needs more is held as its n x n array.
 CUT_SHARE = 1.0 / 16.0
+
+# Most a valid graph's row sum may deviate from 1.
+ROW_SUM_TOL = 1e-9
 
 
 def gram_similarity(H: Array) -> Array:
@@ -82,14 +87,15 @@ class ConsensusGraph:
     empty, theta 0 and C = S, and `from_dense` holds an array S as that C
     itself, so this is the one form of S. Products and sums cost
     O(n r m + nnz C) for m right-hand sides, and `row_blocks` yields S
-    BLOCK_ROWS rows at a time. G and theta become the graph's own and
-    read-only: a new graph replaces an old one. `alpha` is None, or the
-    weights G stacks the tops with, set by whoever stacked them (`fit` and
-    `initialize_state` do), so that the graph can tell whether it was
-    projected from a state's tops (`projected_from`).
+    BLOCK_ROWS rows at a time. G, theta and `alpha` become the graph's own
+    and read-only: a new graph replaces an old one. `alpha` is None, or the
+    weights G stacks the tops with, recorded by `consensus_graph`, so that
+    the graph can tell whether it was projected from a state's tops
+    (`projected_from`). This module alone reads these parts: every other
+    reads S through its products, sums, checks and graph term.
     """
 
-    def __init__(self, G: Array, theta: Array, C):
+    def __init__(self, G: Array, theta: Array, C, alpha: Array | None = None):
         self.G = np.asarray(G, dtype=np.float64)
         self.theta = np.asarray(theta, dtype=np.float64)
         if isinstance(C, np.ndarray):
@@ -102,9 +108,10 @@ class ConsensusGraph:
                 f"G {self.G.shape}, theta {self.theta.shape} and C {self.C.shape} do not match"
             )
         self.q = np.einsum("ij,ij->j", self.G, self.G)
-        self.alpha: Array | None = None
-        for a in (self.G, self.theta, self.q):
-            a.flags.writeable = False
+        self.alpha = None if alpha is None else np.array(alpha, dtype=np.float64)
+        for a in (self.G, self.theta, self.q, self.alpha):
+            if a is not None:
+                a.flags.writeable = False
 
     @classmethod
     def from_dense(cls, S) -> "ConsensusGraph":
@@ -185,10 +192,35 @@ class ConsensusGraph:
                 lowest = min(lowest, float(at.min()))
         return lowest
 
+    def validate(self, n: int) -> "ConsensusGraph":
+        """Check that S is an n x n feasible graph (nonnegative, zero
+        diagonal, rows summing to 1); raise on violation. Each check is
+        written so that a NaN fails it."""
+        if self.shape != (n, n):
+            raise DimensionMismatchError(f"S has shape {self.shape}, expected ({n}, {n})")
+        # an array's NaN entry fails the checks below; a structure's would
+        # reach only some entries, so its parts are checked once here
+        if not isinstance(self.C, np.ndarray):
+            if not all(np.isfinite(a).all() for a in (self.G, self.theta, self.C.data)):
+                raise MvclustError("S has a non-finite top, threshold or correction entry")
+            # finite tops can still overflow their Gram; a row sum would
+            # then read inf - inf
+            if not np.isfinite(self.q).all():
+                raise MvclustError("S has a non-finite Q: the tops' Gram overflows")
+        lowest = self.min()
+        if not lowest >= 0:
+            raise MvclustError(f"S has a negative or NaN entry ({lowest:.3e})")
+        if self.C.diagonal().any():
+            raise MvclustError("S has a nonzero diagonal entry")
+        row_err = np.abs(self.row_sums() - 1.0).max()
+        if not row_err <= ROW_SUM_TOL:
+            raise MvclustError(f"S row sums deviate from 1 by {row_err:.3e}")
+        return self
+
     def projected_from(self, stacks) -> bool:
         """Whether G is exactly `stacked_tops(alpha, stacks)` for the recorded
-        weights, with C sparse: then S is the projection of those tops'
-        Gram, and `residual_sq` holds. O(n Vk)."""
+        weights, with C sparse: then S is the projection of those tops' Gram.
+        O(n Vk)."""
         return (
             self.alpha is not None
             and not isinstance(self.C, np.ndarray)
@@ -197,18 +229,26 @@ class ConsensusGraph:
         )
 
     def residual_sq(self, alpha: Array, stacks) -> float:
-        """||Q - S||_F^2 for Q = sum_v alpha_v H_v^T H_v, on a graph
-        `projected_from` the stacks' tops H_v, from the structure in
-        O(n Vk k + nnz C).
+        """||Q - S||_F^2 for Q = sum_v alpha_v H_v^T H_v and the stacks' tops H_v.
 
-        With Q_S = G^T G and delta = alpha - self.alpha, Q - S = R + dQ for
-        R = Q_S - S = theta 1^T + diag(q - theta) - C and dQ = sum_v delta_v
-        H_v^T H_v. R is theta_i at an off-diagonal entry outside C, theta_i -
-        C_ij at one in C and q_i - C_ii on the diagonal, so ||R||^2 is a sum
-        of squares of its own entries, and ||Q - S||^2 = ||R||^2 + 2 <R, dQ>
-        + delta^T A delta, with A the weight QP's matrix. No two large norms
-        are subtracted: the terms past ||R||^2 scale with delta.
+        On a graph `projected_from` the stacks, from the structure in
+        O(n Vk k + nnz C): with Q_S = G^T G and delta = alpha - self.alpha,
+        Q - S = R + dQ for R = Q_S - S = theta 1^T + diag(q - theta) - C and
+        dQ = sum_v delta_v H_v^T H_v. R is theta_i at an off-diagonal entry
+        outside C, theta_i - C_ij at one in C and q_i - C_ii on the diagonal,
+        so ||R||^2 is a sum of squares of its own entries, and ||Q - S||^2 =
+        ||R||^2 + 2 <R, dQ> + delta^T A delta, with A the weight QP's matrix:
+        no two large norms are subtracted. Any other graph has no such
+        structure, and the expansion ||Q||^2 - 2 <Q, S> + ||S||^2 would
+        cancel, so Q - S is read directly, BLOCK_ROWS rows at a time.
         """
+        if not self.projected_from(stacks):
+            graph = 0.0
+            Q_blocks = gram_row_blocks(stacked_tops(alpha, stacks))
+            for (_, R), (_, B) in zip(Q_blocks, self.row_blocks()):
+                R -= B
+                graph += float(np.vdot(R, R))
+            return graph
         n = self.shape[0]
         theta, q = self.theta, self.q
         rows, cols, vals = self._entries(0, n)
@@ -329,9 +369,10 @@ def _dense_graph(G: Array) -> ConsensusGraph:
     return ConsensusGraph.from_dense(S)
 
 
-def consensus_graph(G: Array) -> ConsensusGraph:
-    """update_consensus_graph(G^T G) for the stacked tops G (Vk x n), as a
-    `ConsensusGraph` on a copy of G.
+def consensus_graph(alpha: Array, stacks) -> ConsensusGraph:
+    """update_consensus_graph(G^T G) for the stacked tops G =
+    `stacked_tops(alpha, stacks)` (Vk x n), as a `ConsensusGraph` that
+    records alpha.
 
     A row whose every off-diagonal Q_ij exceeds theta_i = (sum_{j!=i} Q_ij -
     1)/(n - 1) keeps them all (Michelot's first pass), and the row sums come
@@ -346,7 +387,7 @@ def consensus_graph(G: Array) -> ConsensusGraph:
     array after its first block's row minima. A non-finite G, or a Q entry
     or row sum that overflows, raises.
     """
-    G = np.array(G, dtype=np.float64)
+    G = stacked_tops(alpha, stacks)
     n = G.shape[1]
     if n < 2:
         raise ValueError("graph projection needs at least 2 samples")
@@ -391,7 +432,7 @@ def consensus_graph(G: Array) -> ConsensusGraph:
         if cuts:
             rows, cols, vals = (np.concatenate(a) for a in zip(*cuts))
             C = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
-        return ConsensusGraph(G, theta, C)
+        return ConsensusGraph(G, theta, C, alpha=alpha)
     del cuts  # before the n x n array is allocated
     return _dense_graph(G)
 

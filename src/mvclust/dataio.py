@@ -82,6 +82,9 @@ def _first_bad_line(path, dtype, delimiter, width) -> ParseError | None:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            # the file's first row had no comma, so it may have held one column
+            if delimiter is None and "," in line:
+                return ParseError(path, lineno, reason="a comma-delimited line in a space-delimited file")
             tokens = line.split(delimiter)
             width = width or len(tokens)
             if len(tokens) != width:

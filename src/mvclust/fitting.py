@@ -4,9 +4,7 @@ One outer iteration sweeps every view (each mapping, then the two top
 steps), projects the consensus graph onto its feasible set, and re-solves
 the view weights. The objective is tracked per iteration; it should be
 non-increasing up to small float noise, and any larger increase is logged.
-Its graph term comes from the consensus graph's structure whenever the
-graph was projected from the current tops, as in every step of a fit, and
-from Q - S read in blocks of 128 rows otherwise (see `objective_terms`).
+Its graph term is the consensus graph's own (`ConsensusGraph.residual_sq`).
 
 A view at least `ROW_SPACE_RATIO` times as tall as its sample count is
 fitted through R, the n x n triangular factor of X = QR, taken once per fit:
@@ -26,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import lapack
 
-from .consensus import MAX_VIEWS, consensus_graph, gram_row_blocks, stacked_tops, update_view_weights
+from .consensus import MAX_VIEWS, consensus_graph, update_view_weights
 # no caller here; bench/worker.py wraps fitting.compute_Q and fitting.update_consensus_graph
 from .consensus import compute_Q, update_consensus_graph  # noqa: F401
 from .errors import NonFiniteFactorError, TooManyViewsError
@@ -75,14 +73,9 @@ def objective_terms(state: ModelState) -> tuple[float, float]:
     """(total reconstruction error, graph-fit error), both squared Frobenius.
 
     The reconstruction is summed from its residual arrays, one d x n
-    residual alive at a time. The graph term ||Q - S||^2 of a graph
-    `projected_from` the state's tops, as every graph of a fit is, comes
-    from the graph's structure in O(n Vk k + nnz C) (`residual_sq`): Q - S
-    is the projection's residual R plus the Gram change of the weight step,
-    and R is summed from its own entries, so no two large norms cancel.
-    Any other graph (one held as an n x n array, or one from other tops)
-    has no such structure, and the expansion ||Q||^2 - 2 <Q, S> + ||S||^2
-    would cancel, so Q - S is read directly, in blocks of 128 rows.
+    residual alive at a time. The graph term ||Q - S||^2 is the graph's
+    `residual_sq`, from its structure when it was projected from the
+    state's tops, as every graph of a fit is.
     """
     recon = 0.0
     for v, X in enumerate(state.views):
@@ -92,15 +85,7 @@ def objective_terms(state: ModelState) -> tuple[float, float]:
         R -= X
         recon += float(np.linalg.norm(R) ** 2)
         del R  # before the next view's product is formed
-    S = state.S
-    if S.projected_from(state.stacks):
-        return recon, S.residual_sq(state.alpha, state.stacks)
-    graph = 0.0
-    Q_blocks = gram_row_blocks(stacked_tops(state.alpha, state.stacks))
-    for (_, R), (_, B) in zip(Q_blocks, S.row_blocks()):
-        R -= B
-        graph += float(np.vdot(R, R))
-    return recon, graph
+    return recon, state.S.residual_sq(state.alpha, state.stacks)
 
 
 def objective(state: ModelState) -> float:
@@ -154,8 +139,9 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     view with d >= ROW_SPACE_RATIO * n is its n x n factor R there, and Z_1
     is in R's coordinates. The returned state holds the caller's view arrays
     and Z_1 = X P in feature space. The S the callback sees is an immutable
-    `ConsensusGraph`, which the next graph step replaces rather than changes;
-    `state.S.dense()` gives its n x n array. A factor that turns non-finite
+    `ConsensusGraph` that records the weights it was projected with, which
+    the next graph step replaces rather than changes; `state.S.dense()`
+    gives its n x n array. A factor that turns non-finite
     in a view's sweep raises NonFiniteFactorError naming the iteration. The
     old graph is dropped before the graph step, so that a graph held as an
     n x n array is never held twice: if the step raises (Q overflows), the
@@ -187,8 +173,7 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
         # the step reads no old graph: drop it first, so that a graph held
         # as an n x n array is not held twice
         state.S = None
-        state.S = consensus_graph(stacked_tops(state.alpha, state.stacks))
-        state.S.alpha = state.alpha.copy()
+        state.S = consensus_graph(state.alpha, state.stacks)
         state.alpha = update_view_weights(state)
 
         recon, graph = objective_terms(state)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .consensus import consensus_graph, stacked_tops
+from .consensus import consensus_graph
 # no caller here; bench/worker.py wraps pretrain.gram_similarity by this name
 from .consensus import gram_similarity  # noqa: F401
 from .errors import RankDeficientError
@@ -63,6 +63,5 @@ def initialize_state(ds: MultiViewDataset, cfg: FitConfig) -> ModelState:
         if st.depth == 1 and st.right_factor is not None:  # Z_m is Z_1 = X P
             st.right_factor = st.right_factor / c
     alpha = np.full(ds.num_views, 1.0 / ds.num_views)
-    S = consensus_graph(stacked_tops(alpha, stacks))
-    S.alpha = alpha.copy()
+    S = consensus_graph(alpha, stacks)
     return ModelState(views=list(ds.views), stacks=stacks, S=S, alpha=alpha, beta=cfg.beta)

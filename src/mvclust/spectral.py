@@ -6,8 +6,8 @@ eigenvectors of the symmetric normalized Laplacian's k smallest eigenvalues
 embedding. The eigenvectors come from ARPACK's implicitly restarted Lanczos
 (Lehoucq, Sorensen & Yang, 1998), which computes only those k from products
 with the graph itself, started from a fixed random vector so that the labels
-are deterministic; at k = n, where ARPACK cannot run, LAPACK's dense eigh
-computes them.
+are deterministic. ARPACK needs k < n; at k = n every sample is its own
+cluster, and `cluster_graph` returns that partition without an embedding.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .consensus import ConsensusGraph, as_graph
@@ -49,16 +48,15 @@ def spectral_embed(S: ConsensusGraph | Array, k: int) -> Array:
     """(n, k) embedding from the k smallest eigenvectors of L_sym.
 
     W = (S + S^T)/2; L_sym = I - N with N = D^{-1/2} W D^{-1/2} and D the
-    degree diagonal, so these are the k largest eigenvectors of N. For k < n,
-    ARPACK's implicitly restarted Lanczos computes only those k, reading N
-    through its product N x = D^{-1/2} (S y + S^T y) / 2 with y = D^{-1/2} x,
-    taken from the graph's structure, so no n x n array is formed; the
-    degrees are the mean of S's row and column sums. An array S is read as
-    the graph it is. It starts from a fixed random vector, so the result is
-    deterministic; the start is not the vector of ones, because on a regular
-    graph that is an exact eigenvector of N and its Krylov space does not
-    grow. ARPACK needs k < n, so k == n forms S and N in W's buffer for
-    LAPACK's eigh. A graph with more connected components than k has a
+    degree diagonal, so these are the k largest eigenvectors of N. ARPACK's
+    implicitly restarted Lanczos computes only those k, for 2 <= k < n,
+    reading N through its product N x = D^{-1/2} (S y + S^T y) / 2 with
+    y = D^{-1/2} x, taken from the graph's structure, so no n x n array is
+    formed; the degrees are the mean of S's row and column sums. An array S
+    is read as the graph it is. It starts from a fixed random vector, so the
+    result is deterministic; the start is not the vector of ones, because on
+    a regular graph that is an exact eigenvector of N and its Krylov space
+    does not grow. A graph with more connected components than k has a
     repeated top eigenvalue and no unique embedding. Rows of the eigenvector
     block are normalized to unit length; all-zero rows are left as zero.
     Isolated samples (zero degree) trigger a DegenerateGraphWarning and have
@@ -66,16 +64,9 @@ def spectral_embed(S: ConsensusGraph | Array, k: int) -> Array:
     """
     S = as_graph(S)
     n = S.shape[0]
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if k < n:
-        deg = 0.5 * (S.row_sums() + S.col_sums())
-    else:
-        D = S.dense()
-        W = D + D.T
-        del D
-        W *= 0.5
-        deg = W.sum(axis=1)
+    if not 2 <= k < n:
+        raise ValueError(f"need 2 <= k < n, got k={k}, n={n}")
+    deg = 0.5 * (S.row_sums() + S.col_sums())
     if deg.min() <= 0:
         warnings.warn(
             f"{int((deg <= 0).sum())} isolated sample(s); degrees floored",
@@ -84,27 +75,19 @@ def spectral_embed(S: ConsensusGraph | Array, k: int) -> Array:
         )
         deg = np.maximum(deg, DEGREE_FLOOR)
     d_isqrt = 1.0 / np.sqrt(deg)
-    # both solvers return N's top k in ascending order; L_sym = I - N has
-    # the same eigenvectors, its smallest first in reverse order
-    if k < n:
 
-        def matvec(x):
-            y = d_isqrt * x.ravel()
-            z = S.matmat(y)
-            z += S.rmatmat(y)
-            z *= 0.5 * d_isqrt
-            return z
+    def matvec(x):
+        y = d_isqrt * x.ravel()
+        z = S.matmat(y)
+        z += S.rmatmat(y)
+        z *= 0.5 * d_isqrt
+        return z
 
-        v0 = np.random.default_rng(0).standard_normal(n)
-        N = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-        _, U = eigsh(N, k, which="LA", v0=v0)
-    else:
-        # float addition commutes, so W is exactly symmetric and its transpose
-        # is the same matrix in the Fortran order LAPACK overwrites without a copy
-        N = W.T
-        N *= d_isqrt[:, None]
-        N *= d_isqrt[None, :]
-        _, U = eigh(N, overwrite_a=True, subset_by_index=[n - k, n - 1])
+    v0 = np.random.default_rng(0).standard_normal(n)
+    N = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    # N's top k come in ascending order; L_sym = I - N has the same
+    # eigenvectors, its smallest first in reverse order
+    _, U = eigsh(N, k, which="LA", v0=v0)
     E = U[:, ::-1]
     norms = np.linalg.norm(E, axis=1)
     nz = norms > 0
@@ -157,6 +140,8 @@ def kmeans(points: Array, k: int, restarts: int = 10, seed=0) -> Partition:
     sum of squares. Deterministic for a fixed seed."""
     X = np.asarray(points, dtype=np.float64)
     n = X.shape[0]
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     if restarts < 1:
@@ -172,5 +157,10 @@ def kmeans(points: Array, k: int, restarts: int = 10, seed=0) -> Partition:
 
 
 def cluster_graph(S: ConsensusGraph | Array, k: int, restarts: int = 10, seed=0) -> Partition:
-    """Spectral embedding of S (a `ConsensusGraph` or an n x n array) followed by k-means."""
+    """Spectral embedding of S (a `ConsensusGraph` or an n x n array) followed
+    by k-means; at k = n, the n singletons."""
+    S = as_graph(S)
+    n = S.shape[0]
+    if 2 <= k == n:
+        return Partition(np.arange(n), n)
     return kmeans(spectral_embed(S, k), k, restarts=restarts, seed=seed)

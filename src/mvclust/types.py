@@ -26,7 +26,6 @@ from .errors import (
 
 Array = np.ndarray
 
-ROW_SUM_TOL = 1e-9
 ALPHA_SUM_TOL = 1e-12
 
 
@@ -216,39 +215,18 @@ class ModelState:
         return len(self.views)
 
     def validate(self) -> "ModelState":
-        """Check every state invariant (graph, weights, stacks); raise on violation.
+        """Check every state invariant (stacks, graph, weights); raise on violation.
 
-        A non-finite factor raises NonFiniteFactorError. The graph is checked
-        on its structure: its smallest entry block by block, its diagonal in
-        C and its row sums from the factors, after a structured graph's G,
-        theta and C entries, and the diagonal q of Q = G^T G, are checked
-        finite. Each check is written so that a NaN fails it.
+        A non-finite factor raises NonFiniteFactorError. The graph checks
+        itself (`ConsensusGraph.validate`). Each check is written so that a
+        NaN fails it.
         """
         n = self.n
         if len(self.stacks) != self.num_views:
             raise DimensionMismatchError("one factor stack per view is required")
         for v, (X, st) in enumerate(zip(self.views, self.stacks)):
             st.validate(d=X.shape[0], n=n, view=v)
-        S = self.S
-        if S.shape != (n, n):
-            raise DimensionMismatchError(f"S has shape {S.shape}, expected ({n}, {n})")
-        # an array's NaN entry fails the checks below; a structure's would
-        # reach only some entries, so its parts are checked once here
-        if not isinstance(S.C, np.ndarray):
-            if not all(np.isfinite(a).all() for a in (S.G, S.theta, S.C.data)):
-                raise MvclustError("S has a non-finite top, threshold or correction entry")
-            # finite tops can still overflow their Gram; a row sum would
-            # then read inf - inf
-            if not np.isfinite(S.q).all():
-                raise MvclustError("S has a non-finite Q: the tops' Gram overflows")
-        lowest = S.min()
-        if not lowest >= 0:
-            raise MvclustError(f"S has a negative or NaN entry ({lowest:.3e})")
-        if S.C.diagonal().any():
-            raise MvclustError("S has a nonzero diagonal entry")
-        row_err = np.abs(S.row_sums() - 1.0).max()
-        if not row_err <= ROW_SUM_TOL:
-            raise MvclustError(f"S row sums deviate from 1 by {row_err:.3e}")
+        self.S.validate(n)
         if self.alpha.shape != (self.num_views,):
             raise DimensionMismatchError("alpha must have one weight per view")
         if not self.alpha.min() >= 0:

@@ -97,6 +97,12 @@ def blockwise_graph_term(state) -> float:
     return graph
 
 
+def graph_from_tops(G):
+    """`consensus_graph` of raw stacked tops G: one view of weight 1, whose
+    stacked top sqrt(1) G is G bit for bit."""
+    return consensus_graph(np.ones(1), [FactorStack(mappings=[], top=G)])
+
+
 def direct_fit(ds, cfg):
     """`fit`'s loop run on the views as given, every view in feature space,
     for cfg.max_outer_iters iterations (test oracle for fitting tall views
@@ -106,8 +112,7 @@ def direct_fit(ds, cfg):
     for _ in range(cfg.max_outer_iters):
         for v in range(state.num_views):
             sweep_view(state, v)
-        state.S = consensus_graph(stacked_tops(state.alpha, state.stacks))
-        state.S.alpha = state.alpha.copy()
+        state.S = consensus_graph(state.alpha, state.stacks)
         state.alpha = update_view_weights(state)
         history.append(objective(state))
     return state, np.asarray(history)
@@ -237,8 +242,9 @@ def svd_pinv(A, expected_rank=None):
 
 
 def dense_spectral_embed(S, k):
-    """The spectral embedding with W and N formed as separate n x n arrays
-    (bit-level oracle for `spectral_embed` on a graph without isolated samples)."""
+    """The spectral embedding with W and N formed as separate n x n arrays,
+    by LAPACK's dense eigh (oracle for `spectral_embed` on a graph without
+    isolated samples)."""
     n = S.shape[0]
     W = (S + S.T) * 0.5
     d_isqrt = 1.0 / np.sqrt(W.sum(axis=1))

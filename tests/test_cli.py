@@ -1,8 +1,10 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
+from mvclust import MultiViewDataset
 from mvclust.cli import DEFAULT_BETA_GRID, build_parser, main, parse_beta
 
 from conftest import hierarchical_dataset
@@ -332,3 +334,17 @@ def test_ablate_depth_one_matches_cluster(tmp_path):
         report = json.loads(report_path.read_text())
         assert float(depth1_row[6]) == pytest.approx(report["metrics"]["acc"], abs=1e-12)
         assert float(depth1_row[3]) == report["objective_history"][-1]
+
+
+def test_cluster_with_as_many_clusters_as_samples(tmp_path):
+    # k = n: the graph's partition is the n singletons, with no embedding
+    rng = np.random.default_rng(0)
+    views = [rng.random((6, 4)), rng.random((5, 4))]
+    data = tmp_path / "kn"
+    save_dataset(MultiViewDataset(views=views, labels=[2, 0, 3, 1]), data)
+    out = tmp_path / "r.json"
+    assert main(["cluster", "--data", str(data), "--layers", "4", "--beta", "0.5",
+                 "--max-iter", "3", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["labels"] == [0, 1, 2, 3]
+    assert report["metrics"]["acc"] == 1.0

@@ -10,12 +10,11 @@ from mvclust.consensus import (
     consensus_graph,
     gram_similarity,
     project_to_simplex,
-    stacked_tops,
     update_consensus_graph,
     update_view_weights,
 )
 
-from conftest import brute_force_row_projection, random_state, traced_peak
+from conftest import brute_force_row_projection, graph_from_tops, random_state, traced_peak
 
 
 def test_gram_of_indicator_is_block_matrix():
@@ -222,7 +221,7 @@ def test_graph_step_with_a_non_finite_top_leaves_s_untouched():
     state.stacks[1].top[0, BLOCK_ROWS + 2] = np.nan
     before = state.S.dense()
     with pytest.raises(ValueError, match="finite tops"):
-        state.S = consensus_graph(stacked_tops(state.alpha, state.stacks))
+        state.S = consensus_graph(state.alpha, state.stacks)
     assert np.array_equal(state.S.dense(), before)
 
 
@@ -250,7 +249,7 @@ def test_graph_step_holds_some_graphs_as_arrays(case, monkeypatch):
         # Q near 1e6 and each row spread by less than 1/(n - 1): every entry
         # is kept, and theta_i from the row sums would be off by about 1e-10
         G = np.vstack([np.full(n, 1e3), 0.01 * rng.random(n)])
-    graph = consensus_graph(G)
+    graph = graph_from_tops(G)
     assert isinstance(graph.C, np.ndarray) and graph.G.shape == (0, n)
     # both are found before the scan projects a block, so the kernel runs
     # only on the array's own blocks and the step costs what the array does
@@ -267,4 +266,4 @@ def test_graph_step_holds_some_graphs_as_arrays(case, monkeypatch):
 def test_graph_step_rejects_an_overflowing_q():
     G = np.full((2, 2 * BLOCK_ROWS + 3), 1e200)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite Q"):
-        consensus_graph(G)
+        graph_from_tops(G)

@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mvclust import (
@@ -253,6 +253,7 @@ def matrix_files(draw):
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=matrix_files())
+@example(text="0\n0,1")  # a comma file whose first row has one column: ragged at line 2
 def test_read_matrix_agrees_with_direct_reader(tmp_path, text):
     f = tmp_path / "m.txt"
     f.write_text(text)

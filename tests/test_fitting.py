@@ -371,11 +371,11 @@ def test_a_failed_graph_step_leaves_no_graph(monkeypatch):
     consensus_graph = mvclust.fitting.consensus_graph
     steps, seen = [], []
 
-    def overflowing_step(G):
-        steps.append(G)
+    def overflowing_step(alpha, stacks):
+        steps.append(alpha)
         if len(steps) == 2:
             raise ValueError("graph projection needs a finite Q")
-        return consensus_graph(G)
+        return consensus_graph(alpha, stacks)
 
     monkeypatch.setattr(mvclust.fitting, "consensus_graph", overflowing_step)
     cfg = simple_config([4, 3], max_outer_iters=5, pretrain_iters=10)

@@ -2,6 +2,7 @@
 but left in `__all__`, or a console script that no longer resolves, must fail
 here."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -83,3 +84,19 @@ def test_a_row_space_fit_imports_nothing_new():
     )
     proc = _run_in_fresh_interpreter(["-c", code])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_consensus_reads_the_graphs_parts():
+    # the consensus module owns how S is held: no other module reads its
+    # parts (G, theta, C, q) or forms it whole or by rows, so a change of
+    # form stays in one file
+    names = {"G", "theta", "C", "q", "dense", "row_blocks", "projected_from"}
+    package = Path(mvclust.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "consensus.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in names
+    ]
+    assert found == []

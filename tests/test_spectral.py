@@ -8,14 +8,13 @@ from mvclust import cluster_graph, kmeans
 from mvclust.consensus import (
     BLOCK_ROWS,
     as_graph,
-    consensus_graph,
     gram_similarity,
     update_consensus_graph,
 )
 from mvclust.errors import DegenerateGraphWarning
 from mvclust.spectral import _lloyd, spectral_embed
 
-from conftest import dense_spectral_embed, hierarchical_dataset, jacobi_eigh, traced_peak
+from conftest import dense_spectral_embed, graph_from_tops, hierarchical_dataset, jacobi_eigh, traced_peak
 
 
 def block_graph(sizes):
@@ -130,6 +129,15 @@ def test_kmeans_empty_cluster_reseeded():
     assert np.isfinite(centers).all() and np.isfinite(wcss)
 
 
+@pytest.mark.parametrize(
+    "k, restarts, message",
+    [(0, 1, "k >= 1"), (-1, 1, "k >= 1"), (6, 1, "n >= k"), (2, 0, "restarts must be >= 1")],
+)
+def test_kmeans_rejects_bad_arguments(k, restarts, message):
+    with pytest.raises(ValueError, match=message):
+        kmeans(np.random.default_rng(5).standard_normal((5, 2)), k, restarts=restarts)
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_kmeans_keeps_every_cluster_on_duplicated_points(k):
     # every k-means++ center lands on the one distinct point, so k - 1 clusters
@@ -181,11 +189,21 @@ def test_spectral_embed_matches_dense_oracle():
 @pytest.mark.parametrize("n, k", [(3, 2), (12, 11), (12, 12)])
 def test_spectral_embed_structural_edges(n, k):
     # n = 3, k = 2 is the smallest case ARPACK runs, k = n - 1 its largest;
-    # k == n takes the dense eigh, which is the oracle's own call
+    # k == n has no embedding, and its partition is the n singletons
     S = _seeded_graph(n)
-    E = _assert_matches_dense_oracle(S, k)
-    if k == n:
-        assert np.array_equal(E, dense_spectral_embed(S, k))
+    if k < n:
+        _assert_matches_dense_oracle(S, k)
+        return
+    # Q's row sums are about 1.1, so no entry is cut and S keeps its structure
+    G = 0.5 + np.random.default_rng(0).random((3, n))
+    G *= np.sqrt(1.1 / (G.T @ G.sum(axis=1)).mean())
+    structured = graph_from_tops(G)
+    assert not isinstance(structured.C, np.ndarray)
+    for graph in (S, structured):
+        with pytest.raises(ValueError, match="k < n"):
+            spectral_embed(graph, k)
+        part = cluster_graph(graph, k)
+        assert part.k == n and np.array_equal(part.labels, np.arange(n))
 
 
 @pytest.mark.parametrize("sizes", [[100, 100, 100], [80, 120, 100, 60]])
@@ -222,7 +240,7 @@ def test_spectral_operator_matches_dense_n(graph):
     n = 2 * BLOCK_ROWS + 3
     rng = np.random.default_rng(3)
     if graph == "blocked projection":
-        S = consensus_graph(rng.random((4, n)) ** 4)
+        S = graph_from_tops(rng.random((4, n)) ** 4)
     else:
         S = rng.random((n, n)) ** 3
         np.fill_diagonal(S, 0.0)

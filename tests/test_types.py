@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 from mvclust import FitConfig, LayerSpec, MultiViewDataset, validate_dataset
-from mvclust.consensus import ConsensusGraph, consensus_graph
+from mvclust.consensus import ConsensusGraph
 from mvclust.errors import (
     DimensionMismatchError,
     LabelRangeError,
@@ -15,7 +15,13 @@ from mvclust.errors import (
     NonFiniteFactorError,
 )
 
-from conftest import random_state
+from conftest import graph_from_tops, random_state
+
+
+def _graph_checks(state):
+    """The state's check and its graph's own: each graph rejection below
+    must come from both, with the same message."""
+    return [state.validate, lambda: state.S.validate(state.n)]
 
 
 def test_validate_wellformed_two_views():
@@ -117,18 +123,23 @@ def test_model_state_invariants_on_random_state():
 
 
 def test_model_state_rejects_bad_graph():
-    state = random_state(seed=6)
-    S = state.S.dense()
-    S[0, 1] = -0.1
-    state = replace(state, S=S)
-    with pytest.raises(MvclustError):
-        state.validate()
-    state = random_state(seed=6)
-    S = state.S.dense()
-    S[2, 2] = 0.5
-    state = replace(state, S=S)
-    with pytest.raises(MvclustError):
-        state.validate()
+    for case, message in [
+        ("negative", "negative or NaN entry"),
+        ("diagonal", "nonzero diagonal entry"),
+        ("row sum", "row sums deviate from 1"),
+    ]:
+        state = random_state(seed=6)
+        S = state.S.dense()
+        if case == "negative":
+            S[0, 1] = -0.1
+        elif case == "diagonal":
+            S[2, 2] = 0.5
+        else:
+            S[0, 1] += 0.1
+        state = replace(state, S=S)
+        for check in _graph_checks(state):
+            with pytest.raises(MvclustError, match=message):
+                check()
     state = random_state(seed=6)
     state.alpha = state.alpha * 0.9
     with pytest.raises(MvclustError):
@@ -143,14 +154,15 @@ def test_model_state_rejects_a_nan_graph_entry():
     state = random_state(seed=6)
     S = state.S.dense()
     S[0, 1] = np.nan
-    with pytest.raises(MvclustError, match="negative or NaN entry"):
-        replace(state, S=S).validate()
+    for check in _graph_checks(replace(state, S=S)):
+        with pytest.raises(MvclustError, match="negative or NaN entry"):
+            check()
 
 
 @pytest.mark.parametrize("part", ["G", "theta", "C"])
 def test_model_state_rejects_a_non_finite_graph_structure(part):
     state = random_state(seed=6)
-    graph = consensus_graph(np.ones((2, state.n)))
+    graph = graph_from_tops(np.ones((2, state.n)))
     G, theta = graph.G.copy(), graph.theta.copy()
     C = sparse.csr_array(([0.0], ([0], [1])), shape=graph.shape)
     if part == "G":
@@ -159,8 +171,9 @@ def test_model_state_rejects_a_non_finite_graph_structure(part):
         theta[3] = np.inf
     else:
         C.data[0] = np.nan
-    with pytest.raises(MvclustError, match="non-finite top, threshold or correction"):
-        replace(state, S=ConsensusGraph(G, theta, C)).validate()
+    for check in _graph_checks(replace(state, S=ConsensusGraph(G, theta, C))):
+        with pytest.raises(MvclustError, match="non-finite top, threshold or correction"):
+            check()
 
 
 def test_model_state_rejects_nan_row_sums():
@@ -173,8 +186,9 @@ def test_model_state_rejects_nan_row_sums():
     with np.errstate(over="ignore", invalid="ignore"):
         S = ConsensusGraph(np.full((1, n), 1e155), np.zeros(n), sparse.csr_array((n, n)))
         assert np.isnan(S.row_sums()).all()
-    with pytest.raises(MvclustError, match="non-finite Q"):
-        replace(state, S=S).validate()
+    for check in _graph_checks(replace(state, S=S)):
+        with pytest.raises(MvclustError, match="non-finite Q"):
+            check()
 
 
 @pytest.mark.parametrize(
