@@ -106,6 +106,13 @@ def _resolve_k(layers: list[int], known_k: int | None) -> int:
 
 
 def _load_normalized(args) -> tuple[MultiViewDataset, int | None]:
+    """The dataset and its known cluster count, after checking that --out
+    can name a new file, so that no fit runs for a result it could not write."""
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise MvclustError(f"--out directory {out.parent} does not exist")
+    if out.is_dir():
+        raise MvclustError(f"--out {out} is a directory")
     ds = load_dataset(args.data)
     known = {ds.k, read_manifest(args.data).k, getattr(args, "k", None)} - {None}
     if len(known) > 1:

@@ -10,7 +10,7 @@ diagonal of Q and C a sparse correction at the entries the projection cut
 to zero, and no n x n array is formed: Q is scanned BLOCK_ROWS rows at a
 time for the cut entries, and every consumer reads the structure. A graph
 that the structure would not hold cheaply or exactly is held as its n x n
-array (see `consensus_graph`). The view weights alpha solve a
+array (see `update_consensus_graph`). The view weights alpha solve a
 V-dimensional simplex-constrained quadratic program exactly, by trying
 every support. That costs 2^V small solves, so the view count is capped.
 """
@@ -89,8 +89,8 @@ class ConsensusGraph:
     O(n r m + nnz C) for m right-hand sides, and `row_blocks` yields S
     BLOCK_ROWS rows at a time. G, theta and `alpha` become the graph's own
     and read-only: a new graph replaces an old one. `alpha` is None, or the
-    weights G stacks the tops with, recorded by `consensus_graph`, so that
-    the graph can tell whether it was projected from a state's tops
+    weights G stacks the tops with, recorded by `update_consensus_graph`,
+    so that the graph can tell whether it was projected from a state's tops
     (`projected_from`). This module alone reads these parts: every other
     reads S through its products, sums, checks and graph term.
     """
@@ -292,22 +292,15 @@ def compute_Q(state) -> Array:
     return gram_similarity(stacked_tops(state.alpha, state.stacks))
 
 
-def project_rows_to_simplex(V: Array) -> Array:
-    """Euclidean projection of every row of V onto {x >= 0, sum(x) = 1}.
+def _project_rows_in_place(V: Array) -> tuple[Array, Array]:
+    """Euclidean projection of every row of the float64 array V onto
+    {x >= 0, sum(x) = 1}, in V's own buffer.
 
     Michelot's exact thresholding, vectorized over rows: entries at or below
     theta, the support's mean excess over 1, leave the support until no row
     changes, within p passes. -inf entries never enter it and project to 0.
-    V itself is left unchanged.
+    Returns (theta, shift): row i kept max(V_ij - shift_i - theta_i, 0).
     """
-    V = np.array(V, dtype=np.float64)
-    _project_rows_in_place(V)
-    return V
-
-
-def _project_rows_in_place(V: Array) -> tuple[Array, Array]:
-    """project_rows_to_simplex on a float64 array it overwrites. Returns
-    (theta, shift): row i kept max(V_ij - shift_i - theta_i, 0)."""
     # shift-invariant; a row maximum of 0 keeps huge sums from absorbing the 1
     shift = V.max(axis=1)
     V -= shift[:, None]
@@ -329,7 +322,9 @@ def _project_rows_in_place(V: Array) -> tuple[Array, Array]:
 # no caller in the package; bench/worker.py patches it by this name to count calls
 def project_to_simplex(v: Array) -> Array:
     """Euclidean projection of one vector onto the probability simplex."""
-    return project_rows_to_simplex(v[None, :])[0]
+    V = np.array(v[None, :], dtype=np.float64)
+    _project_rows_in_place(V)
+    return V[0]
 
 
 def _project_graph_block(B: Array, diag: Array) -> tuple[Array, Array]:
@@ -341,27 +336,9 @@ def _project_graph_block(B: Array, diag: Array) -> tuple[Array, Array]:
     return _project_rows_in_place(B)
 
 
-def update_consensus_graph(Q: Array) -> Array:
-    """Nearest feasible graph to Q: row-wise projection with the diagonal
-    coordinate excluded and pinned to zero.
-
-    Every row of the result sums to 1 exactly (to float precision), is
-    nonnegative, and has a zero diagonal entry. Q is projected in place and
-    returned (other dtypes are converted first), so pass a copy to keep Q.
-    `consensus_graph` is the same projection, held as a `ConsensusGraph`.
-    """
-    Q = np.asarray(Q, dtype=np.float64)
-    if Q.shape[0] < 2:
-        raise ValueError("graph projection needs at least 2 samples")
-    if not np.isfinite(Q).all():
-        raise ValueError("graph projection needs a finite Q")
-    _project_graph_block(Q, np.arange(Q.shape[0]))
-    return Q
-
-
 def _dense_graph(G: Array) -> ConsensusGraph:
-    """update_consensus_graph(G^T G), projected block by block in one n x n
-    array and held as that (G empty, C = S)."""
+    """The graph step's projection of G^T G, made block by block in one
+    n x n array and held as that (G empty, C = S)."""
     n = G.shape[1]
     S = np.empty((n, n))
     for i, B in gram_row_blocks(G, out=S):
@@ -369,18 +346,19 @@ def _dense_graph(G: Array) -> ConsensusGraph:
     return ConsensusGraph.from_dense(S)
 
 
-def consensus_graph(alpha: Array, stacks) -> ConsensusGraph:
-    """update_consensus_graph(G^T G) for the stacked tops G =
-    `stacked_tops(alpha, stacks)` (Vk x n), as a `ConsensusGraph` that
-    records alpha.
+def update_consensus_graph(alpha: Array, stacks) -> ConsensusGraph:
+    """Nearest feasible graph to Q = G^T G for the stacked tops G =
+    `stacked_tops(alpha, stacks)` (Vk x n): each row projected onto the
+    simplex with its diagonal coordinate excluded and pinned to zero, as a
+    `ConsensusGraph` that records alpha.
 
     A row whose every off-diagonal Q_ij exceeds theta_i = (sum_{j!=i} Q_ij -
     1)/(n - 1) keeps them all (Michelot's first pass), and the row sums come
     from G^T (G 1) - q in O(n Vk). So Q is formed BLOCK_ROWS rows at a time
     only to read each row's off-diagonal minimum; the rows that fail go
     through the projection kernel, which gives their theta_i, and C takes
-    their cut entries. S is held as its n x n array instead, projected by
-    the kernel block by block as `update_consensus_graph` would, when a row
+    their cut entries. S is held as its n x n array instead, every row
+    projected by the kernel block by block (`_dense_graph`), when a row
     sum of |Q| exceeds ROW_SUM_LIMIT, or once C would hold more than
     CUT_SHARE of the entries of the rows scanned so far, judged also before
     each block is projected: a graph cut heavily throughout turns to the

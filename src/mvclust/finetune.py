@@ -24,8 +24,9 @@ Array = np.ndarray
 
 def update_mapping(
     X: Array, psi: Array | None, hhat: Array, psi_rank: int, hhat_rank: int
-) -> Array:
-    """Exact minimizer of ||X - psi Z hhat||_F over Z; psi None means identity.
+) -> tuple[Array, Array]:
+    """Exact minimizer Z of ||X - psi Z hhat||_F; psi None means identity.
+    Returns (Z, hhat^+).
 
     Z = psi^+ X hhat^+ with Moore-Penrose pseudo-inverses (these reduce
     to (psi^T psi)^{-1} psi^T and hhat^T (hhat hhat^T)^{-1} at full rank;
@@ -35,9 +36,9 @@ def update_mapping(
     """
     right = mp_pinv(hhat, warn_context="update_mapping", expected_rank=hhat_rank)
     if psi is None:
-        return X @ right
+        return X @ right, right
     left = mp_pinv(psi, warn_context="update_mapping", expected_rank=psi_rank)
-    return (left @ X) @ right
+    return (left @ X) @ right, right
 
 
 def update_top(state: ModelState, v: int, PhitX: Array, PhitPhi: Array) -> Array:
@@ -84,16 +85,12 @@ def sweep_view(state: ModelState, v: int) -> None:
     Phi = None
     for i, hhat in enumerate(hhats):
         hhat_rank = min(min(widths[i:]), hhat.shape[1])
-        if Phi is None:
-            # Z_1 = X P as `update_mapping` forms it, with P kept where it is
-            # no larger than Z_1: a view fitted in its row space lifts Z_1 by it
-            P = mp_pinv(hhat, warn_context="update_mapping", expected_rank=hhat_rank)
-            mappings[0] = X @ P
-            if X.shape[0] >= X.shape[1]:
-                stack.right_factor = P
-            del P  # not held through the top steps
-        else:
-            mappings[i] = update_mapping(X, Phi, hhat, psi_rank, hhat_rank)
+        mappings[i], right = update_mapping(X, Phi, hhat, psi_rank, hhat_rank)
+        if Phi is None and X.shape[0] >= X.shape[1]:
+            # Z_1 = X P, with P kept where it is no larger than Z_1: a view
+            # fitted in its row space lifts Z_1 by it
+            stack.right_factor = right
+        del right  # not held through the top steps
         Phi = mappings[i] if Phi is None else Phi @ mappings[i]
     PhitX = Phi.T @ X
     PhitPhi = Phi.T @ Phi

@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import lapack
 
-from .consensus import MAX_VIEWS, consensus_graph, update_view_weights
-# no caller here; bench/worker.py wraps fitting.compute_Q and fitting.update_consensus_graph
-from .consensus import compute_Q, update_consensus_graph  # noqa: F401
+from .consensus import MAX_VIEWS, update_consensus_graph, update_view_weights
+# no caller here; bench/worker.py wraps fitting.compute_Q by this name
+from .consensus import compute_Q  # noqa: F401
 from .errors import NonFiniteFactorError, TooManyViewsError
 from .finetune import sweep_view
 from .pretrain import initialize_state
@@ -173,7 +173,7 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
         # the step reads no old graph: drop it first, so that a graph held
         # as an n x n array is not held twice
         state.S = None
-        state.S = consensus_graph(state.alpha, state.stacks)
+        state.S = update_consensus_graph(state.alpha, state.stacks)
         state.alpha = update_view_weights(state)
 
         recon, graph = objective_terms(state)

@@ -21,7 +21,8 @@ from mvclust import (
 )
 from mvclust.consensus import (
     BLOCK_ROWS,
-    consensus_graph,
+    _project_graph_block,
+    _project_rows_in_place,
     stacked_tops,
     update_consensus_graph,
     update_view_weights,
@@ -67,7 +68,7 @@ def random_state(
         alpha = a / a.sum()
     else:
         alpha = np.asarray(alpha, dtype=float)
-    S = update_consensus_graph(rng.random((n, n)))
+    S = project_graph(rng.random((n, n)))
     state = ModelState(views=views, stacks=stacks, S=S, alpha=alpha, beta=beta)
     return state.validate()
 
@@ -97,10 +98,36 @@ def blockwise_graph_term(state) -> float:
     return graph
 
 
+def project_graph(Q):
+    """Nearest feasible graph to Q: row-wise projection with the diagonal
+    coordinate excluded and pinned to zero (dense oracle for the graph step,
+    by the kernel that projects a graph held as an array).
+
+    Every row of the result sums to 1 exactly (to float precision), is
+    nonnegative, and has a zero diagonal entry. Q is projected in place and
+    returned (other dtypes are converted first), so pass a copy to keep Q.
+    """
+    Q = np.asarray(Q, dtype=np.float64)
+    if Q.shape[0] < 2:
+        raise ValueError("graph projection needs at least 2 samples")
+    if not np.isfinite(Q).all():
+        raise ValueError("graph projection needs a finite Q")
+    _project_graph_block(Q, np.arange(Q.shape[0]))
+    return Q
+
+
+def project_rows_to_simplex(V):
+    """Euclidean projection of every row of V onto {x >= 0, sum(x) = 1}, by
+    the graph step's kernel on a copy of V (V itself is left unchanged)."""
+    V = np.array(V, dtype=np.float64)
+    _project_rows_in_place(V)
+    return V
+
+
 def graph_from_tops(G):
-    """`consensus_graph` of raw stacked tops G: one view of weight 1, whose
-    stacked top sqrt(1) G is G bit for bit."""
-    return consensus_graph(np.ones(1), [FactorStack(mappings=[], top=G)])
+    """`update_consensus_graph` of raw stacked tops G: one view of weight 1,
+    whose stacked top sqrt(1) G is G bit for bit."""
+    return update_consensus_graph(np.ones(1), [FactorStack(mappings=[], top=G)])
 
 
 def direct_fit(ds, cfg):
@@ -112,7 +139,7 @@ def direct_fit(ds, cfg):
     for _ in range(cfg.max_outer_iters):
         for v in range(state.num_views):
             sweep_view(state, v)
-        state.S = consensus_graph(state.alpha, state.stacks)
+        state.S = update_consensus_graph(state.alpha, state.stacks)
         state.alpha = update_view_weights(state)
         history.append(objective(state))
     return state, np.asarray(history)
@@ -373,7 +400,7 @@ def recompute_sweep_view(state, v):
     stack = state.stacks[v]
     m = stack.depth
     for i in range(m):
-        stack.mappings[i] = update_mapping(*mapping_factors(state, v, i))
+        stack.mappings[i] = update_mapping(*mapping_factors(state, v, i))[0]
     Phi = ChainCache.compute(stack, m - 1).Phi
     stack.top = update_representation(state.views[v], Phi, stack.top)
     stack.top = update_top(state, v, *top_products(state, v))

@@ -348,3 +348,62 @@ def test_cluster_with_as_many_clusters_as_samples(tmp_path):
     report = json.loads(out.read_text())
     assert report["labels"] == [0, 1, 2, 3]
     assert report["metrics"]["acc"] == 1.0
+
+
+@pytest.mark.parametrize("target", ["in a missing directory", "a directory"])
+@pytest.mark.parametrize("command", [
+    ["cluster", "--layers", "9,3", "--beta", "0.5"],
+    ["sweep", "--beta-grid", "0.5,1", "--layer-grid", "9,3", "--layer-grid", "6,3"],
+])
+def test_an_unwritable_out_fails_before_any_fit(tmp_path, monkeypatch, caplog, command, target):
+    import mvclust.cli as cli
+
+    data = make_dataset_dir(tmp_path)
+    fits = []
+    fit_with_restarts = cli.fit_with_restarts
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return fit_with_restarts(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_with_restarts", counted)
+    if target == "a directory":
+        out = tmp_path / "outdir"
+        out.mkdir()
+        message = f"--out {out} is a directory"
+    else:
+        out = tmp_path / "nodir" / "result"
+        message = f"--out directory {out.parent} does not exist"
+    code = main([*command, "--data", str(data), "--max-iter", "1", "--pretrain-iters", "2",
+                 "--out", str(out)])
+    assert code == 1
+    assert fits == []
+    assert message in caplog.text
+    assert not (tmp_path / "nodir").exists()  # --out's directory is not made either
+
+
+@pytest.mark.parametrize("case, message", [
+    ("cluster into one cluster", "cluster count must be >= 2, got 1"),
+    ("sweep with no cluster count", "need labels, a manifest k, --k, or --layer-grid"),
+    ("view file is a directory", "i/o failure: "),
+])
+def test_unfittable_input_exits_1_naming_the_cause(tmp_path, caplog, case, message):
+    data = _unlabelled_dir(tmp_path)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["k"] = None
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    argv = ["--data", str(data), "--max-iter", "1", "--pretrain-iters", "2", "--out", str(out)]
+    if case == "sweep with no cluster count":
+        argv = ["sweep", "--beta-grid", "0.5", *argv]
+    else:
+        argv = ["cluster", "--layers", "3,1" if case == "cluster into one cluster" else "6,3",
+                "--beta", "0.5", *argv]
+    if case == "view file is a directory":
+        view = data / manifest["view_files"][0]
+        view.unlink()
+        view.mkdir()
+        message += f"[Errno 21] Is a directory: '{view}'"
+    assert main(argv) == 1
+    assert message in caplog.text
+    assert not out.exists()

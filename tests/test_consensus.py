@@ -7,14 +7,13 @@ from mvclust.consensus import (
     ROW_SUM_LIMIT,
     WeightQp,
     compute_Q,
-    consensus_graph,
     gram_similarity,
     project_to_simplex,
     update_consensus_graph,
     update_view_weights,
 )
 
-from conftest import brute_force_row_projection, graph_from_tops, random_state, traced_peak
+from conftest import brute_force_row_projection, graph_from_tops, project_graph, random_state, traced_peak
 
 
 def test_gram_of_indicator_is_block_matrix():
@@ -71,7 +70,7 @@ def test_projection_leaves_feasible_rows_alone():
             [0.0625, 0.0625, 0.125, 0.75, 0.0],
         ]
     )
-    S = update_consensus_graph(Q.copy())
+    S = project_graph(Q.copy())
     assert np.array_equal(S, Q)
     # float-normalized feasible rows survive within rounding
     n = 5
@@ -81,12 +80,12 @@ def test_projection_leaves_feasible_rows_alone():
         row = rng.random(n)
         row[i] = 0.0
         Q[i] = row / row.sum()
-    assert np.abs(update_consensus_graph(Q.copy()) - Q).max() <= 1e-15
+    assert np.abs(project_graph(Q.copy()) - Q).max() <= 1e-15
 
 
 def test_projection_of_zero_matrix_is_uniform():
     n = 6
-    S = update_consensus_graph(np.zeros((n, n)))
+    S = project_graph(np.zeros((n, n)))
     expected = np.full((n, n), 1.0 / (n - 1))
     np.fill_diagonal(expected, 0.0)
     assert np.allclose(S, expected, atol=1e-15)
@@ -97,7 +96,7 @@ def test_projection_matches_active_set_oracle():
     n = 5
     for _ in range(1000):
         Q = rng.standard_normal((n, n)) * rng.choice([0.1, 1.0, 10.0])
-        S = update_consensus_graph(Q.copy())
+        S = project_graph(Q.copy())
         i = rng.integers(n)
         oracle = brute_force_row_projection(Q[i], i)
         assert np.linalg.norm(S[i] - oracle) <= 1e-8
@@ -105,8 +104,8 @@ def test_projection_matches_active_set_oracle():
 
 def test_projection_runs_in_its_arguments_buffer():
     Q = np.random.default_rng(9).standard_normal((6, 6))
-    expected = update_consensus_graph(Q.copy())
-    S = update_consensus_graph(Q)
+    expected = project_graph(Q.copy())
+    S = project_graph(Q)
     assert S is Q
     assert np.array_equal(S, expected)
 
@@ -114,11 +113,11 @@ def test_projection_runs_in_its_arguments_buffer():
 def test_projection_feasibility_and_idempotence():
     rng = np.random.default_rng(6)
     Q = rng.standard_normal((40, 40)) * 3
-    S = update_consensus_graph(Q)
+    S = project_graph(Q)
     assert S.min() >= 0
     assert np.all(np.diag(S) == 0)
     assert np.abs(S.sum(axis=1) - 1).max() <= 1e-12
-    S2 = update_consensus_graph(S.copy())
+    S2 = project_graph(S.copy())
     assert np.abs(S2 - S).max() <= 1e-12
 
 
@@ -126,7 +125,7 @@ def test_projection_beats_random_feasible_points():
     rng = np.random.default_rng(7)
     n = 7
     Q = rng.standard_normal((n, n))
-    S = update_consensus_graph(Q.copy())
+    S = project_graph(Q.copy())
     for i in range(n):
         d_star = np.linalg.norm(S[i] - Q[i])
         for _ in range(100):
@@ -209,8 +208,8 @@ def test_graph_projection_holds_few_nxn_arrays():
     # n x n floats (1.26 with a copy of Q, 6.1 with the sort-based projection)
     n = 1000
     Q = gram_similarity(np.random.default_rng(0).random((3, n)))
-    expected = update_consensus_graph(Q.copy())
-    arrays = traced_peak(update_consensus_graph, Q) / Q.nbytes
+    expected = project_graph(Q.copy())
+    arrays = traced_peak(project_graph, Q) / Q.nbytes
     assert arrays <= 0.5
     assert np.array_equal(Q, expected)
 
@@ -221,7 +220,7 @@ def test_graph_step_with_a_non_finite_top_leaves_s_untouched():
     state.stacks[1].top[0, BLOCK_ROWS + 2] = np.nan
     before = state.S.dense()
     with pytest.raises(ValueError, match="finite tops"):
-        state.S = consensus_graph(state.alpha, state.stacks)
+        state.S = update_consensus_graph(state.alpha, state.stacks)
     assert np.array_equal(state.S.dense(), before)
 
 
@@ -257,7 +256,7 @@ def test_graph_step_holds_some_graphs_as_arrays(case, monkeypatch):
     S = graph.dense()
     assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-12
     Q = gram_similarity(G)
-    expected = update_consensus_graph(Q.copy())
+    expected = project_graph(Q.copy())
     assert np.abs(S - expected).max() <= 1e-12 * max(1.0, Q.max())
     if case == "most entries cut":
         assert (expected > 0).sum() < (1 - CUT_SHARE) * n * n

@@ -185,6 +185,7 @@ def test_labels_parse_and_validation(tmp_path):
         ("labels.txt", "0\n\n1.0\n", 3, 1),
         ("labels.txt", "0\n1_0\n", 2, 1),
         ("labels.txt", "", None, None),
+        ("manifest.json", '{"view_files": ["v.txt"],\n  "k": }', 2, 8),
     ],
 )
 def test_format_edges_raise_parse_error(tmp_path, name, text, line, col):

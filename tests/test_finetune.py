@@ -3,13 +3,14 @@ import copy
 import numpy as np
 
 from mvclust import FactorStack, ModelState
-from mvclust.consensus import ConsensusGraph, compute_Q, update_consensus_graph, update_view_weights
+from mvclust.consensus import ConsensusGraph, compute_Q, update_view_weights
 from mvclust.finetune import sweep_view, update_mapping, update_top
 from mvclust.fitting import objective
 
 from conftest import (
     ChainCache,
     mapping_factors,
+    project_graph,
     random_state,
     top_kkt_residual,
     top_products,
@@ -20,7 +21,7 @@ from conftest import (
 
 def test_update_mapping_depth_one_is_basis_update():
     state = random_state(dims=(7,), layer_sizes=(3,), seed=1)
-    Z = update_mapping(*mapping_factors(state, 0, 0))
+    Z = update_mapping(*mapping_factors(state, 0, 0))[0]
     ref = update_basis(state.views[0], state.stacks[0].top)
     assert np.array_equal(Z, ref)
 
@@ -35,12 +36,12 @@ def test_update_mapping_consistent_system():
     state = ModelState(
         views=[X],
         stacks=[FactorStack(mappings=[Z1, Z2], top=H2)],
-        S=update_consensus_graph(np.zeros((n, n))),
+        S=project_graph(np.zeros((n, n))),
         alpha=np.array([1.0]),
         beta=0.5,
     )
     for i in range(2):
-        new_Z = update_mapping(*mapping_factors(state, 0, i))
+        new_Z = update_mapping(*mapping_factors(state, 0, i))[0]
         state.stacks[0].mappings[i] = new_Z
         cache = ChainCache.compute(state.stacks[0], i)
         phi = np.eye(d) if cache.phi is None else cache.phi
@@ -52,7 +53,7 @@ def test_update_mapping_first_order_condition():
         state = random_state(dims=(10, 8), layer_sizes=(5, 3), n=16, seed=30 + seed)
         for v in range(2):
             for i in range(2):
-                state.stacks[v].mappings[i] = update_mapping(*mapping_factors(state, v, i))
+                state.stacks[v].mappings[i] = update_mapping(*mapping_factors(state, v, i))[0]
                 cache = ChainCache.compute(state.stacks[v], i)
                 X = state.views[v]
                 phi = cache.phi if cache.phi is not None else np.eye(X.shape[0])
@@ -64,7 +65,7 @@ def test_update_mapping_first_order_condition():
 def test_update_mapping_optimal_under_perturbation():
     state = random_state(dims=(9,), layer_sizes=(4, 2), seed=3)
     i = 1
-    state.stacks[0].mappings[i] = update_mapping(*mapping_factors(state, 0, i))
+    state.stacks[0].mappings[i] = update_mapping(*mapping_factors(state, 0, i))[0]
     cache = ChainCache.compute(state.stacks[0], i)
     X = state.views[0]
     base = np.linalg.norm(X - cache.phi @ state.stacks[0].mappings[i] @ cache.hhat)
@@ -131,7 +132,7 @@ def test_one_sweep_never_increases_objective():
         before = objective(state)
         for v in range(state.num_views):
             sweep_view(state, v)
-        state.S = ConsensusGraph.from_dense(update_consensus_graph(compute_Q(state)))
+        state.S = ConsensusGraph.from_dense(project_graph(compute_Q(state)))
         state.alpha = update_view_weights(state)
         after = objective(state)
         assert after <= before * (1 + 1e-8)

@@ -16,7 +16,7 @@ from mvclust import (
     generate_synthetic,
     normalize_views,
 )
-from mvclust.consensus import BLOCK_ROWS, compute_Q, update_consensus_graph
+from mvclust.consensus import BLOCK_ROWS, compute_Q
 from mvclust.errors import (
     NonFiniteFactorError,
     RankDeficientError,
@@ -26,7 +26,7 @@ from mvclust.errors import (
 from mvclust.fitting import objective, objective_terms
 from mvclust.pretrain import initialize_state, pretrain_view
 
-from conftest import blockwise_graph_term, random_state, simple_config, traced_peak
+from conftest import blockwise_graph_term, project_graph, random_state, simple_config, traced_peak
 
 
 def _exactly_factorable_state(beta, seed=0, n=15):
@@ -38,7 +38,7 @@ def _exactly_factorable_state(beta, seed=0, n=15):
     X = Z1 @ Z2 @ H2
     stack = FactorStack(mappings=[Z1, Z2], top=H2)
     Q = H2.T @ H2
-    S = update_consensus_graph(Q)
+    S = project_graph(Q)
     return ModelState(views=[X], stacks=[stack], S=S, alpha=np.array([1.0]), beta=beta)
 
 
@@ -368,16 +368,16 @@ def test_fit_names_the_iteration_of_a_non_finite_factor(monkeypatch):
 def test_a_failed_graph_step_leaves_no_graph(monkeypatch):
     import mvclust.fitting
 
-    consensus_graph = mvclust.fitting.consensus_graph
+    update_consensus_graph = mvclust.fitting.update_consensus_graph
     steps, seen = [], []
 
     def overflowing_step(alpha, stacks):
         steps.append(alpha)
         if len(steps) == 2:
             raise ValueError("graph projection needs a finite Q")
-        return consensus_graph(alpha, stacks)
+        return update_consensus_graph(alpha, stacks)
 
-    monkeypatch.setattr(mvclust.fitting, "consensus_graph", overflowing_step)
+    monkeypatch.setattr(mvclust.fitting, "update_consensus_graph", overflowing_step)
     cfg = simple_config([4, 3], max_outer_iters=5, pretrain_iters=10)
     with pytest.raises(ValueError, match="finite Q"):
         fit(_small_dataset(), cfg, on_iteration=lambda state, it, obj: seen.append(state))
@@ -607,21 +607,27 @@ def test_a_graph_from_other_tops_reads_the_graph_term_directly():
 
 
 def test_fit_calls_objective_terms_once_per_iteration_and_once_at_the_start(monkeypatch):
-    # the benchmark finds iteration boundaries from these calls
+    # the benchmark finds iteration boundaries from the objective_terms calls,
+    # and times the graph step through fitting.update_consensus_graph
     import mvclust.fitting as fitting
 
-    calls = []
-    objective_terms = fitting.objective_terms
+    calls = {"objective_terms": 0, "update_consensus_graph": 0}
 
-    def counted(state):
-        calls.append(state)
-        return objective_terms(state)
+    def counted(name):
+        fn = getattr(fitting, name)
 
-    monkeypatch.setattr(fitting, "objective_terms", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fitting, name, counted(name))
     cfg = simple_config([3], max_outer_iters=3, pretrain_iters=5, tol_rel_objective=0.0)
     res = fitting.fit(_small_dataset(), cfg)
     assert res.iters_run == 3
-    assert len(calls) == 1 + 3
+    assert calls == {"objective_terms": 1 + 3, "update_consensus_graph": 3}
 
 
 def _fail_at(iteration, restarts_to_fail):

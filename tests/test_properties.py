@@ -18,10 +18,8 @@ from mvclust.consensus import (
     ConsensusGraph,
     WeightQp,
     compute_Q,
-    consensus_graph,
     gram_row_blocks,
     gram_similarity,
-    project_rows_to_simplex,
     solve_simplex_qp,
     stacked_tops,
     update_consensus_graph,
@@ -39,6 +37,8 @@ from conftest import (
     direct_fit,
     direct_fit_seminmf,
     graph_from_tops,
+    project_graph,
+    project_rows_to_simplex,
     random_state,
     recompute_sweep_view,
     sort_projection,
@@ -278,7 +278,7 @@ def test_graph_projection_feasible_and_exact(n, distinct, exponents, constant_ro
     values = rng.standard_normal(distinct) * 10.0 ** rng.integers(lo, hi + 1, size=distinct)
     Q = values[rng.integers(distinct, size=(n, n))]
     Q[:constant_rows] = Q[:constant_rows, :1]
-    S = update_consensus_graph(Q.copy())
+    S = project_graph(Q.copy())
     assert np.isfinite(S).all()
     assert S.min() >= 0
     assert np.all(np.diag(S) == 0)
@@ -309,11 +309,11 @@ def test_blocked_graph_step_matches_dense_projection(n, rows, scale, zero_cols, 
         # held as an array, S is the kernel's projection of Q's blocks; the
         # projection is row-separable, so they project bit for bit as Q
         Q = np.vstack([block.copy() for _, block in gram_row_blocks(G)])
-        assert np.array_equal(S, update_consensus_graph(Q))
+        assert np.array_equal(S, project_graph(Q))
     # blockwise products in place of one symmetric Gram move Q at rounding
     # level, and the projection is nonexpansive
     dense = gram_similarity(G)
-    oracle = update_consensus_graph(dense.copy())
+    oracle = project_graph(dense.copy())
     assert np.abs(S - oracle).max() <= 1e-12 * max(1.0, dense.max())
 
 
@@ -366,7 +366,7 @@ def test_structured_graph_matches_its_dense_form(n, rows, cut, row_sum, seed):
     if n > 2:
         assert graph.C.nnz > 0
     Q = gram_similarity(G)
-    S = update_consensus_graph(Q.copy())
+    S = project_graph(Q.copy())
     assert np.abs(graph.dense() - S).max() <= 1e-12 * max(1.0, Q.max())
     H = rng.random((3, n))
     pairs = [
@@ -406,7 +406,7 @@ def test_graph_term_from_structure_matches_blockwise_oracle(n, views, k, cut, mo
         H = c * H
         H[:, zero] = 0.0
         stacks.append(FactorStack(mappings=[np.eye(k)], top=H))
-    graph = consensus_graph(alpha_S, stacks)
+    graph = update_consensus_graph(alpha_S, stacks)
     assert not isinstance(graph.C, np.ndarray)
     assert (graph.C.nnz > 0) == (cut > 0 and n > 2)
     if diagonal:
@@ -520,7 +520,7 @@ def _laplacian_embed(S, k):
 @example(n=4, k=3, seed=0)
 def test_spectral_embed_spans_laplacian_eigenvectors(n, k, seed):
     # k < n, ARPACK's range; k = n is cluster_graph's singleton partition
-    S = update_consensus_graph(np.random.default_rng(seed).random((n, n)))
+    S = project_graph(np.random.default_rng(seed).random((n, n)))
     E_oracle, w = _laplacian_embed(S, k)
     assume(w[k] - w[k - 1] >= 1e-6)
     E = spectral_embed(S, k)

@@ -5,16 +5,18 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from mvclust import cluster_graph, kmeans
-from mvclust.consensus import (
-    BLOCK_ROWS,
-    as_graph,
-    gram_similarity,
-    update_consensus_graph,
-)
+from mvclust.consensus import BLOCK_ROWS, as_graph, gram_similarity
 from mvclust.errors import DegenerateGraphWarning
 from mvclust.spectral import _lloyd, spectral_embed
 
-from conftest import dense_spectral_embed, graph_from_tops, hierarchical_dataset, jacobi_eigh, traced_peak
+from conftest import (
+    dense_spectral_embed,
+    graph_from_tops,
+    hierarchical_dataset,
+    jacobi_eigh,
+    project_graph,
+    traced_peak,
+)
 
 
 def block_graph(sizes):
@@ -43,7 +45,7 @@ def test_perfect_two_block_graph():
 
 def test_laplacian_eigenvalue_range_and_symmetry():
     rng = np.random.default_rng(0)
-    S = update_consensus_graph(rng.random((15, 15)))
+    S = project_graph(rng.random((15, 15)))
     W = (S + S.T) / 2
     deg = W.sum(axis=1)
     L = np.eye(15) - W / np.sqrt(np.outer(deg, deg))
@@ -57,7 +59,7 @@ def test_laplacian_eigenvalue_range_and_symmetry():
 def test_embedding_matches_jacobi_oracle():
     rng = np.random.default_rng(1)
     n, k = 8, 3
-    S = update_consensus_graph(rng.random((n, n)))
+    S = project_graph(rng.random((n, n)))
     W = (S + S.T) / 2
     deg = W.sum(axis=1)
     L = np.eye(n) - W / np.sqrt(np.outer(deg, deg))
@@ -164,7 +166,7 @@ def test_baseline_kmeans_helpers():
 
 
 def _seeded_graph(n=1000):
-    return update_consensus_graph(gram_similarity(np.random.default_rng(0).random((3, n))))
+    return project_graph(gram_similarity(np.random.default_rng(0).random((3, n))))
 
 
 def _assert_matches_dense_oracle(S, k):

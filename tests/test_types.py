@@ -193,7 +193,11 @@ def test_model_state_rejects_nan_row_sums():
 
 @pytest.mark.parametrize(
     "alpha, message",
-    [([np.nan, 1.0], "negative or NaN weight"), ([np.inf, 0.0], "alpha sums to")],
+    [
+        ([np.nan, 1.0], "negative or NaN weight"),
+        ([np.inf, 0.0], "alpha sums to"),
+        ([0.5, 0.25, 0.25], "one weight per view"),
+    ],
 )
 def test_model_state_rejects_non_finite_weights(alpha, message):
     state = random_state(seed=6)
@@ -220,15 +224,19 @@ def test_model_state_names_a_non_finite_factor(layer):
 
 
 @pytest.mark.parametrize(
-    "case", ["no mapping", "Z chain", "top rows", "top samples", "non-finite Z", "non-finite top"]
+    "case",
+    ["no mapping", "Z chain", "top rows", "top samples", "non-finite Z", "non-finite top", "stack count"],
 )
 def test_factor_stack_checks_shape_chain_and_top(case):
     # default random_state: views 8 and 6 wide, layers 4,2, n = 12
     state = random_state(seed=7)
     stack = state.stacks[0]
     stack.validate(d=8, n=12)
-    error = DimensionMismatchError
-    if case == "no mapping":
+    error, message = DimensionMismatchError, None
+    if case == "stack count":
+        state.stacks.pop()
+        message = "one factor stack per view"
+    elif case == "no mapping":
         stack.mappings, error = [], MvclustError
     elif case == "Z chain":
         stack.mappings[1] = np.ones((3, 2))
@@ -240,5 +248,5 @@ def test_factor_stack_checks_shape_chain_and_top(case):
         stack.mappings[0][0, 0], error = np.nan, MvclustError
     else:
         stack.top[0, 0], error = np.inf, MvclustError
-    with pytest.raises(error):
+    with pytest.raises(error, match=message):
         state.validate()
