@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list (accepts 2^e); default 2^-7..2^7 odd exponents")
     p.add_argument("--layer-grid", type=parse_int_list, action="append", default=None,
                    help="explicit layer spec, repeatable; replaces the default grid")
-    p.add_argument("--k", type=int, default=None, help="cluster count for unlabelled data; the manifest's k by default")
+    p.add_argument("--k", type=int_at_least(2), default=None,
+                   help="cluster count for unlabelled data; the manifest's k by default")
     p.add_argument("--out", required=True, help="results TSV path")
     p.set_defaults(func=cmd_sweep)
 

@@ -6,9 +6,9 @@ then two multiplicative steps of H_m. The first is `seminmf`'s graph-free
 rule; the second adds the graph terms to its numerator and denominator,
 pulling the weighted Gram mix of the views' tops toward the consensus graph.
 
-A sweep is one pass that forms each chain product once: every right factor
-Z_{i+1}..Z_m H_m before any update, the left factor Z_1..Z_{i-1} as the
-updates go, and Phi^T X and Phi^T Phi once for both top steps.
+A sweep runs in the row space of the top H_m (k x n): with H_m^T = Q_H R_H
+and X Q_H = Q_Y R_Y, every pseudo-inverse is of a factor no larger than
+l_i x k, and X is read in two products only (`sweep_view`).
 """
 
 from __future__ import annotations
@@ -20,25 +20,6 @@ from .seminmf import mp_pinv, multiplicative_step, multiplicative_terms
 from .types import ModelState
 
 Array = np.ndarray
-
-
-def update_mapping(
-    X: Array, psi: Array | None, hhat: Array, psi_rank: int, hhat_rank: int
-) -> tuple[Array, Array]:
-    """Exact minimizer Z of ||X - psi Z hhat||_F; psi None means identity.
-    Returns (Z, hhat^+).
-
-    Z = psi^+ X hhat^+ with Moore-Penrose pseudo-inverses (these reduce
-    to (psi^T psi)^{-1} psi^T and hhat^T (hhat hhat^T)^{-1} at full rank;
-    hhat is low-rank by construction below the top layer, which the SVD
-    handles exactly). A RankDeficientWarning is recorded when a factor's
-    rank drops below its expected rank.
-    """
-    right = mp_pinv(hhat, warn_context="update_mapping", expected_rank=hhat_rank)
-    if psi is None:
-        return X @ right, right
-    left = mp_pinv(psi, warn_context="update_mapping", expected_rank=psi_rank)
-    return (left @ X) @ right, right
 
 
 def update_top(state: ModelState, v: int, PhitX: Array, PhitPhi: Array) -> Array:
@@ -68,31 +49,48 @@ def sweep_view(state: ModelState, v: int) -> None:
     """One fine-tuning pass over view v: Z_1..Z_m in order, then the
     graph-free and the graph-coupled top steps. Mutates the view's stack, so
     views swept in turn see each other's freshest tops. For a view with d >= n
-    it records the right factor P of Z_1 = X P in `right_factor`."""
+    it records the right factor P of Z_1 = X P in `right_factor`.
+
+    With H_m^T = Q_H R_H (Q_H n x r, r = min(n, k)), the right factor
+    Z_{i+1}..Z_m H_m of Z_i is W_i Q_H^T, W_i = Z_{i+1}..Z_m R_H^T (l_i x r),
+    so its pseudo-inverse is Q_H W_i^+, and Z_1 = Y W_1^+ with Y = X Q_H.
+    With Y = Q_Y R_Y, the left factor Z_1..Z_{i-1} is Q_Y C_i, where
+    C_2 = R_Y W_1^+ and C_{i+1} = C_i Z_i, so Z_i = C_i^+ R_Y W_i^+, as
+    Q_Y^T X Q_H = R_Y. With C = C_{m+1}, the chain Phi = Q_Y C gives
+    Phi^T Phi = C^T C and Phi^T X = C^T (Q_Y^T X). These identities keep
+    each factor's singular values, so `mp_pinv` of W_i or C_i makes the
+    rank decision the n x l_i or d x l_i factor would.
+    """
     stack = state.stacks[v]
     X = state.views[v]
+    d, n = X.shape
     mappings = stack.mappings
     widths = [Z.shape[1] for Z in mappings]
-    # right factors Z_{i+1}..Z_m H_m; each reads only mappings above Z_i,
-    # which the loop below has not yet updated when it solves Z_i
-    hhats = [stack.top]
+    Q_H, R_H = np.linalg.qr(stack.top.T)
+    # W_i from the mappings above Z_i, which the loop below has not yet
+    # updated when it solves Z_i
+    Ws = [R_H.T]
     for Z in reversed(mappings[1:]):
-        hhats.append(Z @ hhats[-1])
-    hhats.reverse()
+        Ws.insert(0, Z @ Ws[0])
+    Y = X @ Q_H
+    Q_Y, R_Y = np.linalg.qr(Y)
     # fine-tuned mappings inherit the top layer's rank bound, so the chain's
-    # structural rank is the minimum width overall
-    psi_rank = min(X.shape[0], min(widths))
-    Phi = None
-    for i, hhat in enumerate(hhats):
-        hhat_rank = min(min(widths[i:]), hhat.shape[1])
-        mappings[i], right = update_mapping(X, Phi, hhat, psi_rank, hhat_rank)
-        if Phi is None and X.shape[0] >= X.shape[1]:
-            # Z_1 = X P, with P kept where it is no larger than Z_1: a view
-            # fitted in its row space lifts Z_1 by it
-            stack.right_factor = right
-        del right  # not held through the top steps
-        Phi = mappings[i] if Phi is None else Phi @ mappings[i]
-    PhitX = Phi.T @ X
-    PhitPhi = Phi.T @ Phi
+    # structural rank is the minimum width overall, and at most n
+    psi_rank = min(d, n, min(widths))
+    for i, W in enumerate(Ws):
+        right = mp_pinv(W, warn_context="update_mapping", expected_rank=min(widths[i:] + [n]))
+        if i == 0:
+            mappings[0] = Y @ right
+            if d >= n:
+                # Z_1 = X P, with P kept where it is no larger than Z_1: a
+                # view fitted in its row space lifts Z_1 by it
+                stack.right_factor = Q_H @ right
+            C = R_Y @ right
+        else:
+            left = mp_pinv(C, warn_context="update_mapping", expected_rank=psi_rank)
+            mappings[i] = (left @ R_Y) @ right
+            C = C @ mappings[i]
+    PhitX = C.T @ (Q_Y.T @ X)
+    PhitPhi = C.T @ C
     stack.top = multiplicative_step(stack.top, *multiplicative_terms(PhitX, PhitPhi, stack.top))
     stack.top = update_top(state, v, PhitX, PhitPhi)

@@ -28,7 +28,7 @@ from mvclust.consensus import (
     update_view_weights,
 )
 from mvclust.errors import MissingFileError, ParseError, RankDeficientError, RankDeficientWarning
-from mvclust.finetune import sweep_view, update_mapping, update_top
+from mvclust.finetune import sweep_view, update_top
 from mvclust.fitting import objective
 from mvclust.pretrain import initialize_state
 from mvclust.seminmf import (
@@ -374,6 +374,22 @@ def update_representation(X, Z, H):
     return multiplicative_step(H, *multiplicative_terms(Z.T @ X, Z.T @ Z, H))
 
 
+def update_mapping(X, psi, hhat, psi_rank, hhat_rank):
+    """Exact minimizer Z of ||X - psi Z hhat||_F; psi None means identity.
+    Returns (Z, hhat^+).
+
+    Z = psi^+ X hhat^+, with both pseudo-inverses taken by `mp_pinv` of the
+    n x l and d x l factors themselves, right factor first (test oracle for
+    the sweep's row-space coordinates). A RankDeficientWarning is recorded
+    when a factor's rank drops below its expected rank.
+    """
+    right = mp_pinv(hhat, warn_context="update_mapping", expected_rank=hhat_rank)
+    if psi is None:
+        return X @ right, right
+    left = mp_pinv(psi, warn_context="update_mapping", expected_rank=psi_rank)
+    return (left @ X) @ right, right
+
+
 def mapping_factors(state, v, i):
     """`update_mapping`'s arguments (X, psi, hhat, psi_rank, hhat_rank) for
     layer i of view v, with the chain products rebuilt by `ChainCache` from
@@ -383,7 +399,7 @@ def mapping_factors(state, v, i):
     X = state.views[v]
     widths = [Z.shape[1] for Z in stack.mappings]
     hhat_rank = min(min(widths[i:]), cache.hhat.shape[1])
-    phi_rank = min(X.shape[0], min(widths))
+    phi_rank = min(*X.shape, min(widths))
     return X, cache.phi, cache.hhat, phi_rank, hhat_rank
 
 
@@ -394,13 +410,17 @@ def top_products(state, v):
 
 
 def recompute_sweep_view(state, v):
-    """The sweep with every chain product rebuilt by `ChainCache` for each
-    update, and Phi's products formed again for each top step (test oracle
-    for the single-pass `sweep_view`)."""
+    """The sweep in feature coordinates: every chain product rebuilt by
+    `ChainCache` for each update, each Z_i by `update_mapping`, and Phi's
+    products formed again for each top step (test oracle for the row-space
+    `sweep_view`). For a view with d >= n it records the first layer's
+    hhat^+ in `right_factor`."""
     stack = state.stacks[v]
     m = stack.depth
     for i in range(m):
-        stack.mappings[i] = update_mapping(*mapping_factors(state, v, i))[0]
+        stack.mappings[i], right = update_mapping(*mapping_factors(state, v, i))
+        if i == 0 and state.views[v].shape[0] >= state.views[v].shape[1]:
+            stack.right_factor = right
     Phi = ChainCache.compute(stack, m - 1).Phi
     stack.top = update_representation(state.views[v], Phi, stack.top)
     stack.top = update_top(state, v, *top_products(state, v))

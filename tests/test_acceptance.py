@@ -17,7 +17,6 @@ import pytest
 
 import mvclust as mv
 from mvclust.consensus import WeightQp, gram_similarity, update_view_weights
-from mvclust.finetune import update_mapping
 from mvclust.metrics import hungarian
 from mvclust.spectral import spectral_embed
 
@@ -30,6 +29,7 @@ from conftest import (
     project_graph,
     random_state,
     simple_config,
+    update_mapping,
 )
 
 

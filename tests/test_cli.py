@@ -152,6 +152,8 @@ def test_cluster_wrong_last_layer_fails(tmp_path):
     ("sweep", "--pretrain-iters", "0"),
     ("sweep", "--seed", "-1"),
     ("sweep", "--layer-grid", ""),
+    ("sweep", "--k", "1"),
+    ("sweep", "--k", "0"),
     ("synth", "--seed", "-1"),
     # removed: the view count is len(--dims), the default grid has three
     # layers, and the normalizations are sample and none

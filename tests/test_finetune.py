@@ -1,11 +1,14 @@
 import copy
 
 import numpy as np
+import pytest
 
-from mvclust import FactorStack, ModelState
+from mvclust import FactorStack, ModelState, finetune
 from mvclust.consensus import ConsensusGraph, compute_Q, update_view_weights
-from mvclust.finetune import sweep_view, update_mapping, update_top
+from mvclust.errors import RankDeficientError
+from mvclust.finetune import sweep_view, update_top
 from mvclust.fitting import objective
+from mvclust.seminmf import mp_pinv
 
 from conftest import (
     ChainCache,
@@ -15,6 +18,7 @@ from conftest import (
     top_kkt_residual,
     top_products,
     update_basis,
+    update_mapping,
     update_representation,
 )
 
@@ -151,3 +155,56 @@ def test_sweep_sees_other_views_fresh_tops():
     stale = copy.deepcopy(base)
     sweep_view(stale, 1)
     assert not np.array_equal(seq.stacks[1].top, stale.stacks[1].top)
+
+
+# n and every d exceed every width, so a factor as large as n x l or d x l
+# is larger than any the row-space sweep needs; view 0 has d >= n
+COST_DIMS, COST_N = (40, 12), 30
+COST_LAYERS = {1: (3,), 2: (6, 3), 3: (6, 5, 3)}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_sweep_takes_pseudo_inverses_no_larger_than_the_widths(monkeypatch, depth):
+    layers = COST_LAYERS[depth]
+    state = random_state(dims=COST_DIMS, layer_sizes=layers, n=COST_N, seed=20 + depth)
+    shapes = []
+
+    def recording_pinv(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return mp_pinv(A, *args, **kwargs)
+
+    monkeypatch.setattr(finetune, "mp_pinv", recording_pinv)
+    for v in range(state.num_views):
+        sweep_view(state, v)
+    # right factor and left factor per layer, but no left factor at layer 0
+    assert len(shapes) == state.num_views * (2 * depth - 1)
+    assert max(max(shape) for shape in shapes) <= max(layers)
+
+
+class _MatmulCounter(np.ndarray):
+    """A view of an array that counts the np.matmul calls reading it."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.matmuls += 1
+        inputs = tuple(np.asarray(x) if isinstance(x, _MatmulCounter) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_sweep_reads_each_view_in_two_products(depth):
+    state = random_state(dims=COST_DIMS, layer_sizes=COST_LAYERS[depth], n=COST_N, seed=30 + depth)
+    for v in range(state.num_views):
+        X = state.views[v].view(_MatmulCounter)
+        X.matmuls = 0
+        state.views[v] = X
+        sweep_view(state, v)
+        assert X.matmuls == 2
+
+
+@pytest.mark.parametrize("top", [0.0, np.nan, np.inf])
+def test_sweep_rejects_a_zero_or_non_finite_top(top):
+    state = random_state(dims=(8, 6), layer_sizes=(4, 3), seed=13)
+    state.stacks[1].top[:] = top
+    with pytest.raises(RankDeficientError):
+        sweep_view(state, 1)
