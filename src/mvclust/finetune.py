@@ -8,7 +8,9 @@ pulling the weighted Gram mix of the views' tops toward the consensus graph.
 
 A sweep runs in the row space of the top H_m (k x n): with H_m^T = Q_H R_H
 and X Q_H = Q_Y R_Y, every pseudo-inverse is of a factor no larger than
-l_i x k, and X is read in two products only (`sweep_view`).
+l_i x k, and X is read in two products only (`sweep_view`). The sweep
+returns the products of its chain with X and with itself, from which the fit
+takes the reconstruction term without reading X again.
 """
 
 from __future__ import annotations
@@ -45,11 +47,13 @@ def update_top(state: ModelState, v: int, PhitX: Array, PhitPhi: Array) -> Array
     return multiplicative_step(H, num, den)
 
 
-def sweep_view(state: ModelState, v: int) -> None:
+def sweep_view(state: ModelState, v: int) -> tuple[Array, Array]:
     """One fine-tuning pass over view v: Z_1..Z_m in order, then the
     graph-free and the graph-coupled top steps. Mutates the view's stack, so
     views swept in turn see each other's freshest tops. For a view with d >= n
-    it records the right factor P of Z_1 = X P in `right_factor`.
+    it records the right factor P of Z_1 = X P in `right_factor`. Returns
+    (Phi^T X, Phi^T Phi) for the swept chain Phi = Z_1..Z_m, which the top
+    steps read and the objective's reconstruction term can too.
 
     With H_m^T = Q_H R_H (Q_H n x r, r = min(n, k)), the right factor
     Z_{i+1}..Z_m H_m of Z_i is W_i Q_H^T, W_i = Z_{i+1}..Z_m R_H^T (l_i x r),
@@ -94,3 +98,4 @@ def sweep_view(state: ModelState, v: int) -> None:
     PhitPhi = C.T @ C
     stack.top = multiplicative_step(stack.top, *multiplicative_terms(PhitX, PhitPhi, stack.top))
     stack.top = update_top(state, v, PhitX, PhitPhi)
+    return PhitX, PhitPhi

@@ -5,9 +5,14 @@ steps), projects the consensus graph onto its feasible set, and re-solves
 the view weights. The objective is tracked per iteration; it should be
 non-increasing up to small float noise, and any larger increase is logged.
 Its graph term is the consensus graph's own (`ConsensusGraph.residual_sq`).
+Its reconstruction term is expanded as ||X||^2 - 2 <Phi^T X, H> +
+<Phi^T Phi, H H^T> from the products each view's sweep already formed for its
+top steps, with ||X||^2 taken once per fit: a fit reads each view in exactly
+two products per iteration, and holds no d x n residual.
 
 A view at least `ROW_SPACE_RATIO` times as tall as its sample count is
-fitted through R, the n x n triangular factor of X = QR, taken once per fit:
+fitted through R, the n x n triangular factor of X = QR, taken once for all
+the restarts of a fit:
 ||X - Q Phi' H|| = ||R - Phi' H|| for every chain Phi' = Z_1..Z_m with Z_1
 in R's coordinates, so pretraining, the sweeps, the objective and the checks
 run on R unchanged. Every step that sets Z_1 writes it as R P for an n x l_1
@@ -69,29 +74,59 @@ def row_space_factor(X: Array) -> Array:
     return R
 
 
-def objective_terms(state: ModelState) -> tuple[float, float]:
+def row_space_views(ds: MultiViewDataset) -> list[Array]:
+    """The views as a fit reads them: each view with d >= ROW_SPACE_RATIO * n
+    as its `row_space_factor`, every other view as given."""
+    return [row_space_factor(X) if X.shape[0] >= ROW_SPACE_RATIO * ds.n else X for X in ds.views]
+
+
+def _validate_fit(ds: MultiViewDataset, cfg: FitConfig) -> None:
+    """The dataset's and the layers' checks that precede any work of a fit."""
+    validate_dataset(ds)
+    if ds.num_views > MAX_VIEWS:
+        raise TooManyViewsError(
+            f"{ds.num_views} views; the exact view-weight solver takes at most {MAX_VIEWS}"
+        )
+    # the last layer width is the cluster count; with labels present it must
+    # match their class count
+    cfg.layers.validate(k=ds.k, min_view_dim=min(ds.view_dims))
+
+
+def squared_norm(X: Array) -> float:
+    """||X||_F^2, read once without a copy of X."""
+    x = X.ravel(order="K")
+    return float(np.vdot(x, x))
+
+
+def objective_terms(
+    state: ModelState,
+    products: list[tuple[Array, Array]] | None = None,
+    views_sq: list[float] | None = None,
+) -> tuple[float, float]:
     """(total reconstruction error, graph-fit error), both squared Frobenius.
 
-    The reconstruction is summed from its residual arrays, one d x n
-    residual alive at a time. The graph term ||Q - S||^2 is the graph's
+    Each view's reconstruction term is ||X - Phi H||^2 = ||X||^2 -
+    2 <Phi^T X, H> + <Phi^T Phi, H H^T> for its chain Phi = Z_1..Z_m and top
+    H. `products` holds each view's (Phi^T X, Phi^T Phi) for its current
+    chain, as `sweep_view` returns them; without them Phi is formed and
+    Phi^T X taken in one product with X. `views_sq` holds each ||X||^2
+    (`squared_norm`), which a fit takes once; without it each is read here.
+    No d x n array is formed. The graph term ||Q - S||^2 is the graph's
     `residual_sq`, from its structure when it was projected from the
     state's tops, as every graph of a fit is.
     """
+    if views_sq is None:
+        views_sq = [squared_norm(X) for X in state.views]
     recon = 0.0
     for v, X in enumerate(state.views):
-        stack = state.stacks[v]
-        # Phi H - X is -(X - Phi H) bit for bit, without a second d x n temporary
-        R = functools.reduce(np.matmul, stack.mappings) @ stack.top
-        R -= X
-        recon += float(np.linalg.norm(R) ** 2)
-        del R  # before the next view's product is formed
+        H = state.stacks[v].top
+        if products is None:
+            Phi = functools.reduce(np.matmul, state.stacks[v].mappings)
+            PhitX, PhitPhi = Phi.T @ X, Phi.T @ Phi
+        else:
+            PhitX, PhitPhi = products[v]
+        recon += views_sq[v] - 2.0 * float(np.vdot(PhitX, H)) + float(np.vdot(PhitPhi, H @ H.T))
     return recon, state.S.residual_sq(state.alpha, state.stacks)
-
-
-def objective(state: ModelState) -> float:
-    """sum_v ||X_v - Z_1..Z_m H_m||_F^2 + beta ||S - sum_v alpha_v H_v^T H_v||_F^2."""
-    recon, graph = objective_terms(state)
-    return recon + state.beta * graph
 
 
 @dataclass
@@ -129,7 +164,9 @@ class FitResult:
         return float(self.objective_history[-1])
 
 
-def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
+def fit(
+    ds: MultiViewDataset, cfg: FitConfig, on_iteration=None, *, row_views: list[Array] | None = None
+) -> FitResult:
     """Run the full alternating optimization from a pretrained start.
 
     Convergence is declared when the relative objective change stays below
@@ -137,8 +174,10 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     `on_iteration(state, iteration, objective_value)` is called after every
     outer iteration when given. The state it sees is the row-space one: a
     view with d >= ROW_SPACE_RATIO * n is its n x n factor R there, and Z_1
-    is in R's coordinates. The returned state holds the caller's view arrays
-    and Z_1 = X P in feature space. The S the callback sees is an immutable
+    is in R's coordinates. `row_views`, when given, must be
+    `row_space_views(ds)`: fits of one dataset then share its QRs. The
+    returned state holds the caller's view arrays and Z_1 = X P in feature
+    space. The S the callback sees is an immutable
     `ConsensusGraph` that records the weights it was projected with, which
     the next graph step replaces rather than changes; `state.S.dense()`
     gives its n x n array. A factor that turns non-finite
@@ -147,25 +186,25 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     n x n array is never held twice: if the step raises (Q overflows), the
     state is left with S None. Deterministic for a fixed (dataset, config).
     """
-    validate_dataset(ds)
-    if ds.num_views > MAX_VIEWS:
-        raise TooManyViewsError(
-            f"{ds.num_views} views; the exact view-weight solver takes at most {MAX_VIEWS}"
-        )
-    # the last layer width is the cluster count; with labels present it must
-    # match their class count
-    cfg.layers.validate(k=ds.k, min_view_dim=min(ds.view_dims))
+    _validate_fit(ds, cfg)
     t0 = time.perf_counter()
     tall = [v for v, X in enumerate(ds.views) if X.shape[0] >= ROW_SPACE_RATIO * ds.n]
-    row_views = [row_space_factor(X) if v in tall else X for v, X in enumerate(ds.views)]
+    if row_views is None:
+        row_views = row_space_views(ds)
     state = initialize_state(replace(ds, views=row_views), cfg)
     state.validate()
-    history = [objective(state)]
+    # a row-space view's ||R||^2 is its ||X||^2
+    views_sq = [squared_norm(X) for X in state.views]
+    recon, graph = objective_terms(state, views_sq=views_sq)
+    history = [recon + state.beta * graph]
     converged = False
     small_steps = 0
     for it in range(1, cfg.max_outer_iters + 1):
+        # the sweep's (Phi^T X, Phi^T Phi) per view: nothing below changes a
+        # swept view's factors, so they are the objective's too
+        products = []
         for v in range(state.num_views):
-            sweep_view(state, v)
+            products.append(sweep_view(state, v))
             try:
                 state.stacks[v].validate(view=v)
             except NonFiniteFactorError as e:
@@ -176,7 +215,7 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
         state.S = update_consensus_graph(state.alpha, state.stacks)
         state.alpha = update_view_weights(state)
 
-        recon, graph = objective_terms(state)
+        recon, graph = objective_terms(state, products, views_sq)
         obj = recon + state.beta * graph
         prev = history[-1]
         history.append(obj)
@@ -215,14 +254,16 @@ def fit_with_restarts(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -
 
     A restart that raises is logged and recorded in its summary, and the
     others still run; only when every restart fails is the last error
-    raised again."""
+    raised again. Every restart reads the tall views' QRs, taken once."""
+    _validate_fit(ds, cfg)
+    row_views = row_space_views(ds)
     best: FitResult | None = None
     summaries: list[RestartSummary] = []
     for r in range(cfg.restarts):
         run_cfg = replace(cfg, rng_seed=cfg.rng_seed + r, restarts=1)
         t0 = time.perf_counter()
         try:
-            res = fit(ds, run_cfg, on_iteration=on_iteration)
+            res = fit(ds, run_cfg, on_iteration=on_iteration, row_views=row_views)
         except Exception as e:  # one failed restart leaves the others to run
             log.warning("restart with seed %d failed", run_cfg.rng_seed, exc_info=True)
             error = e

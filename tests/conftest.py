@@ -2,6 +2,7 @@
 planted datasets, small independent numerical oracles, and a tracemalloc
 peak probe."""
 
+import functools
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from mvclust.consensus import (
 )
 from mvclust.errors import MissingFileError, ParseError, RankDeficientError, RankDeficientWarning
 from mvclust.finetune import sweep_view, update_top
-from mvclust.fitting import objective
+from mvclust.fitting import objective_terms
 from mvclust.pretrain import initialize_state
 from mvclust.seminmf import (
     RCOND,
@@ -130,19 +131,60 @@ def graph_from_tops(G):
     return update_consensus_graph(np.ones(1), [FactorStack(mappings=[], top=G)])
 
 
+def objective(state):
+    """sum_v ||X_v - Z_1..Z_m H_m||_F^2 + beta ||S - sum_v alpha_v H_v^T H_v||_F^2,
+    by `objective_terms` from the state's chains."""
+    recon, graph = objective_terms(state)
+    return recon + state.beta * graph
+
+
+def residual_objective_terms(state):
+    """(reconstruction, graph) terms with each view's residual Phi H - X
+    formed as a d x n array (test oracle for the reconstruction term's
+    expansion in `objective_terms`)."""
+    recon = 0.0
+    for X, stack in zip(state.views, state.stacks):
+        R = functools.reduce(np.matmul, stack.mappings) @ stack.top
+        R -= X
+        recon += float(np.linalg.norm(R) ** 2)
+    return recon, state.S.residual_sq(state.alpha, state.stacks)
+
+
 def direct_fit(ds, cfg):
     """`fit`'s loop run on the views as given, every view in feature space,
-    for cfg.max_outer_iters iterations (test oracle for fitting tall views
+    for cfg.max_outer_iters iterations, with the objective taken from the
+    sweeps' products as `fit` takes it (test oracle for fitting tall views
     in their row space). Returns (state, objective history)."""
     state = initialize_state(ds, cfg)
     history = [objective(state)]
     for _ in range(cfg.max_outer_iters):
-        for v in range(state.num_views):
-            sweep_view(state, v)
+        products = [sweep_view(state, v) for v in range(state.num_views)]
         state.S = update_consensus_graph(state.alpha, state.stacks)
         state.alpha = update_view_weights(state)
-        history.append(objective(state))
+        recon, graph = objective_terms(state, products)
+        history.append(recon + state.beta * graph)
     return state, np.asarray(history)
+
+
+class MatmulCounter(np.ndarray):
+    """A view of an array that counts the np.matmul calls reading it in
+    `matmuls`."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.matmuls += 1
+        inputs = tuple(np.asarray(x) if isinstance(x, MatmulCounter) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def counted_views(views):
+    """Each view as a `MatmulCounter` with its count at 0."""
+    counted = []
+    for X in views:
+        X = X.view(MatmulCounter)
+        X.matmuls = 0
+        counted.append(X)
+    return counted
 
 
 def planted_two_blocks(d=6, n=12, noise=0.0, seed=0):

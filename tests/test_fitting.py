@@ -23,10 +23,18 @@ from mvclust.errors import (
     RankDeficientWarning,
     TooManyViewsError,
 )
-from mvclust.fitting import objective, objective_terms
+from mvclust.fitting import objective_terms
 from mvclust.pretrain import initialize_state, pretrain_view
 
-from conftest import blockwise_graph_term, project_graph, random_state, simple_config, traced_peak
+from conftest import (
+    blockwise_graph_term,
+    counted_views,
+    objective,
+    project_graph,
+    random_state,
+    simple_config,
+    traced_peak,
+)
 
 
 def _exactly_factorable_state(beta, seed=0, n=15):
@@ -207,7 +215,7 @@ def test_restarts_tie_returns_a_tied_run(monkeypatch):
 
     calls = []
 
-    def fake_fit(ds, cfg, on_iteration=None):
+    def fake_fit(ds, cfg, on_iteration=None, row_views=None):
         calls.append(cfg.rng_seed)
         state = random_state(seed=0)
         return fitting.FitResult(
@@ -352,10 +360,11 @@ def test_fit_names_the_iteration_of_a_non_finite_factor(monkeypatch):
     calls = []
 
     def poisoned_sweep(state, v):
-        sweep_view(state, v)
+        products = sweep_view(state, v)
         calls.append(v)
         if len(calls) == state.num_views + 2:  # iteration 2, view 1
             state.stacks[v].mappings[0][0, 0] = np.nan
+        return products
 
     monkeypatch.setattr(mvclust.fitting, "sweep_view", poisoned_sweep)
     with pytest.raises(NonFiniteFactorError, match=r"^iteration 2: view 1: layer 0: ") as caught:
@@ -385,11 +394,14 @@ def test_a_failed_graph_step_leaves_no_graph(monkeypatch):
     assert len(seen) == 1 and seen[0].S is None
 
 
-def test_objective_terms_holds_one_view_residual():
-    # one d x n residual alive at a time; X - Phi H per view took 2.02 of the largest view
+def test_objective_terms_holds_no_view_residual():
+    # Phi (d x k) and Phi^T X (k x n) are the largest arrays the reconstruction
+    # term forms: it adds 0.009 of the largest view to the graph term's peak
+    # here, where one d x n residual at a time added 0.86
     state = random_state(dims=(2000, 1500), n=200)
     largest = max(X.nbytes for X in state.views)
-    assert traced_peak(objective_terms, state) / largest <= 1.2
+    graph_peak = traced_peak(state.S.residual_sq, state.alpha, state.stacks)
+    assert (traced_peak(objective_terms, state) - graph_peak) / largest <= 0.05
 
 
 def test_objective_terms_holds_one_graph_residual():
@@ -559,7 +571,7 @@ def test_fit_warns_on_each_objective_increase(monkeypatch, caplog):
     import mvclust.fitting as fitting
 
     values = iter([1.0, 2.0, 3.0])  # the start and two rising iterations
-    monkeypatch.setattr(fitting, "objective_terms", lambda state: (next(values), 0.0))
+    monkeypatch.setattr(fitting, "objective_terms", lambda state, *args, **kwargs: (next(values), 0.0))
     cfg = simple_config([3], max_outer_iters=2, pretrain_iters=5, tol_rel_objective=0.0)
     with caplog.at_level(logging.WARNING, logger="mvclust.fitting"):
         res = fitting.fit(_small_dataset(seed=3), cfg)
@@ -582,8 +594,10 @@ def test_fit_graph_terms_match_the_blockwise_oracle():
     def check(state, it, obj):
         structured = not isinstance(state.S.C, np.ndarray)
         assert state.S.projected_from(state.stacks) == structured
+        # the fit takes the reconstruction from the sweeps' products, the
+        # check from the state's chains: the same term up to rounding
         recon, graph = objective_terms(state)
-        assert obj == recon + state.beta * graph
+        assert abs(obj - (recon + state.beta * graph)) <= 1e-12 * obj
         oracle = blockwise_graph_term(state)
         assert abs(graph - oracle) <= 1e-12 * oracle
         forms.append(state.S.C.nnz if structured else "array")
@@ -616,9 +630,9 @@ def test_fit_calls_objective_terms_once_per_iteration_and_once_at_the_start(monk
     def counted(name):
         fn = getattr(fitting, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 
@@ -628,6 +642,58 @@ def test_fit_calls_objective_terms_once_per_iteration_and_once_at_the_start(monk
     res = fitting.fit(_small_dataset(), cfg)
     assert res.iters_run == 3
     assert calls == {"objective_terms": 1 + 3, "update_consensus_graph": 3}
+
+
+@pytest.mark.parametrize("iters", [0, 3])
+def test_fit_reads_each_view_in_two_products_per_iteration(monkeypatch, iters):
+    # pretraining aside, a fit reads a view in its sweep's two products each
+    # iteration and in one more for the initial objective; view 0 is read
+    # as its R
+    import mvclust.fitting as fitting
+
+    initialize_state = fitting.initialize_state
+    counted = []
+
+    def counting_start(ds, cfg):
+        state = initialize_state(ds, cfg)
+        state.views = counted_views(state.views)
+        counted.extend(state.views)
+        return state
+
+    monkeypatch.setattr(fitting, "initialize_state", counting_start)
+    cfg = simple_config([6, 3], max_outer_iters=iters, pretrain_iters=10, tol_rel_objective=0.0)
+    res = fitting.fit(_tall_dataset(), cfg)
+    assert res.iters_run == iters
+    assert [X.matmuls for X in counted] == [2 * iters + 1] * 2
+
+
+def test_restarts_take_each_tall_views_qr_once(monkeypatch):
+    import mvclust.fitting as fitting
+
+    n = 40
+    ds = normalize_views(
+        generate_synthetic(n=n, k=3, n_views=2, dims=(3 * n, 3 * n), separation=8.0, noise_sigma=0.6, seed=2)
+    )
+    cfg = simple_config([6, 3], max_outer_iters=4, pretrain_iters=10, restarts=3, tol_rel_objective=0.0)
+    row_space_factor = fitting.row_space_factor
+    calls = []
+
+    def counted(X):
+        calls.append(X.shape)
+        return row_space_factor(X)
+
+    monkeypatch.setattr(fitting, "row_space_factor", counted)
+    res = fitting.fit_with_restarts(ds, cfg)
+    assert calls == [(3 * n, n)] * 2
+    # every restart is the fit that takes its own QRs, bit for bit
+    for summary in res.restart_summaries:
+        alone = fitting.fit(ds, replace(cfg, rng_seed=summary.seed, restarts=1))
+        assert (summary.final_objective, summary.iters_run) == (alone.final_objective, alone.iters_run)
+        if summary.seed == res.seed:
+            assert np.array_equal(res.objective_history, alone.objective_history)
+            assert np.array_equal(res.state.alpha, alone.state.alpha)
+            for a, b in zip(res.state.stacks, alone.state.stacks):
+                assert all(np.array_equal(A, B) for A, B in zip(a.mappings + [a.top], b.mappings + [b.top]))
 
 
 def _fail_at(iteration, restarts_to_fail):

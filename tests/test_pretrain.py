@@ -2,11 +2,10 @@ import numpy as np
 
 from mvclust import LayerSpec, MultiViewDataset, validate_dataset
 from mvclust.consensus import gram_similarity
-from mvclust.fitting import objective
 from mvclust.pretrain import initialize_state, pretrain_view
 from mvclust.seminmf import fit_seminmf
 
-from conftest import hierarchical_dataset, simple_config
+from conftest import hierarchical_dataset, objective, simple_config
 
 
 def test_depth_one_equals_single_seminmf():
