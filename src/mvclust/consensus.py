@@ -85,14 +85,14 @@ class ConsensusGraph:
     at each entry the projection cut to zero. The low-rank part's diagonal
     is zero by definition, so S_ii = C_ii. Any matrix is the case with G
     empty, theta 0 and C = S, and `from_dense` holds an array S as that C
-    itself, so this is the one form of S. Products and sums cost
-    O(n r m + nnz C) for m right-hand sides, and `row_blocks` yields S
-    BLOCK_ROWS rows at a time. G, theta and `alpha` become the graph's own
+    itself, so this is the one form of S. Its one product, (S + S^T) X,
+    costs O(n r m + nnz C) for m right-hand sides, and `row_blocks` yields
+    S BLOCK_ROWS rows at a time. G, theta and `alpha` become the graph's own
     and read-only: a new graph replaces an old one. `alpha` is None, or the
     weights G stacks the tops with, recorded by `update_consensus_graph`,
     so that the graph can tell whether it was projected from a state's tops
     (`projected_from`). This module alone reads these parts: every other
-    reads S through its products, sums, checks and graph term.
+    reads S through (S + S^T) X, its checks and its graph term.
     """
 
     def __init__(self, G: Array, theta: Array, C, alpha: Array | None = None):
@@ -125,31 +125,14 @@ class ConsensusGraph:
     def shape(self) -> tuple[int, int]:
         return self.C.shape
 
-    def matmat(self, X: Array) -> Array:
-        """S X, for X with n rows (or n entries)."""
+    def symmetric_matmat(self, X: Array) -> Array:
+        """(S + S^T) X = 2 G^T (G X) - theta (1^T X) - 1 (theta^T X) - 2 (q -
+        theta) o X + C X + C^T X, for X with n rows (or n entries)."""
         X = np.asarray(X, dtype=np.float64)
-        out = self.G.T @ (self.G @ X)
-        out -= np.multiply.outer(self.theta, X.sum(axis=0))
-        return self._off_low_rank(out, X, self.C)
-
-    def rmatmat(self, X: Array) -> Array:
-        """S^T X, for X with n rows (or n entries)."""
-        X = np.asarray(X, dtype=np.float64)
-        out = self.G.T @ (self.G @ X)
-        out -= self.theta @ X
-        return self._off_low_rank(out, X, self.C.T)
-
-    def _off_low_rank(self, out: Array, X: Array, C) -> Array:
-        # the diagonal term and the correction, shared by S X and S^T X
-        out -= ((self.q - self.theta) * X.T).T
-        out += C @ X
+        out = 2.0 * (self.G.T @ (self.G @ X)) + self.C @ X + self.C.T @ X
+        out -= np.multiply.outer(self.theta, X.sum(axis=0)) + self.theta @ X
+        out -= 2.0 * ((self.q - self.theta) * X.T).T
         return out
-
-    def row_sums(self) -> Array:
-        return self.matmat(np.ones(self.shape[1]))
-
-    def col_sums(self) -> Array:
-        return self.rmatmat(np.ones(self.shape[0]))
 
     def _entries(self, i: int, m: int) -> tuple[Array, Array, Array]:
         """(row - i, col, value) of a sparse C's entries in rows i..i+m-1."""
@@ -212,7 +195,9 @@ class ConsensusGraph:
             raise MvclustError(f"S has a negative or NaN entry ({lowest:.3e})")
         if self.C.diagonal().any():
             raise MvclustError("S has a nonzero diagonal entry")
-        row_err = np.abs(self.row_sums() - 1.0).max()
+        # S 1 = G^T (G 1) - (n - 1) theta - q + C 1
+        sums = self.G.T @ self.G.sum(axis=1) - (n - 1) * self.theta - self.q
+        row_err = np.abs(sums + self.C.sum(axis=1) - 1.0).max()
         if not row_err <= ROW_SUM_TOL:
             raise MvclustError(f"S row sums deviate from 1 by {row_err:.3e}")
         return self
@@ -430,10 +415,10 @@ def view_gram_products(tops) -> Array:
 class WeightQp:
     """Quadratic program data for the view weights.
 
-    A[p, q] = Tr(H_p^T H_p H_q^T H_q) = ||H_p H_q^T||_F^2 and f[v] = Tr(S^T H_v^T H_v)
-    = <H_v S, H_v>, both formed from the k x n tops without an n x n array:
-    H_v S comes from the graph's structure in O(n Vk k + nnz C). A is PSD,
-    and the weights minimize 0.5 a^T A a - f^T a over the simplex.
+    A[p, q] = Tr(H_p^T H_p H_q^T H_q) = ||H_p H_q^T||_F^2 and f[v] = <H_v S, H_v>
+    = <(S + S^T) H_v^T, H_v^T> / 2, both formed from the k x n tops without
+    an n x n array, the latter from the graph's structure in O(n Vk k + nnz C).
+    A is PSD, and the weights minimize 0.5 a^T A a - f^T a over the simplex.
     """
 
     A: Array
@@ -443,8 +428,7 @@ class WeightQp:
     def from_state(cls, state) -> "WeightQp":
         tops = [st.top for st in state.stacks]
         A = view_gram_products(tops)
-        # <H S, H>, with (H S)^T = S^T H^T from the graph's structure
-        f = np.array([float(np.vdot(state.S.rmatmat(H.T), H.T)) for H in tops])
+        f = np.array([0.5 * float(np.vdot(state.S.symmetric_matmat(H.T), H.T)) for H in tops])
         return cls(A=A, f=f)
 
     def objective(self, alpha: Array) -> float:

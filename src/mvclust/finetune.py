@@ -29,18 +29,18 @@ def update_top(state: ModelState, v: int, PhitX: Array, PhitPhi: Array) -> Array
 
     Targets ||X - Phi H||_F^2 + beta ||S - G^T G||_F^2 with G the stacked
     tops [sqrt(alpha_o) H_o] of every view's current H_m, whose block v is
-    H itself. The caller passes PhitX = Phi^T X and PhitPhi = Phi^T Phi for
-    the view's chain Phi = Z_1..Z_m.
+    H itself; it reads S only through H (S + S^T). The caller passes
+    PhitX = Phi^T X and PhitPhi = Phi^T Phi for the view's chain Phi =
+    Z_1..Z_m.
     """
     H = state.stacks[v].top
     a_v = float(state.alpha[v])
     G = stacked_tops(state.alpha, state.stacks)
     num, den = multiplicative_terms(PhitX, PhitPhi, H)
     # H, S, alpha and the tops are nonnegative, so every graph product below
-    # is too: each goes whole into num or den. (H S + H S^T)^T comes from S's
-    # structure, where rounding may leave it a little below 0: clamp it
-    HS = state.S.matmat(H.T)
-    HS += state.S.rmatmat(H.T)
+    # is too: each goes whole into num or den. (H (S + S^T))^T comes from
+    # S's structure, where rounding may leave it a little below 0: clamp it
+    HS = state.S.symmetric_matmat(H.T)
     np.maximum(HS, 0.0, out=HS)
     num = num + a_v * state.beta * HS.T
     den = den + a_v * state.beta * (2.0 * ((H @ G.T) @ G))

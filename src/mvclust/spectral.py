@@ -50,10 +50,10 @@ def spectral_embed(S: ConsensusGraph | Array, k: int) -> Array:
     W = (S + S^T)/2; L_sym = I - N with N = D^{-1/2} W D^{-1/2} and D the
     degree diagonal, so these are the k largest eigenvectors of N. ARPACK's
     implicitly restarted Lanczos computes only those k, for 2 <= k < n,
-    reading N through its product N x = D^{-1/2} (S y + S^T y) / 2 with
+    reading N through its product N x = D^{-1/2} (S + S^T) y / 2 with
     y = D^{-1/2} x, taken from the graph's structure, so no n x n array is
-    formed; the degrees are the mean of S's row and column sums. An array S
-    is read as the graph it is. It starts from a fixed random vector, so the
+    formed; the degrees are (S + S^T) 1 / 2, from the same product. An array
+    S is read as the graph it is. It starts from a fixed random vector, so the
     result is deterministic; the start is not the vector of ones, because on
     a regular graph that is an exact eigenvector of N and its Krylov space
     does not grow. A graph with more connected components than k has a
@@ -66,7 +66,7 @@ def spectral_embed(S: ConsensusGraph | Array, k: int) -> Array:
     n = S.shape[0]
     if not 2 <= k < n:
         raise ValueError(f"need 2 <= k < n, got k={k}, n={n}")
-    deg = 0.5 * (S.row_sums() + S.col_sums())
+    deg = 0.5 * S.symmetric_matmat(np.ones(n))
     if deg.min() <= 0:
         warnings.warn(
             f"{int((deg <= 0).sum())} isolated sample(s); degrees floored",
@@ -77,9 +77,7 @@ def spectral_embed(S: ConsensusGraph | Array, k: int) -> Array:
     d_isqrt = 1.0 / np.sqrt(deg)
 
     def matvec(x):
-        y = d_isqrt * x.ravel()
-        z = S.matmat(y)
-        z += S.rmatmat(y)
+        z = S.symmetric_matmat(d_isqrt * x.ravel())
         z *= 0.5 * d_isqrt
         return z
 

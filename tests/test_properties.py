@@ -413,12 +413,15 @@ def test_structured_graph_matches_its_dense_form(n, rows, cut, row_sum, seed):
     S = project_graph(Q.copy())
     assert np.abs(graph.dense() - S).max() <= 1e-12 * max(1.0, Q.max())
     H = rng.random((3, n))
-    pairs = [
-        (graph.matmat(H.T).T, H @ S.T),
-        (graph.rmatmat(H.T).T, H @ S),
-        (graph.row_sums(), S.sum(axis=1)),
-        (graph.col_sums(), S.sum(axis=0)),
-    ]
+    W = S + S.T
+    pairs = []
+    # the structure and the same graph held as its array
+    for form in (graph, ConsensusGraph.from_dense(graph.dense())):
+        pairs += [
+            (form.symmetric_matmat(H.T), W @ H.T),
+            (form.symmetric_matmat(H[0]), W @ H[0]),
+            (form.symmetric_matmat(np.ones(n)), W.sum(axis=1)),
+        ]
     stack = FactorStack(mappings=[np.eye(3)], top=H)
     state = ModelState(views=[H.copy()], stacks=[stack], S=graph, alpha=np.ones(1), beta=1.0)
     pairs.append((WeightQp.from_state(state).f, np.array([np.vdot(H @ S, H)])))

@@ -178,14 +178,14 @@ def test_model_state_rejects_a_non_finite_graph_structure(part):
 
 def test_model_state_rejects_nan_row_sums():
     # finite tops whose Gram overflows: every entry of S is +inf off the
-    # diagonal, so the smallest is 0, but the row sums are inf - inf = NaN;
-    # validate names the overflowing Q before it forms a row sum, so with
-    # no RuntimeWarning of its own
+    # diagonal, so the smallest is 0, but the row sums are inf - inf = NaN
+    # (as are those of S + S^T); validate names the overflowing Q before it
+    # forms a row sum, so with no RuntimeWarning of its own
     state = random_state(seed=6)
     n = state.n
     with np.errstate(over="ignore", invalid="ignore"):
         S = ConsensusGraph(np.full((1, n), 1e155), np.zeros(n), sparse.csr_array((n, n)))
-        assert np.isnan(S.row_sums()).all()
+        assert np.isnan(S.symmetric_matmat(np.ones(n))).all()
     for check in _graph_checks(replace(state, S=S)):
         with pytest.raises(MvclustError, match="non-finite Q"):
             check()
