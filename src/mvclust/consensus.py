@@ -107,6 +107,8 @@ class ConsensusGraph:
             raise ValueError(
                 f"G {self.G.shape}, theta {self.theta.shape} and C {self.C.shape} do not match"
             )
+        if self.C.shape[0] != self.C.shape[1]:
+            raise DimensionMismatchError(f"a graph is square, got shape {self.C.shape}")
         self.q = np.einsum("ij,ij->j", self.G, self.G)
         self.alpha = None if alpha is None else np.array(alpha, dtype=np.float64)
         for a in (self.G, self.theta, self.q, self.alpha):

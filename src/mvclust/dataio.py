@@ -165,15 +165,22 @@ def normalize_views(ds: MultiViewDataset) -> MultiViewDataset:
     """Rescale every sample column to unit Euclidean norm before factorization.
 
     All-zero columns are left unchanged and flagged with ZeroColumnWarning.
-    Idempotent.
+    A column whose norm over- or underflows is divided by its largest
+    magnitude first. Idempotent.
     """
     views = []
     zero_cols = 0
     for X in ds.views:
-        norms = np.linalg.norm(X, axis=0)
-        zero = norms == 0
-        zero_cols += int(zero.sum())
-        views.append(X / np.where(zero, 1.0, norms)[None, :])
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(X, axis=0)
+        out = X / np.where(norms == 0, 1.0, norms)[None, :]
+        odd = np.flatnonzero((norms == 0) | np.isinf(norms))
+        m = np.abs(X[:, odd]).max(axis=0, initial=0.0)
+        zero_cols += int((m == 0).sum())
+        odd, m = odd[m > 0], m[m > 0]
+        Y = X[:, odd] / m
+        out[:, odd] = Y / np.linalg.norm(Y, axis=0)
+        views.append(out)
     if zero_cols:
         warnings.warn(f"{zero_cols} all-zero sample column(s) left unchanged", ZeroColumnWarning)
     labels = None if ds.labels is None else ds.labels.copy()

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .consensus import ConsensusGraph, as_graph
-from .errors import DegenerateGraphWarning
+from .errors import DegenerateGraphWarning, MvclustError
 
 Array = np.ndarray
 
@@ -53,9 +53,11 @@ def spectral_embed(S: ConsensusGraph | Array, k: int) -> Array:
     reading N through its product N x = D^{-1/2} (S + S^T) y / 2 with
     y = D^{-1/2} x, taken from the graph's structure, so no n x n array is
     formed; the degrees are (S + S^T) 1 / 2, from the same product. An array
-    S is read as the graph it is. It starts from a fixed random vector, so the
-    result is deterministic; the start is not the vector of ones, because on
-    a regular graph that is an exact eigenvector of N and its Krylov space
+    S is read as the graph it is, which must be square. A NaN or infinite
+    entry makes the degrees of its row and column non-finite, which raises
+    before ARPACK runs. It starts from a fixed random vector, so the result
+    is deterministic; the start is not the vector of ones, because on a
+    regular graph that is an exact eigenvector of N and its Krylov space
     does not grow. A graph with more connected components than k has a
     repeated top eigenvalue and no unique embedding. Rows of the eigenvector
     block are normalized to unit length; all-zero rows are left as zero.
@@ -67,6 +69,8 @@ def spectral_embed(S: ConsensusGraph | Array, k: int) -> Array:
     if not 2 <= k < n:
         raise ValueError(f"need 2 <= k < n, got k={k}, n={n}")
     deg = 0.5 * S.symmetric_matmat(np.ones(n))
+    if not np.isfinite(deg).all():
+        raise MvclustError(f"{int((~np.isfinite(deg)).sum())} sample(s) have a non-finite degree")
     if deg.min() <= 0:
         warnings.warn(
             f"{int((deg <= 0).sum())} isolated sample(s); degrees floored",

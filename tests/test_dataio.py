@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -284,6 +285,19 @@ def test_normalize_three_four_five():
     )
     out = normalize_views(ds)
     assert np.allclose(out.views[0][:, 0], [0.6, 0.8])
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300, 1e-170, 1e-300])
+def test_normalize_extreme_finite_scales(scale):
+    # the squared norm over- or underflows; the column is normalized all the
+    # same, with no warning, and the ordinary column beside it as always
+    X = np.array([[3.0 * scale, 3.0], [4.0 * scale, 4.0]])
+    ds = validate_dataset(type(toy_dataset())(views=[X]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = normalize_views(ds).views[0]
+    assert np.abs(out[:, 0] - [0.6, 0.8]).max() <= 1e-15
+    assert np.array_equal(out[:, 1], X[:, 1] / np.linalg.norm(X[:, 1]))
 
 
 def test_normalize_idempotent_and_unit_norms():

@@ -6,7 +6,7 @@ from scipy.linalg import subspace_angles
 
 from mvclust import cluster_graph, kmeans
 from mvclust.consensus import BLOCK_ROWS, as_graph, gram_similarity
-from mvclust.errors import DegenerateGraphWarning
+from mvclust.errors import DegenerateGraphWarning, DimensionMismatchError, MvclustError
 from mvclust.spectral import _lloyd, spectral_embed
 
 from conftest import (
@@ -95,6 +95,24 @@ def test_embedding_requires_valid_k():
         spectral_embed(S, 1)
     with pytest.raises(ValueError):
         spectral_embed(S, 7)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_graph_entry_raises_before_the_eigensolver(bad, capfd):
+    # one bad entry makes the degree of its row and of its column non-finite
+    S = project_graph(np.random.default_rng(2).random((30, 30)))
+    S[4, 17] = bad
+    for call in (lambda: cluster_graph(S, 3), lambda: spectral_embed(S, 3)):
+        with pytest.raises(MvclustError, match="2 sample\\(s\\) have a non-finite degree"):
+            call()
+    assert capfd.readouterr().err == ""
+
+
+def test_non_square_graph_raises_dimension_mismatch():
+    S = project_graph(np.random.default_rng(3).random((30, 30)))[:, :29]
+    for call in (lambda: cluster_graph(S, 3), lambda: cluster_graph(S, 30), lambda: spectral_embed(S, 3)):
+        with pytest.raises(DimensionMismatchError, match="square"):
+            call()
 
 
 def test_kmeans_singletons():
