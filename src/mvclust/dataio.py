@@ -174,12 +174,12 @@ def normalize_views(ds: MultiViewDataset) -> MultiViewDataset:
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(X, axis=0)
         out = X / np.where(norms == 0, 1.0, norms)[None, :]
-        odd = np.flatnonzero((norms == 0) | np.isinf(norms))
-        m = np.abs(X[:, odd]).max(axis=0, initial=0.0)
-        zero_cols += int((m == 0).sum())
-        odd, m = odd[m > 0], m[m > 0]
-        Y = X[:, odd] / m
-        out[:, odd] = Y / np.linalg.norm(Y, axis=0)
+        extreme = np.flatnonzero((norms == 0) | np.isinf(norms))
+        peak = np.abs(X[:, extreme]).max(axis=0, initial=0.0)
+        zero_cols += int((peak == 0).sum())
+        extreme, peak = extreme[peak > 0], peak[peak > 0]
+        Y = X[:, extreme] / peak
+        out[:, extreme] = Y / np.linalg.norm(Y, axis=0)
         views.append(out)
     if zero_cols:
         warnings.warn(f"{zero_cols} all-zero sample column(s) left unchanged", ZeroColumnWarning)
