@@ -12,6 +12,10 @@ with, and the types those calls return. The solver's pieces stay in their
 modules (`mvclust.consensus`, `mvclust.finetune`, ...).
 """
 
+# every fit draws its starts from numpy.random, which numpy imports lazily:
+# importing it with the package keeps a fit from importing anything
+import numpy.random  # noqa: F401
+
 from .consensus import ConsensusGraph
 from .dataio import (
     ClusteringReport,

@@ -21,7 +21,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DimensionMismatchError, MvclustError
 
@@ -41,7 +40,7 @@ BLOCK_ROWS = 128
 ROW_SUM_LIMIT = 64.0
 
 # Most entries, as a share of the rows scanned, that the correction C holds:
-# 12 bytes each in CSR, so at most 0.09 of an n x n float array. A graph
+# 12 bytes each in `Csr`, so at most 0.09 of an n x n float array. A graph
 # that needs more is held as its n x n array.
 CUT_SHARE = 1.0 / 16.0
 
@@ -76,12 +75,69 @@ def gram_row_blocks(G: Array, out: Array | None = None):
         yield i, np.matmul(G[:, i:j].T, G, out=dest)
 
 
+class Csr:
+    """A sparse n x n matrix in compressed sparse row form: row i's entries
+    are data[indptr[i]:indptr[i + 1]], at the columns indices[...] in
+    ascending order, one entry per position. Columns are int32 and values
+    float64: 12 bytes an entry. Built from (row, column, value) entries,
+    which it sorts, summing those that share a position; its arrays are
+    read-only."""
+
+    def __init__(self, rows, cols, vals, n: int):
+        rows, cols = (np.asarray(a, dtype=np.intp).ravel() for a in (rows, cols))
+        vals = np.asarray(vals, dtype=np.float64).ravel()
+        if not rows.shape == cols.shape == vals.shape:
+            raise ValueError(f"{rows.size} rows, {cols.size} columns and {vals.size} values")
+        if rows.size and not (0 <= min(rows.min(), cols.min()) <= max(rows.max(), cols.max()) < n):
+            raise ValueError(f"an entry lies outside {n} x {n}")
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        first = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
+        if first.size < rows.size:
+            rows, cols, vals = rows[first], cols[first], np.add.reduceat(vals, first)
+        self.shape = (n, n)
+        self.indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
+        self.indices = cols.astype(np.int32)
+        self.data = vals
+        for a in (self.indptr, self.indices, self.data):
+            a.flags.writeable = False
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def rows(self) -> Array:
+        """The row of each entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def matmat(self, X: Array, transpose: bool = False) -> Array:
+        """C X, or C^T X, for X with n rows (or n entries): each output row
+        sums its terms from zero in entry order."""
+        rows, cols = self.rows(), self.indices
+        if transpose:
+            rows, cols = cols, rows
+        out = np.zeros(X.shape)
+        np.add.at(out, rows, (self.data * X[cols].T).T)
+        return out
+
+    def diagonal(self) -> Array:
+        rows = self.rows()
+        on = rows == self.indices
+        out = np.zeros(self.shape[0])
+        out[rows[on]] = self.data[on]
+        return out
+
+    def row_sums(self) -> Array:
+        return np.bincount(self.rows(), weights=self.data, minlength=self.shape[0])
+
+
 class ConsensusGraph:
     """The consensus graph S = G^T G - theta 1^T - diag(q - theta) + C, held
     without an n x n array.
 
     G (r x n) holds the stacked tops S was projected from and q_i = ||g_i||^2;
-    theta_i is row i's simplex threshold; C (sparse CSR) holds theta_i - Q_ij
+    theta_i is row i's simplex threshold; C (a `Csr`) holds theta_i - Q_ij
     at each entry the projection cut to zero. The low-rank part's diagonal
     is zero by definition, so S_ii = C_ii. Any matrix is the case with G
     empty, theta 0 and C = S, and `from_dense` holds an array S as that C
@@ -98,11 +154,12 @@ class ConsensusGraph:
     def __init__(self, G: Array, theta: Array, C, alpha: Array | None = None):
         self.G = np.asarray(G, dtype=np.float64)
         self.theta = np.asarray(theta, dtype=np.float64)
-        if isinstance(C, np.ndarray):
+        if isinstance(C, Csr):
+            self.C = C
+        elif isinstance(C, np.ndarray):
             self.C = np.asarray(C, dtype=np.float64)
         else:
-            self.C = sparse.csr_array(C, dtype=np.float64)
-            self.C.sum_duplicates()
+            raise TypeError(f"C is an array or a Csr, got {type(C).__name__}")
         if self.theta.shape != (self.C.shape[0],) or self.C.shape[1] != self.G.shape[1]:
             raise ValueError(
                 f"G {self.G.shape}, theta {self.theta.shape} and C {self.C.shape} do not match"
@@ -131,7 +188,13 @@ class ConsensusGraph:
         """(S + S^T) X = 2 G^T (G X) - theta (1^T X) - 1 (theta^T X) - 2 (q -
         theta) o X + C X + C^T X, for X with n rows (or n entries)."""
         X = np.asarray(X, dtype=np.float64)
-        out = 2.0 * (self.G.T @ (self.G @ X)) + self.C @ X + self.C.T @ X
+        out = 2.0 * (self.G.T @ (self.G @ X))
+        if isinstance(self.C, np.ndarray):
+            out += self.C @ X
+            out += self.C.T @ X
+        else:
+            out += self.C.matmat(X)
+            out += self.C.matmat(X, transpose=True)
         out -= np.multiply.outer(self.theta, X.sum(axis=0)) + self.theta @ X
         out -= 2.0 * ((self.q - self.theta) * X.T).T
         return out
@@ -199,7 +262,8 @@ class ConsensusGraph:
             raise MvclustError("S has a nonzero diagonal entry")
         # S 1 = G^T (G 1) - (n - 1) theta - q + C 1
         sums = self.G.T @ self.G.sum(axis=1) - (n - 1) * self.theta - self.q
-        row_err = np.abs(sums + self.C.sum(axis=1) - 1.0).max()
+        sums += self.C.sum(axis=1) if isinstance(self.C, np.ndarray) else self.C.row_sums()
+        row_err = np.abs(sums - 1.0).max()
         if not row_err <= ROW_SUM_TOL:
             raise MvclustError(f"S row sums deviate from 1 by {row_err:.3e}")
         return self
@@ -254,7 +318,7 @@ class ConsensusGraph:
         cross = (
             (K @ theta) * K.sum(axis=1)
             + np.square(K) @ (q - theta)
-            - np.einsum("ri,ir->r", K, self.C @ K.T)
+            - np.einsum("ri,ir->r", K, self.C.matmat(K.T))
         )
         delta = np.asarray(alpha, dtype=np.float64) - self.alpha
         w = np.repeat(delta, [H.shape[0] for H in tops])
@@ -393,11 +457,8 @@ def update_consensus_graph(alpha: Array, stacks) -> ConsensusGraph:
         if count > limit:
             break
     else:
-        C = sparse.csr_array((n, n))
-        if cuts:
-            rows, cols, vals = (np.concatenate(a) for a in zip(*cuts))
-            C = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
-        return ConsensusGraph(G, theta, C, alpha=alpha)
+        rows, cols, vals = (np.concatenate(a) for a in zip(*cuts)) if cuts else ([], [], [])
+        return ConsensusGraph(G, theta, Csr(rows, cols, vals, n), alpha=alpha)
     del cuts  # before the n x n array is allocated
     return _dense_graph(G)
 

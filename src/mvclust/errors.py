@@ -51,6 +51,11 @@ class TooManyViewsError(MvclustError):
     """A dataset has more views than the exact view-weight solver takes."""
 
 
+class EigensolverError(MvclustError):
+    """The spectral embedding's eigen-solver did not converge within its
+    cycle budget."""
+
+
 class LengthMismatchError(MvclustError):
     """Two label sequences being compared have different lengths."""
 

@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .consensus import MAX_VIEWS, update_consensus_graph, update_view_weights
 # no caller here; bench/worker.py wraps fitting.compute_Q by this name
@@ -60,18 +59,14 @@ def row_space_factor(X: Array) -> Array:
     """R of X = QR for a d x n view with d >= n: n x n upper triangular, with
     X's singular values, and X^T X = R^T R.
 
-    LAPACK's dtpqrt folds X into R n rows at a time ([R; B] = Q' R', from
-    R = 0), so the QR holds one n x n block of X beside R: 4.7 MB at 3200 x
-    544, where dgeqrf on a Fortran-order copy of X took 16 MB and
-    `np.linalg.qr` 30 MB. Its inner block of 16 columns ran 62-69 ms there,
-    against 77-80 ms for dgeqrf with its optimal workspace.
+    One `np.linalg.qr(X, mode="r")` call: LAPACK's dgeqrf on a Fortran copy
+    of X. At 3200 x 544 with 2 BLAS threads it took 90-95 ms, with a traced
+    peak of 16.6 MB (the copy and R) and 29 MB of peak RSS. dtpqrt, which
+    folds X into R n rows at a time, took 52-120 ms and 7.1 MB there, but
+    it is scipy's, and scipy loads a second OpenBLAS whose threads contend
+    with numpy's.
     """
-    d, n = X.shape
-    R = np.zeros((n, n), order="F")
-    for i in range(0, d, n):
-        block = np.array(X[i : i + n], order="F")
-        R, _, _, _ = lapack.dtpqrt(0, min(16, n), R, block, overwrite_a=True, overwrite_b=True)
-    return R
+    return np.linalg.qr(X, mode="r")
 
 
 def row_space_views(ds: MultiViewDataset) -> list[Array]:
@@ -248,15 +243,19 @@ def fit(
     )
 
 
-def fit_with_restarts(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
+def fit_with_restarts(
+    ds: MultiViewDataset, cfg: FitConfig, on_iteration=None, *, row_views: list[Array] | None = None
+) -> FitResult:
     """Run cfg.restarts fits with seeds seed, seed+1, ...; keep the lowest
     final objective. Summaries of every run are attached to the result.
 
     A restart that raises is logged and recorded in its summary, and the
     others still run; only when every restart fails is the last error
-    raised again. Every restart reads the tall views' QRs, taken once."""
+    raised again. Every restart reads the tall views' QRs, taken once, or
+    `row_views` as in `fit`, so that several calls share them."""
     _validate_fit(ds, cfg)
-    row_views = row_space_views(ds)
+    if row_views is None:
+        row_views = row_space_views(ds)
     best: FitResult | None = None
     summaries: list[RestartSummary] = []
     for r in range(cfg.restarts):

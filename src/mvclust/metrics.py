@@ -8,8 +8,6 @@ minimum-cost assignment on the negated contingency table.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import LengthMismatchError
 from .spectral import Partition
@@ -20,20 +18,46 @@ Array = np.ndarray
 def hungarian(cost: Array) -> Array:
     """Permutation p minimizing sum_i cost[i, p[i]] over a square cost matrix.
 
-    scipy's sparse matcher (LAPJVsp) takes the cost shifted to a minimum of
-    1: a shift changes every permutation's total alike, and with every entry
-    positive every edge is stored, so a full matching exists. Importing it
-    keeps `scipy.optimize` out of the process.
+    Kuhn-Munkres by shortest augmenting paths (Jonker & Volgenant, 1987):
+    rows join the matching one at a time, each along a shortest path in the
+    costs reduced by row and column potentials u, v (Dijkstra over the
+    columns, vectorized), and the potentials keep every reduced cost c_ij -
+    u_i - v_j nonnegative and zero on the matching. O(n^3).
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix must be finite")
-    if cost.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    rows, cols = min_weight_full_bipartite_matching(sparse.csr_array(cost - cost.min() + 1.0))
-    return cols[np.argsort(rows)].astype(np.int64)
+    n = cost.shape[0]
+    # columns 1..n, with column 0 standing for the row being added; row_of[j]
+    # is column j's row, 1-based, or 0 while j is free
+    u, v = np.zeros(n + 1), np.zeros(n + 1)
+    row_of = np.zeros(n + 1, dtype=np.int64)
+    via = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        row_of[0], col = i, 0
+        dist = np.full(n + 1, np.inf)
+        reached = np.zeros(n + 1, dtype=bool)
+        while row_of[col]:
+            reached[col] = True
+            row = row_of[col]
+            reduced = cost[row - 1] - u[row] - v[1:]
+            closer = ~reached[1:] & (reduced < dist[1:])
+            dist[1:][closer] = reduced[closer]
+            via[1:][closer] = col
+            col = int(np.argmin(np.where(reached, np.inf, dist)))
+            delta = dist[col]
+            u[row_of[reached]] += delta
+            v[reached] -= delta
+            dist[~reached] -= delta
+        # augment: shift each column's row back along the path to column 0
+        while col:
+            row_of[col] = row_of[via[col]]
+            col = via[col]
+    perm = np.empty(n, dtype=np.int64)
+    perm[row_of[1:] - 1] = np.arange(n)
+    return perm
 
 
 def _labels_of(p) -> Array:

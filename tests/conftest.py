@@ -1,6 +1,7 @@
 """Shared builders for the test suite: random-but-valid model states,
 planted datasets, small independent numerical oracles, and a tracemalloc
-peak probe."""
+peak probe. scipy is a test dependency only: its routines here are the
+oracles for the package's numpy ones."""
 
 import functools
 import tracemalloc
@@ -10,7 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy import sparse
+from scipy.linalg import eigh, lapack
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from mvclust import (
     FactorStack,
@@ -22,6 +26,7 @@ from mvclust import (
 )
 from mvclust.consensus import (
     BLOCK_ROWS,
+    as_graph,
     _project_graph_block,
     _project_rows_in_place,
     stacked_tops,
@@ -93,8 +98,7 @@ def blockwise_graph_term(state) -> float:
         R = left[:, i:j].T @ right
         # S's low-rank part has a zero diagonal
         R[np.arange(j - i), np.arange(i, j)] = q[i:j]
-        C = S.C[i:j]
-        R -= C if isinstance(C, np.ndarray) else C.toarray()
+        R -= S.C[i:j] if isinstance(S.C, np.ndarray) else scipy_csr(S.C)[i:j].toarray()
         graph += float(np.vdot(R, R))
     return graph
 
@@ -308,6 +312,58 @@ def svd_pinv(A, expected_rank=None):
         warnings.warn("rank-deficient factor; singular values truncated", RankDeficientWarning)
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return (Vt.T * s_inv) @ U.T
+
+
+def scipy_csr(C):
+    """A `Csr` as scipy's csr_array over the same three arrays (the oracle
+    for C's products, diagonal and row sums)."""
+    return sparse.csr_array((C.data, C.indices, C.indptr), shape=C.shape)
+
+
+def dtpqrt_row_space_factor(X):
+    """R of X = QR by LAPACK's dtpqrt, folding X into R n rows at a time
+    ([R; B] = Q' R', from R = 0), with an inner block of 16 columns (test
+    oracle for `row_space_factor`)."""
+    d, n = X.shape
+    R = np.zeros((n, n), order="F")
+    for i in range(0, d, n):
+        block = np.array(X[i : i + n], order="F")
+        R, _, _, _ = lapack.dtpqrt(0, min(16, n), R, block, overwrite_a=True, overwrite_b=True)
+    return R
+
+
+def eigsh_spectral_embed(S, k):
+    """The spectral embedding with N's top k eigenvectors from ARPACK's
+    implicitly restarted Lanczos (`eigsh`, from the vector
+    `default_rng(0).standard_normal(n)`), N read through the graph's
+    product (oracle for the block Krylov solver)."""
+    S = as_graph(S)
+    n = S.shape[0]
+    d_isqrt = 1.0 / np.sqrt(0.5 * S.symmetric_matmat(np.ones(n)))
+
+    def matvec(x):
+        z = S.symmetric_matmat(d_isqrt * x.ravel())
+        z *= 0.5 * d_isqrt
+        return z
+
+    N = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    _, U = eigsh(N, k, which="LA", v0=np.random.default_rng(0).standard_normal(n))
+    E = U[:, ::-1]
+    norms = np.linalg.norm(E, axis=1)
+    nz = norms > 0
+    E[nz] /= norms[nz, None]
+    return E
+
+
+def csgraph_assignment(cost):
+    """Permutation p minimizing sum_i cost[i, p[i]] by scipy's sparse matcher
+    (LAPJVsp) on the cost shifted to a minimum of 1, so that every edge is
+    stored (oracle for `hungarian`)."""
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    rows, cols = min_weight_full_bipartite_matching(sparse.csr_array(cost - cost.min() + 1.0))
+    return cols[np.argsort(rows)].astype(np.int64)
 
 
 def dense_spectral_embed(S, k):

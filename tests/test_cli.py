@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mvclust import MultiViewDataset
+from mvclust import MultiViewDataset, generate_synthetic
 from mvclust.cli import DEFAULT_BETA_GRID, build_parser, main, parse_beta
 
 from conftest import hierarchical_dataset
@@ -201,6 +201,26 @@ def test_sweep_small_grid(tmp_path):
     assert header[:4] == ["cell", "beta", "layers", "final_objective"]
     accs = [float(line.split("\t")[6]) for line in lines[1:]]
     assert all(0 <= a <= 1 for a in accs)
+
+
+def test_sweep_takes_each_tall_views_qr_once(tmp_path, monkeypatch):
+    # every cell fits the same views: a 2 x 2 grid over two views with
+    # d >= 2n takes each view's R once, not once per cell
+    import mvclust.fitting as fitting
+
+    ds = generate_synthetic(n=30, k=3, n_views=2, dims=(70, 64), separation=10.0, noise_sigma=0.5, seed=3)
+    save_dataset(ds, tmp_path / "tall", name="tall")
+    shapes = []
+    factor = fitting.row_space_factor
+    monkeypatch.setattr(fitting, "row_space_factor", lambda X: shapes.append(X.shape) or factor(X))
+    code = main([
+        "sweep", "--data", str(tmp_path / "tall"), "--beta-grid", "0.5,2.0",
+        "--layer-grid", "6,3", "--layer-grid", "9,3", "--max-iter", "2", "--pretrain-iters", "5",
+        "--out", str(tmp_path / "sweep.tsv"),
+    ])
+    assert code == 0
+    assert len((tmp_path / "sweep.tsv").read_text().strip().splitlines()) == 1 + 4
+    assert shapes == [(70, 30), (64, 30)]
 
 
 def test_sweep_deterministic(tmp_path):

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg import subspace_angles
 
 from mvclust import FactorStack, FitConfig, LayerSpec, ModelState, MultiViewDataset, fit, seminmf
 from mvclust.consensus import (
     BLOCK_ROWS,
     ConsensusGraph,
+    Csr,
     WeightQp,
     compute_Q,
     gram_row_blocks,
@@ -28,7 +30,8 @@ from mvclust.consensus import (
 )
 from mvclust.errors import RankDeficientError, RankDeficientWarning
 from mvclust.finetune import sweep_view, update_top
-from mvclust.fitting import objective_terms
+from mvclust.fitting import ROW_SPACE_RATIO, objective_terms, row_space_factor
+from mvclust.metrics import hungarian
 from mvclust.seminmf import fit_seminmf, mp_pinv, multiplicative_step
 from mvclust.spectral import cluster_graph, spectral_embed
 
@@ -37,14 +40,17 @@ from conftest import (
     ChainCache,
     blockwise_graph_term,
     brute_force_row_projection,
+    csgraph_assignment,
     direct_fit,
     direct_fit_seminmf,
+    dtpqrt_row_space_factor,
     graph_from_tops,
     project_graph,
     project_rows_to_simplex,
     random_state,
     recompute_sweep_view,
     residual_objective_terms,
+    scipy_csr,
     sort_projection,
     svd_pinv,
     top_products,
@@ -503,8 +509,10 @@ def test_graph_term_from_structure_matches_blockwise_oracle(n, views, k, cut, mo
     assert (graph.C.nnz > 0) == (cut > 0 and n > 2)
     if diagonal:
         # S_ii = C_ii: an invalid graph, whose graph term is still defined
-        C = graph.C.tolil()
-        C[n - 1, n - 1] = 0.5
+        C = graph.C
+        C = Csr(
+            np.append(C.rows(), n - 1), np.append(C.indices, n - 1), np.append(C.data, 0.5), n
+        )
         graph = ConsensusGraph(graph.G, graph.theta, C, alpha=alpha_S)
     if form == "array":
         # the same S held as its n x n array, with no structure to read
@@ -512,7 +520,7 @@ def test_graph_term_from_structure_matches_blockwise_oracle(n, views, k, cut, mo
     elif form == "array C":
         # the tops with C as an array: no form the graph step builds, but
         # one the constructor takes
-        graph = ConsensusGraph(graph.G, graph.theta, graph.C.toarray(), alpha=alpha_S)
+        graph = ConsensusGraph(graph.G, graph.theta, scipy_csr(graph.C).toarray(), alpha=alpha_S)
     elif form == "tops moved":
         # a sweep after the graph step: S is no longer these tops' projection
         stacks[0].top = 1.01 * stacks[0].top
@@ -659,7 +667,7 @@ def _laplacian_embed(S, k):
 @given(n=st.integers(5, 40), k=st.integers(2, 4), seed=SEEDS)
 @example(n=4, k=3, seed=0)
 def test_spectral_embed_spans_laplacian_eigenvectors(n, k, seed):
-    # k < n, ARPACK's range; k = n is cluster_graph's singleton partition
+    # k < n, the eigen-solver's range; k = n is cluster_graph's singleton partition
     S = project_graph(np.random.default_rng(seed).random((n, n)))
     E_oracle, w = _laplacian_embed(S, k)
     assume(w[k] - w[k - 1] >= 1e-6)
@@ -764,3 +772,101 @@ def test_row_space_fit_matches_the_feature_space_loop(n, k, depth, height, dupli
         assert a.mappings[0].shape == b.mappings[0].shape
         assert np.abs(a.mappings[0] - b.mappings[0]).max() <= 1e-9 * np.abs(b.mappings[0]).max()
     assert np.array_equal(cluster_graph(res.state.S, k, seed=0).labels, cluster_graph(state.S, k, seed=0).labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    extra=st.integers(0, 30),
+    zero=st.booleans(),
+    duplicate=st.booleans(),
+    seed=SEEDS,
+)
+@example(n=7, extra=9, zero=True, duplicate=True, seed=0)  # d = 23, not a multiple of n
+def test_row_space_factor_matches_dtpqrt(n, extra, zero, duplicate, seed):
+    # a tall view's R, from numpy's QR, against LAPACK's dtpqrt folding X in
+    # n rows at a time: X^T X = R^T R, and R is unique up to its rows' signs
+    # over the rows before X's first dependent column (past it, the rows are
+    # fixed only up to a rotation)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((ROW_SPACE_RATIO * n + extra, n))
+    dependent = []
+    if zero:
+        j = int(rng.integers(n))
+        X[:, j] = 0.0
+        dependent.append(j)
+    if duplicate and n > 1:
+        a, b = sorted(rng.choice(n, 2, replace=False))
+        X[:, b] = X[:, a]
+        dependent.append(b)
+    R, oracle = row_space_factor(X), dtpqrt_row_space_factor(X)
+    assert R.shape == (n, n) and np.array_equal(R, np.triu(R))
+    K = X.T @ X
+    assert np.abs(R.T @ R - K).max() <= 1e-13 * np.abs(K).max()
+    lead = min(dependent, default=n)
+    signs = np.where(np.signbit(np.diag(R)[:lead]) == np.signbit(np.diag(oracle)[:lead]), 1.0, -1.0)
+    gap = np.abs(signs[:, None] * R[:lead] - oracle[:lead]).max(initial=0.0)
+    assert gap <= 1e-13 * np.abs(oracle).max()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    nnz=st.integers(0, 60),
+    width=st.sampled_from([None, 1, 4]),
+    seed=SEEDS,
+)
+def test_csr_matches_scipy(n, nnz, width, seed):
+    # repeated positions are summed, as scipy sums them; only their order of
+    # summation may differ, so values agree to rounding
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(n, size=nnz), rng.integers(n, size=nnz)
+    vals = rng.standard_normal(nnz)
+    C = Csr(rows, cols, vals, n)
+    oracle = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+    oracle.sum_duplicates()
+    assert C.shape == oracle.shape and C.nnz == oracle.nnz
+    assert C.indices.dtype == np.int32 and C.data.dtype == np.float64
+    assert np.array_equal(C.indptr, oracle.indptr)
+    assert np.array_equal(C.indices, oracle.indices)
+    X = rng.standard_normal(n if width is None else (n, width))
+    tol = 1e-13 * (np.abs(vals).sum() * np.abs(X).max() + 1e-300)
+    for ours, theirs in (
+        (C.data, oracle.data),
+        (C.matmat(X), oracle @ X),
+        (C.matmat(X, transpose=True), oracle.T @ X),
+        (C.diagonal(), oracle.diagonal()),
+        (C.row_sums(), oracle.sum(axis=1)),
+    ):
+        assert ours.shape == theirs.shape
+        assert np.abs(ours - theirs).max(initial=0.0) <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(0, 8),
+    cols=st.integers(1, 8),
+    levels=st.integers(0, 3),
+    padded=st.booleans(),
+    seed=SEEDS,
+)
+@example(rows=4, cols=4, levels=0, padded=False, seed=0)  # every cost tied
+@example(rows=2, cols=6, levels=3, padded=True, seed=0)
+def test_hungarian_matches_the_csgraph_matcher(rows, cols, levels, padded, seed):
+    # padded: a negated contingency table zero-padded to square, as accuracy
+    # builds it; otherwise a square cost on a few levels (many ties) or, at
+    # levels 0 and any size, continuous costs
+    rng = np.random.default_rng(seed)
+    if padded:
+        size = max(rows, cols)
+        cost = np.zeros((size, size))
+        cost[:rows, :cols] = -rng.integers(0, levels + 1, size=(rows, cols))
+    elif levels:
+        cost = 0.5 * rng.integers(-levels, levels + 1, size=(rows, rows))
+    else:
+        cost = rng.standard_normal((rows, rows)) if seed % 2 else np.ones((rows, rows))
+    perm, oracle = hungarian(cost), csgraph_assignment(cost)
+    size = cost.shape[0]
+    assert perm.dtype == np.int64 and np.array_equal(np.sort(perm), np.arange(size))
+    best = cost[np.arange(size), oracle].sum()
+    assert abs(cost[np.arange(size), perm].sum() - best) <= 1e-12 * max(1.0, np.abs(cost).sum())

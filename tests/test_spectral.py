@@ -4,13 +4,30 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from mvclust import cluster_graph, kmeans
+import mvclust.spectral as spectral
+from mvclust import (
+    FitConfig,
+    LayerSpec,
+    MultiViewDataset,
+    accuracy,
+    cluster_graph,
+    fit,
+    generate_synthetic,
+    kmeans,
+    normalize_views,
+)
 from mvclust.consensus import BLOCK_ROWS, as_graph, gram_similarity
-from mvclust.errors import DegenerateGraphWarning, DimensionMismatchError, MvclustError
+from mvclust.errors import (
+    DegenerateGraphWarning,
+    DimensionMismatchError,
+    EigensolverError,
+    MvclustError,
+)
 from mvclust.spectral import _lloyd, spectral_embed
 
 from conftest import (
     dense_spectral_embed,
+    eigsh_spectral_embed,
     graph_from_tops,
     hierarchical_dataset,
     jacobi_eigh,
@@ -188,8 +205,9 @@ def _seeded_graph(n=1000):
 
 
 def _assert_matches_dense_oracle(S, k):
-    """Lanczos moves the embedding at rounding level only: it spans the dense
-    eigensolver's subspace and gives k-means the same labels. Returns it."""
+    """The Krylov solver moves the embedding at rounding level only: it spans
+    the dense eigensolver's subspace and gives k-means the same labels.
+    Returns it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         E = spectral_embed(S, k)
@@ -202,14 +220,15 @@ def _assert_matches_dense_oracle(S, k):
 def test_spectral_embed_matches_dense_oracle():
     S = _seeded_graph()
     E = _assert_matches_dense_oracle(S, 3)
-    # the fixed start vector makes the Lanczos result deterministic
+    # the fixed start block makes the result deterministic
     assert np.array_equal(spectral_embed(S, 3), E)
 
 
 @pytest.mark.parametrize("n, k", [(3, 2), (12, 11), (12, 12)])
 def test_spectral_embed_structural_edges(n, k):
-    # n = 3, k = 2 is the smallest case ARPACK runs, k = n - 1 its largest;
-    # k == n has no embedding, and its partition is the n singletons
+    # n = 3, k = 2 is the smallest case the solver runs, k = n - 1 its
+    # largest, both with a basis of the whole space; k == n has no
+    # embedding, and its partition is the n singletons
     S = _seeded_graph(n)
     if k < n:
         _assert_matches_dense_oracle(S, k)
@@ -240,7 +259,7 @@ def test_spectral_embed_resolves_repeated_top_eigenvalue(sizes):
 
 
 def test_spectral_embed_holds_one_nxn_array():
-    # Lanczos reads N through products with S, so no W or N is formed: about
+    # the solver reads N through products with S, so no W or N is formed: about
     # 0.03 arrays of n x n floats (1.05 with N in W's buffer; separate W, N
     # and a Fortran copy for LAPACK held 3.0)
     S = _seeded_graph()
@@ -265,3 +284,56 @@ def test_spectral_operator_matches_dense_n(graph):
         S = rng.random((n, n)) ** 3
         np.fill_diagonal(S, 0.0)
     _assert_matches_dense_oracle(S, 4)
+
+
+def test_spectral_embed_takes_k_directions_of_more_components():
+    # five cliques and k = 3: N's eigenvalue 1 is repeated five times, so any
+    # three directions of its eigenspace are an embedding, and every row is
+    # constant on its clique
+    sizes = [40, 50, 60, 70, 80]
+    S = block_graph(sizes)
+    indicators = np.eye(len(sizes))[np.repeat(np.arange(len(sizes)), sizes)]
+    E = spectral_embed(S, 3)
+    assert subspace_angles(E, indicators).max() <= 1e-10
+
+
+def _noise_view_graph():
+    """The final graph of the noise-view probe: the planted acceptance data
+    at seed 1 with view 2 replaced by |N(0,1)| (default_rng(0)), normalized,
+    layers 21,9,3, beta 2^-7, 150 iterations, tol 0, rng_seed 1. The noise
+    view takes weight 0.968 and S is diffuse: N's top eigenvalues are 1,
+    0.108, 0.085 and 0.003."""
+    ds = generate_synthetic(
+        n=300, k=3, n_views=3, dims=(24, 30, 27), separation=10.0, noise_sigma=0.5, seed=1
+    )
+    noise = np.abs(np.random.default_rng(0).standard_normal(ds.views[2].shape))
+    ds = normalize_views(MultiViewDataset(views=[*ds.views[:2], noise], labels=ds.labels))
+    cfg = FitConfig(
+        beta=2.0**-7, layers=LayerSpec([21, 9, 3]), max_outer_iters=150,
+        tol_rel_objective=0.0, rng_seed=1,
+    )
+    state = fit(ds, cfg).state
+    assert abs(state.alpha[2] - 0.968) <= 1e-3
+    return state.S, ds.labels
+
+
+def test_spectral_embed_matches_arpack_on_the_diffuse_noise_view_graph():
+    S, truth = _noise_view_graph()
+    E = spectral_embed(S, 3)
+    oracle = eigsh_spectral_embed(S, 3)
+    assert np.sin(subspace_angles(E, oracle)).max() <= 1e-12
+    labels = kmeans(E, 3, seed=1).labels
+    assert np.array_equal(labels, kmeans(oracle, 3, seed=1).labels)
+    assert np.array_equal(labels, cluster_graph(S, 3, seed=1).labels)
+    assert accuracy(labels, truth) == pytest.approx(0.42)
+
+
+def test_spectral_embed_raises_a_typed_error_when_its_budget_runs_out(monkeypatch):
+    # a uniform random Q has no cluster structure: N's top eigenvalues after
+    # the first sit at the edge of a dense bulk, so one cycle does not converge
+    S = project_graph(np.random.default_rng(4).random((200, 200)))
+    monkeypatch.setattr(spectral, "MAX_CYCLES", 1)
+    with pytest.raises(EigensolverError, match="no convergence in 1 cycles"):
+        spectral_embed(S, 3)
+    monkeypatch.undo()
+    _assert_matches_dense_oracle(S, 3)
