@@ -259,7 +259,7 @@ def test_spectral_embed_resolves_repeated_top_eigenvalue(sizes):
 
 
 def test_spectral_embed_holds_one_nxn_array():
-    # the solver reads N through products with S, so no W or N is formed: about
+    # Lanczos reads N through products with S, so no W or N is formed: about
     # 0.03 arrays of n x n floats (1.05 with N in W's buffer; separate W, N
     # and a Fortran copy for LAPACK held 3.0)
     S = _seeded_graph()
