@@ -28,7 +28,7 @@ from .dataio import (
     save_report,
 )
 from .errors import MvclustError
-from .fitting import FitResult, fit_with_restarts, row_space_views
+from .fitting import FitResult, fit_with_restarts, row_space
 from .metrics import accuracy, nmi, purity
 from .spectral import cluster_graph
 from .types import FitConfig, LayerSpec, MultiViewDataset
@@ -150,10 +150,10 @@ def _make_config(args, layers: list[int], beta: float) -> FitConfig:
     )
 
 
-def _fit_and_cluster(ds, cfg: FitConfig, k: int, kmeans_restarts: int, row_views=None):
+def _fit_and_cluster(ds, cfg: FitConfig, k: int, kmeans_restarts: int):
     """Keep the restart with the lowest final objective and cluster its
-    graph with that run's seed. `row_views` is as in `fit`."""
-    result = fit_with_restarts(ds, cfg, row_views=row_views)
+    graph with that run's seed."""
+    result = fit_with_restarts(ds, cfg)
     return result, cluster_graph(result.state.S, k, restarts=kmeans_restarts, seed=result.seed)
 
 
@@ -193,10 +193,10 @@ def _layer_grid(k: int) -> list[list[int]]:
     return [[a * k, b * k, k] for a in (7, 11, 15) for b in (2, 3, 4)]
 
 
-def _sweep_cell(ds, args, layers: list[int], beta: float, k: int, row_views) -> list[str]:
+def _sweep_cell(ds, args, layers: list[int], beta: float, k: int) -> list[str]:
     """Fit and cluster one (beta, layers) cell; returns its TSV cells."""
     cfg = _make_config(args, layers, beta)
-    result, part = _fit_and_cluster(ds, cfg, k, args.kmeans_restarts, row_views)
+    result, part = _fit_and_cluster(ds, cfg, k, args.kmeans_restarts)
     return [
         repr(beta),
         ",".join(str(s) for s in layers),
@@ -218,9 +218,9 @@ def cmd_sweep(args) -> int:
     for spec in layer_grid:
         LayerSpec(spec).validate(k=k, min_view_dim=min(ds.view_dims))
     # every cell fits the same views: take each tall view's QR once
-    row_views = row_space_views(ds)
+    rs = row_space(ds)
     rows = [
-        _sweep_cell(ds, args, layers, beta, k, row_views)
+        _sweep_cell(rs, args, layers, beta, k)
         for beta in args.beta_grid
         for layers in layer_grid
     ]

@@ -18,7 +18,6 @@ every support. That costs 2^V small solves, so the view count is capped.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -474,28 +473,16 @@ def view_gram_products(tops) -> Array:
     return A
 
 
-@dataclass
-class WeightQp:
-    """Quadratic program data for the view weights.
-
-    A[p, q] = Tr(H_p^T H_p H_q^T H_q) = ||H_p H_q^T||_F^2 and f[v] = <H_v S, H_v>
-    = <(S + S^T) H_v^T, H_v^T> / 2, both formed from the k x n tops without
-    an n x n array, the latter from the graph's structure in O(n Vk k + nnz C).
-    A is PSD, and the weights minimize 0.5 a^T A a - f^T a over the simplex.
-    """
-
-    A: Array
-    f: Array
-
-    @classmethod
-    def from_state(cls, state) -> "WeightQp":
-        tops = [st.top for st in state.stacks]
-        A = view_gram_products(tops)
-        f = np.array([0.5 * float(np.vdot(state.S.symmetric_matmat(H.T), H.T)) for H in tops])
-        return cls(A=A, f=f)
-
-    def objective(self, alpha: Array) -> float:
-        return float(0.5 * alpha @ self.A @ alpha - self.f @ alpha)
+def weight_qp(state) -> tuple[Array, Array]:
+    """The view weights' quadratic program (A, f): the weights minimize
+    0.5 a^T A a - f^T a over the simplex. A[p, q] = Tr(H_p^T H_p H_q^T H_q) =
+    ||H_p H_q^T||_F^2 is PSD, and f[v] = <H_v S, H_v> = <(S + S^T) H_v^T,
+    H_v^T> / 2. Both come from the k x n tops without an n x n array, f from
+    the graph's structure in O(n Vk k + nnz C)."""
+    tops = [st.top for st in state.stacks]
+    A = view_gram_products(tops)
+    f = np.array([0.5 * float(np.vdot(state.S.symmetric_matmat(H.T), H.T)) for H in tops])
+    return A, f
 
 
 def solve_simplex_qp(A: Array, f: Array) -> Array:
@@ -513,19 +500,19 @@ def solve_simplex_qp(A: Array, f: Array) -> Array:
     V = f.shape[0]
     # the minimizer is scale-free; unit scale keeps lstsq's rank cut relative to A and f
     scale = max(np.abs(A).max(), np.abs(f).max()) or 1.0
-    qp = WeightQp(A=A / scale, f=f / scale)
+    A, f = A / scale, f / scale
     best, best_obj = None, np.inf
     for r in range(V, 0, -1):
         for s in map(list, itertools.combinations(range(V), r)):
             K = np.ones((r + 1, r + 1))
-            K[:r, :r] = qp.A[np.ix_(s, s)]
+            K[:r, :r] = A[np.ix_(s, s)]
             K[r, r] = 0.0
-            a_s = np.linalg.lstsq(K, np.append(qp.f[s], 1.0), rcond=None)[0][:r]
+            a_s = np.linalg.lstsq(K, np.append(f[s], 1.0), rcond=None)[0][:r]
             if a_s.min() < 0:
                 continue
             alpha = np.zeros(V)
             alpha[s] = a_s
-            obj = qp.objective(alpha)
+            obj = float(0.5 * alpha @ A @ alpha - f @ alpha)
             if obj < best_obj:
                 best, best_obj = alpha, obj
     return best
@@ -533,5 +520,4 @@ def solve_simplex_qp(A: Array, f: Array) -> Array:
 
 def update_view_weights(state) -> Array:
     """Optimal simplex weights for the current S and the views' tops H_m."""
-    qp = WeightQp.from_state(state)
-    return solve_simplex_qp(qp.A, qp.f)
+    return solve_simplex_qp(*weight_qp(state))

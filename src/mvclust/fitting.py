@@ -11,12 +11,12 @@ top steps, with ||X||^2 taken once per fit: a fit reads each view in exactly
 two products per iteration, and holds no d x n residual.
 
 A view at least `ROW_SPACE_RATIO` times as tall as its sample count is
-fitted through R, the n x n triangular factor of X = QR, taken once for all
-the restarts of a fit:
+fitted through R, the n x n triangular factor of X = QR (`row_space`), taken
+once for all the restarts of a fit:
 ||X - Q Phi' H|| = ||R - Phi' H|| for every chain Phi' = Z_1..Z_m with Z_1
 in R's coordinates, so pretraining, the sweeps, the objective and the checks
 run on R unchanged. Every step that sets Z_1 writes it as R P for an n x l_1
-right factor P, and the fit returns Z_1 = X P.
+right factor P, and the fit returns Z_1 = X P (`_lift`).
 """
 
 from __future__ import annotations
@@ -69,10 +69,27 @@ def row_space_factor(X: Array) -> Array:
     return np.linalg.qr(X, mode="r")
 
 
-def row_space_views(ds: MultiViewDataset) -> list[Array]:
-    """The views as a fit reads them: each view with d >= ROW_SPACE_RATIO * n
-    as its `row_space_factor`, every other view as given."""
-    return [row_space_factor(X) if X.shape[0] >= ROW_SPACE_RATIO * ds.n else X for X in ds.views]
+def _is_tall(X: Array, n: int) -> bool:
+    """Whether a view with n samples is fitted through its R."""
+    return X.shape[0] >= ROW_SPACE_RATIO * n
+
+
+def row_space(ds: MultiViewDataset) -> MultiViewDataset:
+    """The dataset as a fit reads it: each view with d >= ROW_SPACE_RATIO * n
+    as its `row_space_factor` R, every other view as the same array. It is
+    its own row space, so a fit of it takes no QR and is ds's fit before
+    `_lift`."""
+    return replace(ds, views=[row_space_factor(X) if _is_tall(X, ds.n) else X for X in ds.views])
+
+
+def _lift(ds: MultiViewDataset, state: ModelState) -> ModelState:
+    """Give a state fitted to `row_space(ds)` the dataset's views: a view
+    held there as its R gets Z_1 = R P back as Q R P = X P."""
+    for X, stack in zip(ds.views, state.stacks):
+        if _is_tall(X, ds.n):
+            stack.mappings[0] = X @ stack.right_factor
+    state.views = list(ds.views)
+    return state
 
 
 def _validate_fit(ds: MultiViewDataset, cfg: FitConfig) -> None:
@@ -159,23 +176,19 @@ class FitResult:
         return float(self.objective_history[-1])
 
 
-def fit(
-    ds: MultiViewDataset, cfg: FitConfig, on_iteration=None, *, row_views: list[Array] | None = None
-) -> FitResult:
+def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     """Run the full alternating optimization from a pretrained start.
 
     Convergence is declared when the relative objective change stays below
     cfg.tol_rel_objective for CONVERGENCE_WINDOW consecutive iterations.
     `on_iteration(state, iteration, objective_value)` is called after every
-    outer iteration when given. The state it sees is the row-space one: a
-    view with d >= ROW_SPACE_RATIO * n is its n x n factor R there, and Z_1
-    is in R's coordinates. `row_views`, when given, must be
-    `row_space_views(ds)`: fits of one dataset then share its QRs. The
-    returned state holds the caller's view arrays and Z_1 = X P in feature
-    space. The S the callback sees is an immutable
-    `ConsensusGraph` that records the weights it was projected with, which
-    the next graph step replaces rather than changes; `state.S.dense()`
-    gives its n x n array. A factor that turns non-finite
+    outer iteration when given. The state it sees is that of `row_space(ds)`:
+    a view with d >= ROW_SPACE_RATIO * n is its n x n factor R there, and
+    Z_1 is in R's coordinates. The returned state holds the caller's view
+    arrays and Z_1 = X P in feature space. The S the callback sees is an
+    immutable `ConsensusGraph` that records the weights it was projected
+    with, which the next graph step replaces rather than changes;
+    `state.S.dense()` gives its n x n array. A factor that turns non-finite
     in a view's sweep raises NonFiniteFactorError naming the iteration. The
     old graph is dropped before the graph step, so that a graph held as an
     n x n array is never held twice: if the step raises (Q overflows), the
@@ -183,10 +196,7 @@ def fit(
     """
     _validate_fit(ds, cfg)
     t0 = time.perf_counter()
-    tall = [v for v, X in enumerate(ds.views) if X.shape[0] >= ROW_SPACE_RATIO * ds.n]
-    if row_views is None:
-        row_views = row_space_views(ds)
-    state = initialize_state(replace(ds, views=row_views), cfg)
+    state = initialize_state(row_space(ds), cfg)
     state.validate()
     # a row-space view's ||R||^2 is its ||X||^2
     views_sq = [squared_norm(X) for X in state.views]
@@ -230,12 +240,8 @@ def fit(
         if small_steps >= CONVERGENCE_WINDOW:
             converged = True
             break
-    # Z_1 = R P in the row space is Q R P = X P in feature space
-    for v in tall:
-        state.stacks[v].mappings[0] = ds.views[v] @ state.stacks[v].right_factor
-    state.views = list(ds.views)
     return FitResult(
-        state=state,
+        state=_lift(ds, state),
         objective_history=np.asarray(history),
         converged=converged,
         wall_time=time.perf_counter() - t0,
@@ -243,26 +249,23 @@ def fit(
     )
 
 
-def fit_with_restarts(
-    ds: MultiViewDataset, cfg: FitConfig, on_iteration=None, *, row_views: list[Array] | None = None
-) -> FitResult:
+def fit_with_restarts(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     """Run cfg.restarts fits with seeds seed, seed+1, ...; keep the lowest
     final objective. Summaries of every run are attached to the result.
 
     A restart that raises is logged and recorded in its summary, and the
     others still run; only when every restart fails is the last error
-    raised again. Every restart reads the tall views' QRs, taken once, or
-    `row_views` as in `fit`, so that several calls share them."""
+    raised again. Every restart fits `row_space(ds)`, so each tall view's
+    QR is taken once, and only the kept fit is lifted to ds's views."""
     _validate_fit(ds, cfg)
-    if row_views is None:
-        row_views = row_space_views(ds)
+    rs = row_space(ds)
     best: FitResult | None = None
     summaries: list[RestartSummary] = []
     for r in range(cfg.restarts):
         run_cfg = replace(cfg, rng_seed=cfg.rng_seed + r, restarts=1)
         t0 = time.perf_counter()
         try:
-            res = fit(ds, run_cfg, on_iteration=on_iteration, row_views=row_views)
+            res = fit(rs, run_cfg, on_iteration=on_iteration)
         except Exception as e:  # one failed restart leaves the others to run
             log.warning("restart with seed %d failed", run_cfg.rng_seed, exc_info=True)
             error = e
@@ -281,4 +284,5 @@ def fit_with_restarts(
     if best is None:
         raise error
     best.restart_summaries = summaries
+    _lift(ds, best.state)
     return best

@@ -5,12 +5,12 @@ from mvclust.consensus import (
     BLOCK_ROWS,
     CUT_SHARE,
     ROW_SUM_LIMIT,
-    WeightQp,
     compute_Q,
     gram_similarity,
     project_to_simplex,
     update_consensus_graph,
     update_view_weights,
+    weight_qp,
 )
 
 from conftest import brute_force_row_projection, graph_from_tops, project_graph, random_state, traced_peak
@@ -137,12 +137,12 @@ def test_projection_beats_random_feasible_points():
 
 def test_weight_qp_matrix_psd_and_symmetric():
     state = random_state(dims=(7, 5, 6), layer_sizes=(4, 3), seed=8)
-    qp = WeightQp.from_state(state)
-    assert np.array_equal(qp.A, qp.A.T)
+    A, f = weight_qp(state)
+    assert np.array_equal(A, A.T)
     rng = np.random.default_rng(9)
     for _ in range(200):
         x = rng.standard_normal(3)
-        assert x @ qp.A @ x >= -1e-9
+        assert x @ A @ x >= -1e-9
 
 
 def test_weights_single_view():
@@ -165,21 +165,25 @@ def test_weights_match_grid_oracle():
         for st in state.stacks:
             st.top = st.top / np.sqrt(np.linalg.norm(st.top.T @ st.top))
         alpha = update_view_weights(state)
-        qp = WeightQp.from_state(state)
+        A, f = weight_qp(state)
+
+        def objective(a):
+            return float(0.5 * a @ A @ a - f @ a)
+
         best = np.inf
         for i in range(101):
             for j in range(101 - i):
                 a = np.array([i, j, 100 - i - j]) / 100.0
-                best = min(best, qp.objective(a))
-        assert qp.objective(alpha) <= best + 1e-12
-        assert abs(qp.objective(alpha) - best) <= 1e-4
+                best = min(best, objective(a))
+        assert objective(alpha) <= best + 1e-12
+        assert abs(objective(alpha) - best) <= 1e-4
 
 
 def test_weights_kkt_stationarity():
     state = random_state(dims=(8, 5, 7), layer_sizes=(4, 2), seed=13)
     alpha = update_view_weights(state)
-    qp = WeightQp.from_state(state)
-    grad = qp.A @ alpha - qp.f
+    A, f = weight_qp(state)
+    grad = A @ alpha - f
     mu = grad.min()
     assert (grad[alpha > 1e-12] - mu).max() <= 1e-6
     assert np.all(grad >= mu - 1e-6)

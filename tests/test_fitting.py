@@ -215,7 +215,7 @@ def test_restarts_tie_returns_a_tied_run(monkeypatch):
 
     calls = []
 
-    def fake_fit(ds, cfg, on_iteration=None, row_views=None):
+    def fake_fit(ds, cfg, on_iteration=None):
         calls.append(cfg.rng_seed)
         state = random_state(seed=0)
         return fitting.FitResult(
@@ -694,6 +694,31 @@ def test_restarts_take_each_tall_views_qr_once(monkeypatch):
             assert np.array_equal(res.state.alpha, alone.state.alpha)
             for a, b in zip(res.state.stacks, alone.state.stacks):
                 assert all(np.array_equal(A, B) for A, B in zip(a.mappings + [a.top], b.mappings + [b.top]))
+
+
+def test_a_fit_of_the_row_space_takes_no_qr_and_is_the_fit_of_the_views(monkeypatch):
+    # fit_with_restarts fits row_space(ds) per restart and lifts only the
+    # kept fit: that fit takes no QR, holds R, and lifts to the fit of ds
+    import mvclust.fitting as fitting
+
+    ds = _tall_dataset()
+    cfg = simple_config([6, 3], max_outer_iters=4, pretrain_iters=10, tol_rel_objective=0.0)
+    whole = fitting.fit(ds, cfg)
+    rs = fitting.row_space(ds)
+    calls = []
+    factor = fitting.row_space_factor
+    monkeypatch.setattr(fitting, "row_space_factor", lambda X: calls.append(X.shape) or factor(X))
+    res = fitting.fit(rs, cfg)
+    assert calls == []
+    R, thin = rs.views
+    assert R.shape == (ds.n, ds.n) and thin is ds.views[1]
+    assert res.state.views[0] is R and res.state.views[1] is thin
+    tall = res.state.stacks[0]
+    # the sweep forms Z_1 as (R Q_H) W^+ and P as Q_H W^+: equal up to rounding
+    assert np.abs(tall.mappings[0] - R @ tall.right_factor).max() <= 1e-12 * np.abs(tall.mappings[0]).max()
+    assert np.array_equal(res.objective_history, whole.objective_history)
+    assert np.array_equal(res.state.alpha, whole.state.alpha)
+    assert np.array_equal(ds.views[0] @ tall.right_factor, whole.state.stacks[0].mappings[0])
 
 
 def _fail_at(iteration, restarts_to_fail):

@@ -78,8 +78,9 @@ def test_a_fit_and_its_scores_import_no_scipy():
 
 
 def test_a_row_space_fit_imports_nothing_new():
-    # a 3n-tall view is fitted through LAPACK's QR from scipy.linalg, which
-    # `import mvclust` has loaded: set-up time and its RSS stay the imports'
+    # a 3n-tall view is fitted through numpy's `np.linalg.qr`, and
+    # `import mvclust` imports `numpy.random` itself: set-up time and its RSS
+    # stay the imports'
     code = (
         "import sys\n"
         "import numpy as np\n"
