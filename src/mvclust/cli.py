@@ -216,7 +216,7 @@ def cmd_sweep(args) -> int:
         layer_grid = _layer_grid(known_k)
     k = _resolve_k(layer_grid[0], known_k)
     for spec in layer_grid:
-        LayerSpec(spec).validate(k=k, min_view_dim=min(ds.view_dims))
+        LayerSpec(spec).validate(k=k, min_view_dim=min(ds.view_dims), n=ds.n)
     # every cell fits the same views: take each tall view's QR once
     rs = row_space(ds)
     rows = [

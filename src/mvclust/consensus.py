@@ -7,8 +7,9 @@ Its update is an exact row-wise Euclidean projection of Q onto
 diagonal, for its simplex threshold theta_i. So S is stored as a
 `ConsensusGraph`, S = G^T G - theta 1^T - diag(q - theta) + C with q the
 diagonal of Q and C a sparse correction at the entries the projection cut
-to zero, and no n x n array is formed: Q is scanned BLOCK_ROWS rows at a
-time for the cut entries, and every consumer reads the structure. A graph
+to zero, held as those entries in compressed sparse row arrays, and no
+n x n array is formed: Q is scanned BLOCK_ROWS rows at a time for the cut
+entries, and every consumer reads the structure. A graph
 that the structure would not hold cheaply or exactly is held as its n x n
 array (see `update_consensus_graph`). The view weights alpha solve a
 V-dimensional simplex-constrained quadratic program exactly, by trying
@@ -39,8 +40,8 @@ BLOCK_ROWS = 128
 ROW_SUM_LIMIT = 64.0
 
 # Most entries, as a share of the rows scanned, that the correction C holds:
-# 12 bytes each in `Csr`, so at most 0.09 of an n x n float array. A graph
-# that needs more is held as its n x n array.
+# 12 bytes each (an int32 column and a float64 value), so at most 0.09 of an
+# n x n float array. A graph that needs more is held as its n x n array.
 CUT_SHARE = 1.0 / 16.0
 
 # Most a valid graph's row sum may deviate from 1.
@@ -74,78 +75,26 @@ def gram_row_blocks(G: Array, out: Array | None = None):
         yield i, np.matmul(G[:, i:j].T, G, out=dest)
 
 
-class Csr:
-    """A sparse n x n matrix in compressed sparse row form: row i's entries
-    are data[indptr[i]:indptr[i + 1]], at the columns indices[...] in
-    ascending order, one entry per position. Columns are int32 and values
-    float64: 12 bytes an entry. Built from (row, column, value) entries,
-    which it sorts, summing those that share a position; its arrays are
-    read-only."""
-
-    def __init__(self, rows, cols, vals, n: int):
-        rows, cols = (np.asarray(a, dtype=np.intp).ravel() for a in (rows, cols))
-        vals = np.asarray(vals, dtype=np.float64).ravel()
-        if not rows.shape == cols.shape == vals.shape:
-            raise ValueError(f"{rows.size} rows, {cols.size} columns and {vals.size} values")
-        if rows.size and not (0 <= min(rows.min(), cols.min()) <= max(rows.max(), cols.max()) < n):
-            raise ValueError(f"an entry lies outside {n} x {n}")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        first = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
-        if first.size < rows.size:
-            rows, cols, vals = rows[first], cols[first], np.add.reduceat(vals, first)
-        self.shape = (n, n)
-        self.indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
-        self.indices = cols.astype(np.int32)
-        self.data = vals
-        for a in (self.indptr, self.indices, self.data):
-            a.flags.writeable = False
-
-    @property
-    def nnz(self) -> int:
-        return self.data.size
-
-    def rows(self) -> Array:
-        """The row of each entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
-    def matmat(self, X: Array, transpose: bool = False) -> Array:
-        """C X, or C^T X, for X with n rows (or n entries): each output row
-        sums its terms from zero in entry order."""
-        rows, cols = self.rows(), self.indices
-        if transpose:
-            rows, cols = cols, rows
-        out = np.zeros(X.shape)
-        np.add.at(out, rows, (self.data * X[cols].T).T)
-        return out
-
-    def diagonal(self) -> Array:
-        rows = self.rows()
-        on = rows == self.indices
-        out = np.zeros(self.shape[0])
-        out[rows[on]] = self.data[on]
-        return out
-
-    def row_sums(self) -> Array:
-        return np.bincount(self.rows(), weights=self.data, minlength=self.shape[0])
-
-
 class ConsensusGraph:
     """The consensus graph S = G^T G - theta 1^T - diag(q - theta) + C, held
     without an n x n array.
 
     G (r x n) holds the stacked tops S was projected from and q_i = ||g_i||^2;
-    theta_i is row i's simplex threshold; C (a `Csr`) holds theta_i - Q_ij
-    at each entry the projection cut to zero. The low-rank part's diagonal
-    is zero by definition, so S_ii = C_ii. Any matrix is the case with G
-    empty, theta 0 and C = S, and `from_dense` holds an array S as that C
-    itself, so this is the one form of S. Its one product, (S + S^T) X,
-    costs O(n r m + nnz C) for m right-hand sides, and `row_blocks` yields
-    S BLOCK_ROWS rows at a time. G, theta and `alpha` become the graph's own
-    and read-only: a new graph replaces an old one. `alpha` is None, or the
-    weights G stacks the tops with, recorded by `update_consensus_graph`,
-    so that the graph can tell whether it was projected from a state's tops
+    theta_i is row i's simplex threshold; C holds theta_i - Q_ij at each
+    entry the projection cut to zero. The constructor takes C in one of two
+    forms: an n x n array, or the entries (rows, cols, vals), one per
+    position, which it holds in compressed sparse row form as the tuple
+    (indptr, indices, data): row i's entries are data[indptr[i]:indptr[i +
+    1]] at the int32 columns indices[...] in ascending order, 12 bytes an
+    entry. The low-rank part's diagonal is zero by definition, so S_ii =
+    C_ii. Any matrix is the case with G empty, theta 0 and C = S, and
+    `from_dense` holds an array S as that C itself, so this is the one form
+    of S. Its one product, (S + S^T) X, costs O(n r m + nnz C) for m
+    right-hand sides, and `row_blocks` yields S BLOCK_ROWS rows at a time.
+    G, theta, `alpha` and C's entries become the graph's own and read-only:
+    a new graph replaces an old one. `alpha` is None, or the weights G
+    stacks the tops with, recorded by `update_consensus_graph`, so that the
+    graph can tell whether it was projected from a state's tops
     (`projected_from`). This module alone reads these parts: every other
     reads S through (S + S^T) X, its checks and its graph term.
     """
@@ -153,18 +102,32 @@ class ConsensusGraph:
     def __init__(self, G: Array, theta: Array, C, alpha: Array | None = None):
         self.G = np.asarray(G, dtype=np.float64)
         self.theta = np.asarray(theta, dtype=np.float64)
-        if isinstance(C, Csr):
-            self.C = C
-        elif isinstance(C, np.ndarray):
+        n = self.G.shape[1]
+        if isinstance(C, np.ndarray):
             self.C = np.asarray(C, dtype=np.float64)
+            self.shape = self.C.shape
         else:
-            raise TypeError(f"C is an array or a Csr, got {type(C).__name__}")
-        if self.theta.shape != (self.C.shape[0],) or self.C.shape[1] != self.G.shape[1]:
-            raise ValueError(
-                f"G {self.G.shape}, theta {self.theta.shape} and C {self.C.shape} do not match"
-            )
-        if self.C.shape[0] != self.C.shape[1]:
-            raise DimensionMismatchError(f"a graph is square, got shape {self.C.shape}")
+            rows, cols, vals = C
+            rows, cols = (np.asarray(a, dtype=np.intp).ravel() for a in (rows, cols))
+            vals = np.asarray(vals, dtype=np.float64).ravel()
+            if not rows.shape == cols.shape == vals.shape:
+                raise ValueError(f"{rows.size} rows, {cols.size} columns and {vals.size} values")
+            if rows.size and not (0 <= min(rows.min(), cols.min()) <= max(rows.max(), cols.max()) < n):
+                raise ValueError(f"an entry of C lies outside {n} x {n}")
+            order = np.lexsort((cols, rows))
+            rows, cols, vals = rows[order], cols[order], vals[order]
+            if ((np.diff(rows) == 0) & (np.diff(cols) == 0)).any():
+                raise ValueError("C has two entries at one position")
+            indptr = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+            self.C = (indptr, cols.astype(np.int32), vals)
+            for a in self.C:
+                a.flags.writeable = False
+            self.shape = (n, n)
+        if self.theta.shape != (self.shape[0],) or self.shape[1] != n:
+            raise ValueError(f"G {self.G.shape}, theta {self.theta.shape} and C {self.shape} do not match")
+        if self.shape[0] != self.shape[1]:
+            raise DimensionMismatchError(f"a graph is square, got shape {self.shape}")
         self.q = np.einsum("ij,ij->j", self.G, self.G)
         self.alpha = None if alpha is None else np.array(alpha, dtype=np.float64)
         for a in (self.G, self.theta, self.q, self.alpha):
@@ -179,30 +142,52 @@ class ConsensusGraph:
             raise ValueError(f"a graph is a 2-D matrix, got ndim={S.ndim}")
         return cls(np.empty((0, S.shape[1])), np.zeros(S.shape[0]), S)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.C.shape
-
     def symmetric_matmat(self, X: Array) -> Array:
         """(S + S^T) X = 2 G^T (G X) - theta (1^T X) - 1 (theta^T X) - 2 (q -
         theta) o X + C X + C^T X, for X with n rows (or n entries)."""
         X = np.asarray(X, dtype=np.float64)
         out = 2.0 * (self.G.T @ (self.G @ X))
-        if isinstance(self.C, np.ndarray):
-            out += self.C @ X
-            out += self.C.T @ X
-        else:
-            out += self.C.matmat(X)
-            out += self.C.matmat(X, transpose=True)
+        out += self._matmat(X)
+        out += self._matmat(X, transpose=True)
         out -= np.multiply.outer(self.theta, X.sum(axis=0)) + self.theta @ X
         out -= 2.0 * ((self.q - self.theta) * X.T).T
         return out
 
     def _entries(self, i: int, m: int) -> tuple[Array, Array, Array]:
         """(row - i, col, value) of a sparse C's entries in rows i..i+m-1."""
-        ptr = self.C.indptr[i : i + m + 1]
+        indptr, indices, data = self.C
+        ptr = indptr[i : i + m + 1]
         rows = np.repeat(np.arange(m), np.diff(ptr))
-        return rows, self.C.indices[ptr[0] : ptr[-1]], self.C.data[ptr[0] : ptr[-1]]
+        return rows, indices[ptr[0] : ptr[-1]], data[ptr[0] : ptr[-1]]
+
+    def _matmat(self, X: Array, transpose: bool = False) -> Array:
+        """C X, or C^T X, for X with n rows (or n entries). From the
+        entries, each output row sums its terms from zero in entry order."""
+        if isinstance(self.C, np.ndarray):
+            return (self.C.T if transpose else self.C) @ X
+        rows, cols, vals = self._entries(0, self.shape[0])
+        if transpose:
+            rows, cols = cols, rows
+        out = np.zeros(X.shape)
+        np.add.at(out, rows, (vals * X[cols].T).T)
+        return out
+
+    def _diagonal(self) -> Array:
+        """C's diagonal, which is S's."""
+        if isinstance(self.C, np.ndarray):
+            return self.C.diagonal()
+        rows, cols, vals = self._entries(0, self.shape[0])
+        on = rows == cols
+        out = np.zeros(self.shape[0])
+        out[rows[on]] = vals[on]
+        return out
+
+    def _row_sums(self) -> Array:
+        """C 1."""
+        if isinstance(self.C, np.ndarray):
+            return self.C.sum(axis=1)
+        rows, _, vals = self._entries(0, self.shape[0])
+        return np.bincount(rows, weights=vals, minlength=self.shape[0])
 
     def row_blocks(self):
         """Yield (i, S[i:j]) BLOCK_ROWS rows at a time, in one reused buffer
@@ -248,7 +233,7 @@ class ConsensusGraph:
         # an array's NaN entry fails the checks below; a structure's would
         # reach only some entries, so its parts are checked once here
         if not isinstance(self.C, np.ndarray):
-            if not all(np.isfinite(a).all() for a in (self.G, self.theta, self.C.data)):
+            if not all(np.isfinite(a).all() for a in (self.G, self.theta, self.C[2])):
                 raise MvclustError("S has a non-finite top, threshold or correction entry")
             # finite tops can still overflow their Gram; a row sum would
             # then read inf - inf
@@ -257,11 +242,11 @@ class ConsensusGraph:
         lowest = self.min()
         if not lowest >= 0:
             raise MvclustError(f"S has a negative or NaN entry ({lowest:.3e})")
-        if self.C.diagonal().any():
+        if self._diagonal().any():
             raise MvclustError("S has a nonzero diagonal entry")
         # S 1 = G^T (G 1) - (n - 1) theta - q + C 1
         sums = self.G.T @ self.G.sum(axis=1) - (n - 1) * self.theta - self.q
-        sums += self.C.sum(axis=1) if isinstance(self.C, np.ndarray) else self.C.row_sums()
+        sums += self._row_sums()
         row_err = np.abs(sums - 1.0).max()
         if not row_err <= ROW_SUM_TOL:
             raise MvclustError(f"S row sums deviate from 1 by {row_err:.3e}")
@@ -304,7 +289,7 @@ class ConsensusGraph:
         rows, cols, vals = self._entries(0, n)
         off = rows != cols
         cuts = np.bincount(rows[off], minlength=n)
-        diag = q - self.C.diagonal()
+        diag = q - self._diagonal()
         r2 = (
             np.dot((n - 1 - cuts) * theta, theta)
             + np.square(theta[rows[off]] - vals[off]).sum()
@@ -317,7 +302,7 @@ class ConsensusGraph:
         cross = (
             (K @ theta) * K.sum(axis=1)
             + np.square(K) @ (q - theta)
-            - np.einsum("ri,ir->r", K, self.C.matmat(K.T))
+            - np.einsum("ri,ir->r", K, self._matmat(K.T))
         )
         delta = np.asarray(alpha, dtype=np.float64) - self.alpha
         w = np.repeat(delta, [H.shape[0] for H in tops])
@@ -457,7 +442,7 @@ def update_consensus_graph(alpha: Array, stacks) -> ConsensusGraph:
             break
     else:
         rows, cols, vals = (np.concatenate(a) for a in zip(*cuts)) if cuts else ([], [], [])
-        return ConsensusGraph(G, theta, Csr(rows, cols, vals, n), alpha=alpha)
+        return ConsensusGraph(G, theta, (rows, cols, vals), alpha=alpha)
     del cuts  # before the n x n array is allocated
     return _dense_graph(G)
 

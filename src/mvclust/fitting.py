@@ -100,8 +100,9 @@ def _validate_fit(ds: MultiViewDataset, cfg: FitConfig) -> None:
             f"{ds.num_views} views; the exact view-weight solver takes at most {MAX_VIEWS}"
         )
     # the last layer width is the cluster count; with labels present it must
-    # match their class count
-    cfg.layers.validate(k=ds.k, min_view_dim=min(ds.view_dims))
+    # match their class count. No layer may be wider than n: checked here,
+    # before any QR, so that fit and fit_with_restarts reject it alike
+    cfg.layers.validate(k=ds.k, min_view_dim=min(ds.view_dims), n=ds.n)
 
 
 def squared_norm(X: Array) -> float:

@@ -120,7 +120,10 @@ class LayerSpec:
     def depth(self) -> int:
         return len(self.sizes)
 
-    def validate(self, k: int | None = None, min_view_dim: int | None = None) -> "LayerSpec":
+    def validate(
+        self, k: int | None = None, min_view_dim: int | None = None, n: int | None = None
+    ) -> "LayerSpec":
+        """Check the widths against k, the smallest view dimension and n, each when given."""
         if self.depth < 1:
             raise LayerSpecError("at least one layer is required")
         if any(s < 1 for s in self.sizes):
@@ -133,6 +136,8 @@ class LayerSpec:
             raise LayerSpecError(
                 f"first layer width {self.sizes[0]} exceeds the smallest view dimension {min_view_dim}"
             )
+        if n is not None and max(self.sizes) > n:
+            raise LayerSpecError(f"layer width {max(self.sizes)} exceeds sample count {n}")
         return self
 
 

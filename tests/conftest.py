@@ -98,7 +98,7 @@ def blockwise_graph_term(state) -> float:
         R = left[:, i:j].T @ right
         # S's low-rank part has a zero diagonal
         R[np.arange(j - i), np.arange(i, j)] = q[i:j]
-        R -= S.C[i:j] if isinstance(S.C, np.ndarray) else scipy_csr(S.C)[i:j].toarray()
+        R -= S.C[i:j] if isinstance(S.C, np.ndarray) else scipy_csr(S)[i:j].toarray()
         graph += float(np.vdot(R, R))
     return graph
 
@@ -314,10 +314,11 @@ def svd_pinv(A, expected_rank=None):
     return (Vt.T * s_inv) @ U.T
 
 
-def scipy_csr(C):
-    """A `Csr` as scipy's csr_array over the same three arrays (the oracle
-    for C's products, diagonal and row sums)."""
-    return sparse.csr_array((C.data, C.indices, C.indptr), shape=C.shape)
+def scipy_csr(graph):
+    """A graph's entry-form C as scipy's csr_array over the same three arrays
+    (the oracle for C's products, diagonal and row sums)."""
+    indptr, indices, data = graph.C
+    return sparse.csr_array((data, indices, indptr), shape=graph.shape)
 
 
 def dtpqrt_row_space_factor(X):

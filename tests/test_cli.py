@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from mvclust import MultiViewDataset, generate_synthetic
+from mvclust import FitConfig, LayerSpec, MultiViewDataset, fit_with_restarts, generate_synthetic
 from mvclust.cli import DEFAULT_BETA_GRID, build_parser, main, parse_beta
 
 from conftest import hierarchical_dataset
-from mvclust.dataio import save_dataset
+from mvclust.dataio import load_dataset, save_dataset
 
 
 def make_dataset_dir(tmp_path, name="d", **kw):
@@ -104,6 +104,27 @@ def test_cluster_deterministic(tmp_path):
         outs.append(json.loads(out.read_text()))
     assert outs[0]["labels"] == outs[1]["labels"]
     assert outs[0]["objective_history"] == outs[1]["objective_history"]
+
+
+def test_cluster_normalize_none_fits_the_views_as_given(tmp_path):
+    ds = generate_synthetic(n=30, k=3, n_views=2, dims=(8, 9), separation=10.0, noise_sigma=0.5, seed=2)
+    data = tmp_path / "scaled"
+    save_dataset(MultiViewDataset(views=[1e3 * ds.views[0], ds.views[1]], labels=ds.labels), data)
+    histories = {}
+    for normalize in ("none", "sample"):
+        out = tmp_path / f"{normalize}.json"
+        assert main([
+            "cluster", "--data", str(data), "--layers", "6,3", "--beta", "0.5", "--max-iter", "3",
+            "--pretrain-iters", "10", "--restarts", "2", "--seed", "4", "--normalize", normalize,
+            "--out", str(out),
+        ]) == 0
+        histories[normalize] = json.loads(out.read_text())["objective_history"]
+    cfg = FitConfig(
+        beta=0.5, layers=LayerSpec([6, 3]), max_outer_iters=3, pretrain_iters=10, restarts=2, rng_seed=4
+    )
+    expected = fit_with_restarts(load_dataset(data), cfg).objective_history
+    assert histories["none"] == expected.tolist()
+    assert histories["none"] != histories["sample"]
 
 
 def test_cluster_rejects_negative_beta(tmp_path):
@@ -221,6 +242,24 @@ def test_sweep_takes_each_tall_views_qr_once(tmp_path, monkeypatch):
     assert code == 0
     assert len((tmp_path / "sweep.tsv").read_text().strip().splitlines()) == 1 + 4
     assert shapes == [(70, 30), (64, 30)]
+
+
+def test_sweep_rejects_a_layer_wider_than_n_before_any_qr(tmp_path, monkeypatch, caplog):
+    import mvclust.fitting as fitting
+
+    rng = np.random.default_rng(0)
+    data = tmp_path / "tall"
+    save_dataset(MultiViewDataset(views=[rng.random((60, 20)), rng.random((70, 20))]), data)
+    calls = []
+    monkeypatch.setattr(fitting, "row_space_factor", calls.append)
+    out = tmp_path / "sweep.tsv"
+    code = main([
+        "sweep", "--data", str(data), "--beta-grid", "0.5", "--layer-grid", "25,3",
+        "--max-iter", "1", "--pretrain-iters", "2", "--out", str(out),
+    ])
+    assert code == 1
+    assert "layer width 25 exceeds sample count 20" in caplog.text
+    assert calls == [] and not out.exists()
 
 
 def test_sweep_deterministic(tmp_path):

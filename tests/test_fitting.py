@@ -18,6 +18,7 @@ from mvclust import (
 )
 from mvclust.consensus import BLOCK_ROWS, compute_Q
 from mvclust.errors import (
+    LayerSpecError,
     NonFiniteFactorError,
     RankDeficientError,
     RankDeficientWarning,
@@ -253,8 +254,6 @@ def test_fit_emits_progress_records(caplog):
 
 
 def test_fit_rejects_layer_label_mismatch():
-    from mvclust.errors import LayerSpecError
-
     ds = _small_dataset(seed=9)  # 3 labelled classes
     cfg = simple_config([4, 2], max_outer_iters=2, pretrain_iters=10)
     with pytest.raises(LayerSpecError):
@@ -332,10 +331,7 @@ def test_fit_on_edge_inputs(case):
         # a wider first layer has no sample-count room left
         keep = np.sort([np.flatnonzero(labels == c)[0] for c in range(3)])
         views, labels = [X[:, keep] for X in views], labels[keep]
-        with pytest.raises(
-            RankDeficientError,
-            match=r"^view 0: pretraining layer 0: layer width 6 exceeds sample count 3",
-        ):
+        with pytest.raises(LayerSpecError, match=r"^layer width 6 exceeds sample count 3$"):
             _probe_fit(views, labels, beta)
         layers = (3,)
     else:
@@ -437,7 +433,7 @@ def test_an_outer_iteration_allocates_no_nxn_array():
     ds = generate_synthetic(n=n, k=3, n_views=3, dims=[12, 10, 9], separation=10.0, noise_sigma=0.5, seed=0)
     cfg = simple_config([6, 3], max_outer_iters=1, pretrain_iters=5)
     nnz = []
-    peak = traced_peak(fit, ds, cfg, lambda state, it, obj: nnz.append(state.S.C.nnz))
+    peak = traced_peak(fit, ds, cfg, lambda state, it, obj: nnz.append(state.S.C[2].size))
     assert nnz == [0]
     assert peak < n * n
 
@@ -600,7 +596,7 @@ def test_fit_graph_terms_match_the_blockwise_oracle():
         assert abs(obj - (recon + state.beta * graph)) <= 1e-12 * obj
         oracle = blockwise_graph_term(state)
         assert abs(graph - oracle) <= 1e-12 * oracle
-        forms.append(state.S.C.nnz if structured else "array")
+        forms.append(state.S.C[2].size if structured else "array")
 
     res = fit(ds, cfg, on_iteration=check)
     assert "array" in forms and any(f != "array" and f > 0 for f in forms)
@@ -719,6 +715,26 @@ def test_a_fit_of_the_row_space_takes_no_qr_and_is_the_fit_of_the_views(monkeypa
     assert np.array_equal(res.objective_history, whole.objective_history)
     assert np.array_equal(res.state.alpha, whole.state.alpha)
     assert np.array_equal(ds.views[0] @ tall.right_factor, whole.state.stacks[0].mappings[0])
+
+
+@pytest.mark.parametrize("dims, layers", [((60, 70), (25, 3)), ((10, 70), (8, 25, 3))])
+def test_a_layer_wider_than_n_fails_alike_before_any_qr(monkeypatch, dims, layers):
+    # with a tall view the restarts fit R, whose dimension is n; both entry
+    # points check the layers against ds's n before taking any QR
+    import mvclust.fitting as fitting
+
+    rng = np.random.default_rng(0)
+    ds = MultiViewDataset(views=[rng.random((d, 20)) for d in dims])
+    cfg = simple_config(list(layers), max_outer_iters=2, pretrain_iters=5)
+    calls = []
+    monkeypatch.setattr(fitting, "row_space_factor", calls.append)
+    messages = []
+    for entry in (fitting.fit, fitting.fit_with_restarts):
+        with pytest.raises(LayerSpecError) as raised:
+            entry(ds, cfg)
+        messages.append(str(raised.value))
+    assert messages == ["layer width 25 exceeds sample count 20"] * 2
+    assert calls == []
 
 
 def _fail_at(iteration, restarts_to_fail):

@@ -19,7 +19,6 @@ from mvclust import FactorStack, FitConfig, LayerSpec, ModelState, MultiViewData
 from mvclust.consensus import (
     BLOCK_ROWS,
     ConsensusGraph,
-    Csr,
     compute_Q,
     gram_row_blocks,
     gram_similarity,
@@ -459,7 +458,7 @@ def test_structured_graph_matches_its_dense_form(n, rows, cut, row_sum, seed):
     G[:, rng.permutation(n)[: min(cut, n - 1)]] = 0.0
     graph = graph_from_tops(G)
     if n > 2:
-        assert graph.C.nnz > 0
+        assert graph.C[2].size > 0
     Q = gram_similarity(G)
     S = project_graph(Q.copy())
     assert np.abs(graph.dense() - S).max() <= 1e-12 * max(1.0, Q.max())
@@ -506,13 +505,12 @@ def test_graph_term_from_structure_matches_blockwise_oracle(n, views, k, cut, mo
         stacks.append(FactorStack(mappings=[np.eye(k)], top=H))
     graph = update_consensus_graph(alpha_S, stacks)
     assert not isinstance(graph.C, np.ndarray)
-    assert (graph.C.nnz > 0) == (cut > 0 and n > 2)
+    assert (graph.C[2].size > 0) == (cut > 0 and n > 2)
     if diagonal:
         # S_ii = C_ii: an invalid graph, whose graph term is still defined
-        C = graph.C
-        C = Csr(
-            np.append(C.rows(), n - 1), np.append(C.indices, n - 1), np.append(C.data, 0.5), n
-        )
+        indptr, indices, data = graph.C
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        C = (np.append(rows, n - 1), np.append(indices, n - 1), np.append(data, 0.5))
         graph = ConsensusGraph(graph.G, graph.theta, C, alpha=alpha_S)
     if form == "array":
         # the same S held as its n x n array, with no structure to read
@@ -520,7 +518,7 @@ def test_graph_term_from_structure_matches_blockwise_oracle(n, views, k, cut, mo
     elif form == "array C":
         # the tops with C as an array: no form the graph step builds, but
         # one the constructor takes
-        graph = ConsensusGraph(graph.G, graph.theta, scipy_csr(graph.C).toarray(), alpha=alpha_S)
+        graph = ConsensusGraph(graph.G, graph.theta, scipy_csr(graph).toarray(), alpha=alpha_S)
     elif form == "tops moved":
         # a sweep after the graph step: S is no longer these tops' projection
         stacks[0].top = 1.01 * stacks[0].top
@@ -816,30 +814,44 @@ def test_row_space_factor_matches_dtpqrt(n, extra, zero, duplicate, seed):
     width=st.sampled_from([None, 1, 4]),
     seed=SEEDS,
 )
-def test_csr_matches_scipy(n, nnz, width, seed):
-    # repeated positions are summed, as scipy sums them; only their order of
-    # summation may differ, so values agree to rounding
+def test_graph_of_entries_matches_scipy(n, nnz, width, seed):
+    # G empty and theta 0: S is C, given as distinct entries in any order
     rng = np.random.default_rng(seed)
-    rows, cols = rng.integers(n, size=nnz), rng.integers(n, size=nnz)
+    nnz = min(nnz, n * n)
+    rows, cols = np.divmod(rng.choice(n * n, size=nnz, replace=False), n)
     vals = rng.standard_normal(nnz)
-    C = Csr(rows, cols, vals, n)
+    graph = ConsensusGraph(np.empty((0, n)), np.zeros(n), (rows, cols, vals))
     oracle = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
-    oracle.sum_duplicates()
-    assert C.shape == oracle.shape and C.nnz == oracle.nnz
-    assert C.indices.dtype == np.int32 and C.data.dtype == np.float64
-    assert np.array_equal(C.indptr, oracle.indptr)
-    assert np.array_equal(C.indices, oracle.indices)
+    indptr, indices, data = graph.C
+    assert graph.shape == oracle.shape and data.size == oracle.nnz
+    assert indices.dtype == np.int32 and data.dtype == np.float64
+    assert not any(a.flags.writeable for a in graph.C)
+    assert np.array_equal(indptr, oracle.indptr)
+    assert np.array_equal(indices, oracle.indices)
+    assert np.array_equal(data, oracle.data)
     X = rng.standard_normal(n if width is None else (n, width))
     tol = 1e-13 * (np.abs(vals).sum() * np.abs(X).max() + 1e-300)
     for ours, theirs in (
-        (C.data, oracle.data),
-        (C.matmat(X), oracle @ X),
-        (C.matmat(X, transpose=True), oracle.T @ X),
-        (C.diagonal(), oracle.diagonal()),
-        (C.row_sums(), oracle.sum(axis=1)),
+        (graph.symmetric_matmat(X), oracle @ X + oracle.T @ X),
+        (graph._diagonal(), oracle.diagonal()),
+        (graph._row_sums(), oracle.sum(axis=1)),
     ):
         assert ours.shape == theirs.shape
         assert np.abs(ours - theirs).max(initial=0.0) <= tol
+
+
+@pytest.mark.parametrize(
+    "rows, cols, message",
+    [
+        ([0, 2, 0], [1, 0, 1], "two entries at one position"),
+        ([0, 3], [1, 0], "outside 3 x 3"),
+        ([0, -1], [1, 0], "outside 3 x 3"),
+        ([0, 1], [3, 0], "outside 3 x 3"),
+    ],
+)
+def test_graph_rejects_a_repeated_or_outside_entry(rows, cols, message):
+    with pytest.raises(ValueError, match=message):
+        ConsensusGraph(np.empty((0, 3)), np.zeros(3), (rows, cols, np.ones(len(rows))))
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvclust import FitConfig, LayerSpec, MultiViewDataset, validate_dataset
-from mvclust.consensus import ConsensusGraph, Csr
+from mvclust.consensus import ConsensusGraph
 from mvclust.errors import (
     DimensionMismatchError,
     LabelRangeError,
@@ -90,8 +90,10 @@ def test_layer_spec_rules():
         LayerSpec([0, 3]).validate()
     with pytest.raises(LayerSpecError):
         LayerSpec([]).validate()
-    # non-decreasing widths are allowed
-    LayerSpec([4, 6, 3]).validate(k=3, min_view_dim=8)
+    # non-decreasing widths are allowed, up to the sample count
+    LayerSpec([4, 6, 3]).validate(k=3, min_view_dim=8, n=6)
+    with pytest.raises(LayerSpecError, match="^layer width 6 exceeds sample count 5$"):
+        LayerSpec([4, 6, 3]).validate(k=3, min_view_dim=8, n=5)
 
 
 def test_fit_config_validation():
@@ -163,7 +165,7 @@ def test_model_state_rejects_a_non_finite_graph_structure(part):
     state = random_state(seed=6)
     graph = graph_from_tops(np.ones((2, state.n)))
     G, theta = graph.G.copy(), graph.theta.copy()
-    C = Csr([0], [1], [np.nan if part == "C" else 0.0], state.n)
+    C = ([0], [1], [np.nan if part == "C" else 0.0])
     if part == "G":
         G[1, 3] = np.nan
     elif part == "theta":
@@ -181,7 +183,7 @@ def test_model_state_rejects_nan_row_sums():
     state = random_state(seed=6)
     n = state.n
     with np.errstate(over="ignore", invalid="ignore"):
-        S = ConsensusGraph(np.full((1, n), 1e155), np.zeros(n), Csr([], [], [], n))
+        S = ConsensusGraph(np.full((1, n), 1e155), np.zeros(n), ([], [], []))
         assert np.isnan(S.symmetric_matmat(np.ones(n))).all()
     for check in _graph_checks(replace(state, S=S)):
         with pytest.raises(MvclustError, match="non-finite Q"):
