@@ -27,11 +27,12 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .consensus import MAX_VIEWS, update_consensus_graph, update_view_weights
 # no caller here; bench/worker.py wraps fitting.compute_Q by this name
 from .consensus import compute_Q  # noqa: F401
-from .errors import NonFiniteFactorError, TooManyViewsError
+from .errors import NonFiniteFactorError, RankDeficientError, TooManyViewsError
 from .finetune import sweep_view
 from .pretrain import initialize_state
 from .types import FitConfig, ModelState, MultiViewDataset, validate_dataset
@@ -59,14 +60,29 @@ def row_space_factor(X: Array) -> Array:
     """R of X = QR for a d x n view with d >= n: n x n upper triangular, with
     X's singular values, and X^T X = R^T R.
 
-    One `np.linalg.qr(X, mode="r")` call: LAPACK's dgeqrf on a Fortran copy
-    of X. At 3200 x 544 with 2 BLAS threads it took 90-95 ms, with a traced
-    peak of 16.6 MB (the copy and R) and 29 MB of peak RSS. dtpqrt, which
-    folds X into R n rows at a time, took 52-120 ms and 7.1 MB there, but
-    it is scipy's, and scipy loads a second OpenBLAS whose threads contend
-    with numpy's.
+    LAPACK's dgeqrf, run in place on one copy of X: X^T in C order is X in
+    column-major order, which dgeqrf overwrites with R above its diagonal.
+    The copy is taken even where X^T is already C-contiguous, so the
+    caller's X is never written. `np.linalg.qr(X, mode="r")` runs the same
+    dgeqrf, but on two copies: its own cast and its gufunc's column-major
+    buffer. On a 2-core Xeon with 2 BLAS threads, one 3183 x 544 view took
+    90 ms against 110 ms for `np.linalg.qr` (medians of 7), and a
+    4000 x 500 view raised a fresh process's peak RSS by 1.31 times its
+    size, against 2.17; the wide-views benchmark's peak RSS fell from 106.5
+    to 93.6 MB. numpy's own `test_public_api` lists `numpy.linalg.lapack_lite`
+    among its private but present modules, so a test pins R bit for bit to
+    `np.linalg.qr`'s.
     """
-    return np.linalg.qr(X, mode="r")
+    d, n = X.shape
+    A = np.array(X.T, dtype=np.float64, order="C")
+    tau = np.empty(min(d, n))
+    work = np.empty(1)
+    lapack_lite.dgeqrf(d, n, A, d, tau, work, -1, 0)  # workspace query
+    work = np.empty(int(work[0]))
+    info = lapack_lite.dgeqrf(d, n, A, d, tau, work, work.size, 0)["info"]
+    if info != 0:
+        raise RuntimeError(f"dgeqrf failed with info={info}")
+    return np.triu(A[:, : min(d, n)].T)
 
 
 def _is_tall(X: Array, n: int) -> bool:
@@ -92,9 +108,23 @@ def _lift(ds: MultiViewDataset, state: ModelState) -> ModelState:
     return state
 
 
+def reject_constant_views(ds: MultiViewDataset) -> None:
+    """Raise RankDeficientError naming the first view whose sample columns
+    are all equal, the zero view included: its Gram is constant, so it fits
+    the diffuse graph the objective prefers and takes most of the weight.
+    Exact in O(dn) from each row's extremes, with no d x n temporary."""
+    for v, X in enumerate(ds.views):
+        if np.array_equal(X.max(axis=1), X.min(axis=1)):
+            raise RankDeficientError(
+                f"view {v} is constant: all {ds.n} samples are the same vector, "
+                "which carries no cluster structure; drop the view"
+            )
+
+
 def _validate_fit(ds: MultiViewDataset, cfg: FitConfig) -> None:
     """The dataset's and the layers' checks that precede any work of a fit."""
     validate_dataset(ds)
+    reject_constant_views(ds)
     if ds.num_views > MAX_VIEWS:
         raise TooManyViewsError(
             f"{ds.num_views} views; the exact view-weight solver takes at most {MAX_VIEWS}"

@@ -1,9 +1,12 @@
 """Shared builders for the test suite: random-but-valid model states,
-planted datasets, small independent numerical oracles, and a tracemalloc
-peak probe. scipy is a test dependency only: its routines here are the
-oracles for the package's numpy ones."""
+planted datasets, small independent numerical oracles, a tracemalloc peak
+probe and a fresh-interpreter runner. scipy is a test dependency only: its
+routines here are the oracles for the package's numpy ones."""
 
 import functools
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -16,6 +19,7 @@ from scipy.linalg import eigh, lapack
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+import mvclust
 from mvclust import (
     FactorStack,
     FitConfig,
@@ -422,6 +426,17 @@ def traced_peak(f, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def run_in_fresh_interpreter(args):
+    """One `python *args` run in a new process that imports this checkout's
+    package: no earlier import has patched, loaded or allocated anything."""
+    src = str(Path(mvclust.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 @dataclass

@@ -262,6 +262,26 @@ def test_sweep_rejects_a_layer_wider_than_n_before_any_qr(tmp_path, monkeypatch,
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["cluster", "--layers", "6,3", "--beta", "0.5"],
+    ["sweep", "--beta-grid", "0.5", "--layer-grid", "6,3"],
+])
+def test_a_constant_view_exits_1_before_any_qr(tmp_path, monkeypatch, caplog, command):
+    # view 1 is 3n tall and constant: both commands name it, with no QR
+    import mvclust.fitting as fitting
+
+    ds = generate_synthetic(n=30, k=3, n_views=2, dims=(12, 90), separation=10.0, noise_sigma=0.5, seed=3)
+    data = tmp_path / "const"
+    save_dataset(MultiViewDataset(views=[ds.views[0], np.full((90, 30), 2.0)], labels=ds.labels), data)
+    calls = []
+    monkeypatch.setattr(fitting, "row_space_factor", calls.append)
+    out = tmp_path / "out"
+    code = main([*command, "--data", str(data), "--max-iter", "1", "--pretrain-iters", "2", "--out", str(out)])
+    assert code == 1
+    assert "view 1 is constant: all 30 samples are the same vector" in caplog.text
+    assert calls == [] and not out.exists()
+
+
 def test_sweep_deterministic(tmp_path):
     data = make_dataset_dir(tmp_path)
     first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from mvclust.errors import (
     LayerSpecError,
     NonFiniteFactorError,
     RankDeficientError,
-    RankDeficientWarning,
     TooManyViewsError,
 )
 from mvclust.fitting import objective_terms
@@ -33,6 +33,7 @@ from conftest import (
     objective,
     project_graph,
     random_state,
+    run_in_fresh_interpreter,
     simple_config,
     traced_peak,
 )
@@ -341,11 +342,12 @@ def test_fit_on_edge_inputs(case):
 
 
 def test_fit_rejects_an_all_zero_view():
-    # the first sweep's pseudo-inverse of the zero start has no direction
+    # a zero view is constant: rejected before pretraining, whose first
+    # pseudo-inverse of the zero start would have no direction
     ds = _probe_data()
     ds = MultiViewDataset(views=[ds.views[0], np.zeros_like(ds.views[1])], labels=ds.labels)
     cfg = FitConfig(beta=0.5, layers=LayerSpec([6, 3]), max_outer_iters=10, rng_seed=0)
-    with pytest.raises(RankDeficientError, match=r"^view 1: pretraining layer 0: "):
+    with pytest.raises(RankDeficientError, match=r"^view 1 is constant: all 60 samples are the same vector"):
         fit(ds, cfg)
 
 
@@ -547,18 +549,48 @@ def test_beta_is_in_the_squared_units_of_the_data(s):
     )
 
 
-def test_a_constant_view_takes_most_of_the_weight():
-    """Pins today's behaviour, not a goal: a constant view's Gram is constant,
-    so it fits the diffuse graph the objective prefers and takes the larger
-    weight (0.855 here, with ACC 0.383); the diffuse-Gram mode of a
-    nonnegative noise view."""
+def test_fit_rejects_a_constant_view():
+    # a constant view's Gram is constant, so it would fit the diffuse graph
+    # the objective prefers and take most of the weight (0.855 on this probe,
+    # at ACC 0.383): it is rejected before any work, as a zero view is
     ds = _probe_data()
     views = [np.ones_like(ds.views[0]), ds.views[1]]
     ds = normalize_views(MultiViewDataset(views=views, labels=ds.labels))
-    with pytest.warns(RankDeficientWarning):
-        res = _probe_result(ds.views, ds.labels, 0.5)
+    with pytest.raises(RankDeficientError, match=r"^view 0 is constant: "):
+        _probe_result(ds.views, ds.labels, 0.5)
+
+
+@pytest.mark.parametrize("view", ["constant", "zero"])
+@pytest.mark.parametrize("entry", ["fit", "fit_with_restarts"])
+def test_a_constant_tall_view_fails_alike_before_any_qr(monkeypatch, view, entry):
+    import mvclust.fitting as fitting
+
+    ds = _tall_dataset()
+    X = np.full_like(ds.views[0], 0.25 if view == "constant" else 0.0)
+    ds = MultiViewDataset(views=[ds.views[1], X], labels=ds.labels)
+    calls = []
+    monkeypatch.setattr(fitting, "row_space_factor", calls.append)
+    monkeypatch.setattr(fitting, "initialize_state", calls.append)
+    cfg = simple_config([6, 3], max_outer_iters=2, pretrain_iters=5, restarts=2)
+    with pytest.raises(RankDeficientError) as raised:
+        getattr(fitting, entry)(ds, cfg)
+    assert str(raised.value) == (
+        f"view 1 is constant: all {ds.n} samples are the same vector, "
+        "which carries no cluster structure; drop the view"
+    )
+    assert calls == []
+
+
+def test_a_view_with_some_equal_samples_still_fits():
+    # equal columns short of all of them are data, not a constant view: the
+    # probe's view 0 with two thirds of its samples set to one vector
+    ds = _probe_data()
+    X = ds.views[0].copy()
+    X[:, : 2 * ds.n // 3] = X[:, :1]
+    ds = normalize_views(MultiViewDataset(views=[X, ds.views[1]], labels=ds.labels))
+    res = _probe_result(ds.views, ds.labels, 0.5)
     res.state.validate()
-    assert res.state.alpha[0] > 0.5
+    assert res.iters_run == 10
 
 
 def test_fit_warns_on_each_objective_increase(monkeypatch, caplog):
@@ -715,6 +747,31 @@ def test_a_fit_of_the_row_space_takes_no_qr_and_is_the_fit_of_the_views(monkeypa
     assert np.array_equal(res.objective_history, whole.objective_history)
     assert np.array_equal(res.state.alpha, whole.state.alpha)
     assert np.array_equal(ds.views[0] @ tall.right_factor, whole.state.stacks[0].mappings[0])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_a_tall_views_qr_holds_one_copy_of_it():
+    # the peak RSS a fresh process gains across row_space_factor: one copy of
+    # X, R and dgeqrf's workspace (1.31 X.nbytes on a 4000 x 500 view), where
+    # `np.linalg.qr(X, mode="r")` holds two copies (2.17). tracemalloc cannot
+    # measure it, as it does not see numpy's gufunc buffers; nor can the
+    # child's ru_maxrss, which on Linux starts at the peak RSS of the process
+    # that spawned it (under pytest it read 1.04 for the two copies). The
+    # child's VmHWM is its own
+    code = (
+        "import numpy as np\n"
+        "from mvclust.fitting import row_space_factor\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:')) * 1024\n"
+        "X = np.random.default_rng(0).standard_normal((4000, 500))\n"
+        "before = peak()\n"
+        "R = row_space_factor(X)\n"
+        "print((peak() - before) / X.nbytes)\n"
+    )
+    proc = run_in_fresh_interpreter(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 1.5
 
 
 @pytest.mark.parametrize("dims, layers", [((60, 70), (25, 3)), ((10, 70), (8, 25, 3))])

@@ -809,6 +809,42 @@ def test_row_space_factor_matches_dtpqrt(n, extra, zero, duplicate, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(
+    n=st.integers(1, 40),
+    extra=st.integers(0, 60),
+    layout=st.sampled_from(["C", "F", "strided rows", "strided columns"]),
+    zero=st.booleans(),
+    duplicate=st.booleans(),
+    seed=SEEDS,
+)
+@example(n=5, extra=3, layout="F", zero=False, duplicate=False, seed=0)  # X^T is C-contiguous
+def test_row_space_factor_is_numpys_qr_and_leaves_x_unchanged(n, extra, layout, zero, duplicate, seed):
+    # the in-place dgeqrf on a copy of X gives `np.linalg.qr`'s R bit for
+    # bit, and never writes the caller's X, whatever its layout: a
+    # Fortran-ordered X's transpose is C-contiguous, so without the copy
+    # dgeqrf would overwrite it
+    rng = np.random.default_rng(seed)
+    d = ROW_SPACE_RATIO * n + extra
+    X = rng.standard_normal((d, n))
+    if zero:
+        X[:, rng.integers(n)] = 0.0
+    if duplicate and n > 1:
+        a, b = rng.choice(n, 2, replace=False)
+        X[:, b] = X[:, a]
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "strided rows":
+        X = np.repeat(X, 2, axis=0)[::2]
+    elif layout == "strided columns":
+        X = np.repeat(X, 3, axis=1)[:, ::3]
+    before = X.copy()
+    R, oracle = row_space_factor(X), np.linalg.qr(X, mode="r")
+    assert R.dtype == oracle.dtype and R.shape == oracle.shape
+    assert R.tobytes() == oracle.tobytes()  # signed zeros included
+    assert X.tobytes() == before.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
     n=st.integers(1, 30),
     nnz=st.integers(0, 60),
     width=st.sampled_from([None, 1, 4]),

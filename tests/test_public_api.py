@@ -4,23 +4,13 @@ here."""
 
 import ast
 import importlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import mvclust
 
-
-def _run_in_fresh_interpreter(args):
-    src = str(Path(mvclust.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
-    )
+from conftest import run_in_fresh_interpreter
 
 
 def test_every_public_name_resolves():
@@ -36,7 +26,7 @@ def test_star_import_in_a_fresh_interpreter():
         "missing = [n for n in mvclust.__all__ if n not in globals()]\n"
         "assert not missing, missing\n"
     )
-    proc = _run_in_fresh_interpreter(["-c", code])
+    proc = run_in_fresh_interpreter(["-c", code])
     assert proc.returncode == 0, proc.stderr
 
 
@@ -49,7 +39,7 @@ def test_console_script_target_is_callable():
 
 
 def test_cli_module_runs_as_a_script():
-    proc = _run_in_fresh_interpreter(["-m", "mvclust.cli", "--help"])
+    proc = run_in_fresh_interpreter(["-m", "mvclust.cli", "--help"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: mvclust")
 
@@ -73,12 +63,13 @@ def test_a_fit_and_its_scores_import_no_scipy():
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not loaded, loaded\n"
     )
-    proc = _run_in_fresh_interpreter(["-c", code])
+    proc = run_in_fresh_interpreter(["-c", code])
     assert proc.returncode == 0, proc.stderr
 
 
 def test_a_row_space_fit_imports_nothing_new():
-    # a 3n-tall view is fitted through numpy's `np.linalg.qr`, and
+    # a 3n-tall view is fitted through numpy's LAPACK dgeqrf
+    # (`numpy.linalg.lapack_lite`, imported with `mvclust.fitting`), and
     # `import mvclust` imports `numpy.random` itself: set-up time and its RSS
     # stay the imports'
     code = (
@@ -94,7 +85,7 @@ def test_a_row_space_fit_imports_nothing_new():
         "new = sorted(set(sys.modules) - loaded)\n"
         "assert not new, new\n"
     )
-    proc = _run_in_fresh_interpreter(["-c", code])
+    proc = run_in_fresh_interpreter(["-c", code])
     assert proc.returncode == 0, proc.stderr
 
 
