@@ -28,7 +28,7 @@ from .dataio import (
     save_report,
 )
 from .errors import MvclustError
-from .fitting import FitResult, fit_with_restarts, reject_constant_views, row_space
+from .fitting import FitResult, fit_with_restarts, row_space, validate_views
 from .metrics import accuracy, nmi, purity
 from .spectral import cluster_graph
 from .types import FitConfig, LayerSpec, MultiViewDataset
@@ -217,7 +217,7 @@ def cmd_sweep(args) -> int:
     k = _resolve_k(layer_grid[0], known_k)
     for spec in layer_grid:
         LayerSpec(spec).validate(k=k, min_view_dim=min(ds.view_dims), n=ds.n)
-    reject_constant_views(ds)
+    validate_views(ds)
     # every cell fits the same views: take each tall view's QR once
     rs = row_space(ds)
     rows = [

@@ -43,8 +43,9 @@ class LayerSpecError(MvclustError):
 
 
 class RankDeficientError(MvclustError):
-    """A factor has no pseudo-inverse (all zero or non-finite), or a layer is
-    wider than the sample count."""
+    """A factor has no pseudo-inverse (all zero or non-finite), a view is
+    constant, or a layer given to `fit_seminmf` directly is wider than the
+    sample count (a fit raises LayerSpecError for that before any work)."""
 
 
 class TooManyViewsError(MvclustError):

@@ -108,11 +108,16 @@ def _lift(ds: MultiViewDataset, state: ModelState) -> ModelState:
     return state
 
 
-def reject_constant_views(ds: MultiViewDataset) -> None:
-    """Raise RankDeficientError naming the first view whose sample columns
-    are all equal, the zero view included: its Gram is constant, so it fits
-    the diffuse graph the objective prefers and takes most of the weight.
+def validate_views(ds: MultiViewDataset) -> None:
+    """Check the views a fit takes: TooManyViewsError past MAX_VIEWS, and
+    RankDeficientError naming the first view whose sample columns are all
+    equal, the zero view included: its Gram is constant, so it fits the
+    diffuse graph the objective prefers and takes most of the weight.
     Exact in O(dn) from each row's extremes, with no d x n temporary."""
+    if ds.num_views > MAX_VIEWS:
+        raise TooManyViewsError(
+            f"{ds.num_views} views; the exact view-weight solver takes at most {MAX_VIEWS}"
+        )
     for v, X in enumerate(ds.views):
         if np.array_equal(X.max(axis=1), X.min(axis=1)):
             raise RankDeficientError(
@@ -124,11 +129,7 @@ def reject_constant_views(ds: MultiViewDataset) -> None:
 def _validate_fit(ds: MultiViewDataset, cfg: FitConfig) -> None:
     """The dataset's and the layers' checks that precede any work of a fit."""
     validate_dataset(ds)
-    reject_constant_views(ds)
-    if ds.num_views > MAX_VIEWS:
-        raise TooManyViewsError(
-            f"{ds.num_views} views; the exact view-weight solver takes at most {MAX_VIEWS}"
-        )
+    validate_views(ds)
     # the last layer width is the cluster count; with labels present it must
     # match their class count. No layer may be wider than n: checked here,
     # before any QR, so that fit and fit_with_restarts reject it alike

@@ -44,15 +44,14 @@ def pos_neg_split(A: Array) -> tuple[Array, Array]:
 
 
 def mp_pinv(A: Array, warn_context: str = "", expected_rank: int | None = None) -> Array:
-    """Moore-Penrose pseudo-inverse via QR, then the SVD of R, with a relative cutoff.
+    """Moore-Penrose pseudo-inverse from one thin SVD, with a relative cutoff.
 
-    Coincides with A^T (A A^T)^{-1} / (A^T A)^{-1} A^T on full-rank input.
-    The tall orientation B (A, or A^T when A is wide) is factored as B = Q R;
-    the small square R has A's singular values, so pinv(B)^T = Q U diag(1/s) V^T
-    from R = U diag(s) V^T. Factoring A itself (rather than eigendecomposing
-    its Gram) keeps null directions exactly null, which the normal-equation
-    checks depend on. A RankDeficientWarning is emitted when the detected rank
-    drops below `expected_rank` (default: full) - that signals a collapsed
+    Coincides with A^T (A A^T)^{-1} / (A^T A)^{-1} A^T on full-rank input:
+    from A = U diag(s) V^T, pinv(A) = V diag(1/s) U^T over the kept s.
+    Factoring A itself (rather than eigendecomposing its Gram) keeps null
+    directions exactly null, which the normal-equation checks depend on. A
+    RankDeficientWarning is emitted when the detected rank drops below
+    `expected_rank` (default: full) - that signals a collapsed
     representation, as opposed to the structural low rank of deep chains.
     Raises RankDeficientError for an all-zero or non-finite matrix.
     """
@@ -61,9 +60,7 @@ def mp_pinv(A: Array, warn_context: str = "", expected_rank: int | None = None) 
         raise RankDeficientError(
             f"non-finite matrix{' in ' + warn_context if warn_context else ''}"
         )
-    wide = A.shape[0] < A.shape[1]
-    Q, R = np.linalg.qr(A.T if wide else A)
-    U, s, Vt = np.linalg.svd(R)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] <= 0:
         raise RankDeficientError(
             f"zero matrix has no pseudo-inverse direction{' in ' + warn_context if warn_context else ''}"
@@ -84,8 +81,7 @@ def mp_pinv(A: Array, warn_context: str = "", expected_rank: int | None = None) 
             rank, expected_rank, warn_context or "<unnamed>", s[-1], s[0],
         )
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    P = Q @ ((U * s_inv) @ Vt)
-    return P if wide else P.T
+    return (Vt.T * s_inv) @ U.T
 
 
 def multiplicative_terms(ZtX: Array, ZtZ: Array, H: Array) -> tuple[Array, Array]:
@@ -112,7 +108,7 @@ def multiplicative_step(H: Array, num: Array, den: Array) -> Array:
 class SemiNmfResult:
     """Factorization output: basis Z (d, l), representation H (l, n) >= 0,
     the number of sweeps run, and for d >= n the (n, l) right factor P of
-    the last basis step, Z = X P up to rounding (H^T G^{-1} from the
+    the last basis step, with Z = X P exactly (H^T G^{-1} from the
     certified Gram, else pinv(H)); P is None for d < n, where it would be
     larger than Z."""
 
@@ -156,11 +152,11 @@ def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
     in every sweep (Z^T = G^{-1} (H X^T)), 2dnl flops a sweep. A certified
     sweep of a layer with d >= n uses the kernel form: K = X^T X once per
     layer, then Z^T X = G^{-1} (H K) and Z^T Z = (Z^T X) H^T G^{-1}, n^2 l
-    flops a sweep, with Z formed from the sweep's H only if it is the last.
-    At d = n, as for a view's n x n row-space factor (`fitting.fit`), the
-    kernel form is the cheaper one too. There the result also carries the
-    last basis step's right factor P, so that a basis fitted to such a
-    factor R of X = QR lifts to X's basis X P.
+    flops a sweep. At d = n, as for a view's n x n row-space factor
+    (`fitting.fit`), the kernel form is the cheaper one too. From d = n the
+    basis is Z = X P, formed once from the last basis step's right factor P,
+    which the result carries so that a basis fitted to such a factor R of
+    X = QR lifts to X's basis X P.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[1]
@@ -179,14 +175,12 @@ def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
             Zt, P = _basis_t(X, H, G)
             ZtX, ZtZ = Zt @ X, Zt @ Zt.T
         else:
-            Zt = None
             ZtX = np.linalg.solve(G, H @ K)
             ZtZ = np.linalg.solve(G, H @ ZtX.T).T
         H_basis, H = H, multiplicative_step(H, *multiplicative_terms(ZtX, ZtZ, H))
-    if Zt is None:
-        Zt, _ = _basis_t(X, H_basis, G)
     if K is None:  # d < n: P would be larger than Z
         P = None
     elif G is not None:  # the certified Gram's right factor H^T G^{-1}
         P = np.linalg.solve(G, H_basis).T
+        Zt = (X @ P).T
     return SemiNmfResult(Z=Zt.T, H=H, iters=iters, P=P)

@@ -302,20 +302,25 @@ def sort_projection(V):
     return np.maximum(V - theta[:, None], 0.0)
 
 
-def svd_pinv(A, expected_rank=None):
-    """Pseudo-inverse from a full thin SVD of A, with `mp_pinv`'s rank cut,
-    warning and errors (test oracle for the QR route)."""
+def qr_svd_pinv(A, expected_rank=None):
+    """Pseudo-inverse from a QR of A's tall side and the SVD of the small
+    square R, which has A's singular values, with `mp_pinv`'s rank cut,
+    warning and errors (test oracle for the thin SVD route)."""
     A = np.asarray(A, dtype=np.float64)
     if not np.isfinite(A).all():
         raise RankDeficientError("non-finite matrix")
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    wide = A.shape[0] < A.shape[1]
+    Q, R = np.linalg.qr(A.T if wide else A)
+    U, s, Vt = np.linalg.svd(R)
     if s.size == 0 or s[0] <= 0:
         raise RankDeficientError("zero matrix has no pseudo-inverse direction")
     keep = s > RCOND * s[0]
     if keep.sum() < min(expected_rank if expected_rank is not None else s.size, s.size):
         warnings.warn("rank-deficient factor; singular values truncated", RankDeficientWarning)
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (Vt.T * s_inv) @ U.T
+    # pinv(B)^T = Q U diag(1/s) V^T for the tall B = Q R
+    P = Q @ ((U * s_inv) @ Vt)
+    return P if wide else P.T
 
 
 def scipy_csr(graph):

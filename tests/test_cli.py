@@ -244,6 +244,28 @@ def test_sweep_takes_each_tall_views_qr_once(tmp_path, monkeypatch):
     assert shapes == [(70, 30), (64, 30)]
 
 
+def test_sweep_rejects_too_many_views_before_any_qr(tmp_path, monkeypatch, caplog):
+    # cluster and sweep check the views alike: 11 views fail before the
+    # tall view 0 is factored
+    import mvclust.fitting as fitting
+
+    rng = np.random.default_rng(0)
+    data = tmp_path / "many"
+    views = [rng.random((60, 20))] + [rng.random((12, 20)) for _ in range(10)]
+    save_dataset(MultiViewDataset(views=views), data)
+    shapes = []
+    factor = fitting.row_space_factor
+    monkeypatch.setattr(fitting, "row_space_factor", lambda X: shapes.append(X.shape) or factor(X))
+    out = tmp_path / "sweep.tsv"
+    code = main([
+        "sweep", "--data", str(data), "--beta-grid", "0.5", "--layer-grid", "4,2",
+        "--max-iter", "1", "--pretrain-iters", "2", "--out", str(out),
+    ])
+    assert code == 1
+    assert "11 views; the exact view-weight solver takes at most 10" in caplog.text
+    assert shapes == [] and not out.exists()
+
+
 def test_sweep_rejects_a_layer_wider_than_n_before_any_qr(tmp_path, monkeypatch, caplog):
     import mvclust.fitting as fitting
 

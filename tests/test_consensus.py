@@ -228,7 +228,7 @@ def test_graph_step_with_a_non_finite_top_leaves_s_untouched():
     assert np.array_equal(state.S.dense(), before)
 
 
-@pytest.mark.parametrize("case", ["most entries cut", "large row sums"])
+@pytest.mark.parametrize("case", ["most entries cut", "large row sums", "most entries cut once projected"])
 def test_graph_step_holds_some_graphs_as_arrays(case, monkeypatch):
     import mvclust.consensus
 
@@ -248,20 +248,39 @@ def test_graph_step_holds_some_graphs_as_arrays(case, monkeypatch):
         G = rng.random((3, n)) ** 8
         G *= 2.0 / np.sqrt((G.T @ G.sum(axis=1)).mean())
         assert (G.T @ G.sum(axis=1)).max() <= ROW_SUM_LIMIT
-    else:
+    elif case == "large row sums":
         # Q near 1e6 and each row spread by less than 1/(n - 1): every entry
         # is kept, and theta_i from the row sums would be off by about 1e-10
         G = np.vstack([np.full(n, 1e3), 0.01 * rng.random(n)])
+    else:
+        # the first block passes the check before its projection and fails
+        # the one after it, as Michelot's thresholds rise
+        G = np.random.default_rng(11).random((3, n)) ** 2
+        G /= np.sqrt((G.T @ G.sum(axis=1)).mean())
+        assert (G.T @ G.sum(axis=1)).max() <= ROW_SUM_LIMIT
     graph = graph_from_tops(G)
     assert isinstance(graph.C, np.ndarray) and graph.G.shape == (0, n)
-    # both are found before the scan projects a block, so the kernel runs
-    # only on the array's own blocks and the step costs what the array does
-    assert projected == [BLOCK_ROWS, BLOCK_ROWS, 3]
     S = graph.dense()
     assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-12
     Q = gram_similarity(G)
     expected = project_graph(Q.copy())
     assert np.abs(S - expected).max() <= 1e-12 * max(1.0, Q.max())
+    if case == "most entries cut once projected":
+        # the first block's failing rows hold at most CUT_SHARE of its
+        # entries at or below theta_i from the row sums, and cut more: the
+        # kernel projects those rows, then the array's own blocks
+        theta = (G.T @ G.sum(axis=1) - np.einsum("ij,ij->j", G, G) - 1.0) / (n - 1)
+        off = ~np.eye(n, dtype=bool)[:BLOCK_ROWS]
+        low = (Q[:BLOCK_ROWS] <= theta[:BLOCK_ROWS, None]) & off
+        fail = np.flatnonzero(low.any(axis=1))
+        cut = (expected[fail] == 0) & off[fail]
+        assert low.sum() <= CUT_SHARE * n * BLOCK_ROWS < cut.sum()
+        assert projected == [fail.size, BLOCK_ROWS, BLOCK_ROWS, 3]
+    else:
+        # both are found before the scan projects a block, so the kernel
+        # runs only on the array's own blocks and the step costs what the
+        # array does
+        assert projected == [BLOCK_ROWS, BLOCK_ROWS, 3]
     if case == "most entries cut":
         assert (expected > 0).sum() < (1 - CUT_SHARE) * n * n
 

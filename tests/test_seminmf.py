@@ -164,10 +164,10 @@ def test_fit_seminmf_certified_layer_forms_no_pinv(monkeypatch, d):
     assert np.abs(res.H - oracle.H).max() <= 1e-9 * np.abs(oracle.H).max()
 
 
-@pytest.mark.parametrize("d, sweeps_forming_z", [(79, 30), (80, 1)], ids=["d<n", "d=n"])
+@pytest.mark.parametrize("d, sweeps_forming_z", [(79, 30), (80, 0)], ids=["d<n", "d=n"])
 def test_fit_seminmf_takes_the_kernel_form_from_d_equal_n(monkeypatch, d, sweeps_forming_z):
     # a certified direct sweep forms Z^T in every sweep; the kernel form
-    # forms it once, for the returned basis
+    # forms none, and the returned basis is X P from the right factor
     X = np.random.default_rng(26).standard_normal((d, 80))
     basis_t, calls = seminmf._basis_t, []
     monkeypatch.setattr(seminmf, "_basis_t", lambda *a: calls.append(a) or basis_t(*a))
@@ -180,7 +180,18 @@ def test_fit_seminmf_takes_the_kernel_form_from_d_equal_n(monkeypatch, d, sweeps
     if d < 80:
         assert res.P is None
     else:
-        assert np.abs(X @ res.P - res.Z).max() <= 1e-9 * np.abs(res.Z).max()
+        assert np.array_equal(X @ res.P, res.Z)
+
+
+def test_fit_seminmf_uncertified_basis_is_x_p(monkeypatch):
+    # with no Gram certified every sweep takes pinv(H); from d = n the
+    # basis is still exactly X P
+    monkeypatch.setattr(seminmf, "_certified_gram", lambda H: None)
+    X = np.random.default_rng(27).standard_normal((90, 80))
+    res = fit_seminmf(X, 6, iters=5, seed=1)
+    assert np.array_equal(X @ res.P, res.Z)
+    oracle = direct_fit_seminmf(X, 6, 5, 1)
+    assert np.abs(res.Z - oracle.Z).max() <= 1e-9 * np.abs(oracle.Z).max()
 
 
 @pytest.mark.parametrize("d", [4, 12], ids=["d<=n", "d>n"])
