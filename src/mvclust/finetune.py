@@ -36,15 +36,16 @@ def update_top(state: ModelState, v: int, PhitX: Array, PhitPhi: Array) -> Array
     H = state.stacks[v].top
     a_v = float(state.alpha[v])
     G = stacked_tops(state.alpha, state.stacks)
-    num, den = multiplicative_terms(PhitX, PhitPhi, H)
+    num, den, part = (np.empty(H.shape) for _ in range(3))
+    multiplicative_terms(PhitX, PhitPhi, H, num, den, part)
     # H, S, alpha and the tops are nonnegative, so every graph product below
     # is too: each goes whole into num or den. (H (S + S^T))^T comes from
     # S's structure, where rounding may leave it a little below 0: clamp it
     HS = state.S.symmetric_matmat(H.T)
     np.maximum(HS, 0.0, out=HS)
-    num = num + a_v * state.beta * HS.T
-    den = den + a_v * state.beta * (2.0 * ((H @ G.T) @ G))
-    return multiplicative_step(H, num, den)
+    num += a_v * state.beta * HS.T
+    den += a_v * state.beta * (2.0 * ((H @ G.T) @ G))
+    return multiplicative_step(H, num, den, out=part)
 
 
 def sweep_view(state: ModelState, v: int) -> tuple[Array, Array]:
@@ -96,6 +97,8 @@ def sweep_view(state: ModelState, v: int) -> tuple[Array, Array]:
             C = C @ mappings[i]
     PhitX = C.T @ (Q_Y.T @ X)
     PhitPhi = C.T @ C
-    stack.top = multiplicative_step(stack.top, *multiplicative_terms(PhitX, PhitPhi, stack.top))
+    num, den, part = (np.empty(stack.top.shape) for _ in range(3))
+    multiplicative_terms(PhitX, PhitPhi, stack.top, num, den, part)
+    stack.top = multiplicative_step(stack.top, num, den, out=part)
     stack.top = update_top(state, v, PhitX, PhitPhi)
     return PhitX, PhitPhi

@@ -5,7 +5,11 @@ exact least-squares solution Z = X H^T (H H^T)^{-1}, taken from the l x l
 Gram of H when that Gram is certified well conditioned and through the
 rank-revealing pseudo-inverse `mp_pinv` otherwise; the representation update
 is Ding, Li & Jordan's KKT-targeting multiplicative rule, which keeps H
-nonnegative and never increases the reconstruction error.
+nonnegative and never increases the reconstruction error. The rule writes
+into arrays its caller passes, so a layer's sweeps work in l x n arrays
+allocated once per layer, and a sweep allocates none (in a fresh process,
+freeing each sweep's temporaries let the allocator return them to the OS,
+and the next sweep faulted them back in page by page).
 """
 
 from __future__ import annotations
@@ -84,24 +88,33 @@ def mp_pinv(A: Array, warn_context: str = "", expected_rank: int | None = None) 
     return (Vt.T * s_inv) @ U.T
 
 
-def multiplicative_terms(ZtX: Array, ZtZ: Array, H: Array) -> tuple[Array, Array]:
-    """num = [Z^T X]+ + [Z^T Z]- H and den = [Z^T X]- + [Z^T Z]+ H for ||X - Z H||_F^2,
-    from the products ZtX = Z^T X (l, n) and ZtZ = Z^T Z (l, l).
+def multiplicative_terms(
+    ZtX: Array, ZtZ: Array, H: Array, num: Array, den: Array, part: Array
+) -> None:
+    """Write num = [Z^T X]+ + [Z^T Z]- H and den = [Z^T X]- + [Z^T Z]+ H for
+    ||X - Z H||_F^2 into the caller's l x n arrays, from the products
+    ZtX = Z^T X (l, n) and ZtZ = Z^T Z (l, l), with `part` as l x n scratch
+    for a sign part of ZtX. ZtX and H are only read.
 
     The Gram matrix is split before it multiplies the nonnegative H, so its
     diagonal keeps den positive wherever H is: that bounds the step and gives
     monotone descent (splitting the product admits vanishing denominators).
     """
-    xp, xm = pos_neg_split(ZtX)
     gram_p, gram_m = pos_neg_split(ZtZ)
-    return xp + gram_m @ H, xm + gram_p @ H
+    np.matmul(gram_m, H, out=num)
+    np.add(np.maximum(ZtX, 0.0, out=part), num, out=num)
+    np.matmul(gram_p, H, out=den)
+    np.negative(ZtX, out=part)
+    np.add(np.maximum(part, 0.0, out=part), den, out=den)
 
 
-def multiplicative_step(H: Array, num: Array, den: Array) -> Array:
-    """H * sqrt(num / den), den floored at EPS_DENOM * max(den), or at EPS_DENOM
-    if that is 0; H stays >= 0 and its zeros stay zero."""
+def multiplicative_step(H: Array, num: Array, den: Array, out: Array) -> Array:
+    """Write H * sqrt(num / den) into `out` and return it, den floored at
+    EPS_DENOM * max(den), or at EPS_DENOM if that is 0; H stays >= 0 and its
+    zeros stay zero. num and den are overwritten."""
     floor = EPS_DENOM * float(den.max()) or EPS_DENOM
-    return H * np.sqrt(num / np.maximum(den, floor))
+    np.divide(num, np.maximum(den, floor, out=den), out=num)
+    return np.multiply(H, np.sqrt(num, out=num), out=out)
 
 
 @dataclass
@@ -156,7 +169,11 @@ def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
     (`fitting.fit`), the kernel form is the cheaper one too. From d = n the
     basis is Z = X P, formed once from the last basis step's right factor P,
     which the result carries so that a basis fitted to such a factor R of
-    X = QR lifts to X's basis X P.
+    X = QR lifts to X's basis X P. The sweeps work in four l x n arrays
+    allocated once: Z^T X (direct form), the rule's num and den, and the
+    other half of H's pair, which is the rule's scratch until the step
+    writes the new H into it. So a sweep allocates no l x n array, except
+    the kernel form's H K and its solve (`np.linalg.solve` takes no `out=`).
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[1]
@@ -169,15 +186,19 @@ def fit_seminmf(X: Array, l: int, iters: int, seed) -> SemiNmfResult:
     scale = np.linalg.norm(X) / (l * n)
     H = (1.0 - np.random.default_rng(seed).random((l, n))) * scale
     K = X.T @ X if X.shape[0] >= n else None
+    # the layer's l x n work arrays: the step writes the new H into H_basis,
+    # which then holds the H of the sweep's basis step, and is scratch before
+    H_basis, direct_ZtX, num, den = (np.empty((l, n)) for _ in range(4))
     for _ in range(iters):
         G = _certified_gram(H)
         if K is None or G is None:
             Zt, P = _basis_t(X, H, G)
-            ZtX, ZtZ = Zt @ X, Zt @ Zt.T
+            ZtX, ZtZ = np.matmul(Zt, X, out=direct_ZtX), Zt @ Zt.T
         else:
             ZtX = np.linalg.solve(G, H @ K)
             ZtZ = np.linalg.solve(G, H @ ZtX.T).T
-        H_basis, H = H, multiplicative_step(H, *multiplicative_terms(ZtX, ZtZ, H))
+        multiplicative_terms(ZtX, ZtZ, H, num, den, part=H_basis)
+        H_basis, H = H, multiplicative_step(H, num, den, out=H_basis)
     if K is None:  # d < n: P would be larger than Z
         P = None
     elif G is not None:  # the certified Gram's right factor H^T G^{-1}

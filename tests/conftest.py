@@ -26,6 +26,7 @@ from mvclust import (
     LayerSpec,
     ModelState,
     MultiViewDataset,
+    seminmf,
     validate_dataset,
 )
 from mvclust.consensus import (
@@ -41,13 +42,7 @@ from mvclust.errors import MissingFileError, ParseError, RankDeficientError, Ran
 from mvclust.finetune import sweep_view, update_top
 from mvclust.fitting import objective_terms
 from mvclust.pretrain import initialize_state
-from mvclust.seminmf import (
-    RCOND,
-    SemiNmfResult,
-    mp_pinv,
-    multiplicative_step,
-    multiplicative_terms,
-)
+from mvclust.seminmf import EPS_DENOM, RCOND, SemiNmfResult, mp_pinv
 
 
 def random_state(
@@ -475,6 +470,23 @@ def update_basis(X, H):
     return X @ mp_pinv(H, warn_context="update_basis")
 
 
+def allocating_multiplicative_terms(ZtX, ZtZ, H):
+    """num = [Z^T X]+ + [Z^T Z]- H and den = [Z^T X]- + [Z^T Z]+ H with every
+    operation allocating its result (test oracle for
+    `seminmf.multiplicative_terms`, which writes into work arrays)."""
+    xp, xm = np.maximum(ZtX, 0.0), np.maximum(-ZtX, 0.0)
+    gram_p, gram_m = np.maximum(ZtZ, 0.0), np.maximum(-ZtZ, 0.0)
+    return xp + gram_m @ H, xm + gram_p @ H
+
+
+def allocating_multiplicative_step(H, num, den):
+    """H * sqrt(num / den), den floored at EPS_DENOM * max(den) (or EPS_DENOM),
+    with every operation allocating its result (test oracle for
+    `seminmf.multiplicative_step`)."""
+    floor = EPS_DENOM * float(den.max()) or EPS_DENOM
+    return H * np.sqrt(num / np.maximum(den, floor))
+
+
 def direct_fit_seminmf(X, l, iters, seed):
     """`fit_seminmf` with Z, Z^T X and Z^T Z formed directly in every sweep,
     whatever the layer's shape (test oracle for the kernel form of wide layers)."""
@@ -483,14 +495,39 @@ def direct_fit_seminmf(X, l, iters, seed):
     H = (1.0 - np.random.default_rng(seed).random((l, n))) * scale
     for _ in range(iters):
         Z = update_basis(X, H)
-        H = multiplicative_step(H, *multiplicative_terms(Z.T @ X, Z.T @ Z, H))
+        H = update_representation(X, Z, H)
     return SemiNmfResult(Z=Z, H=H, iters=iters)
+
+
+def allocating_fit_seminmf(X, l, iters, seed):
+    """`fit_seminmf`'s routes and arithmetic, sweep for sweep, with the rule's
+    allocating copy in place of its work arrays (test oracle for the work
+    arrays: the same bits are expected)."""
+    n = X.shape[1]
+    scale = np.linalg.norm(X) / (l * n)
+    H = (1.0 - np.random.default_rng(seed).random((l, n))) * scale
+    K = X.T @ X if X.shape[0] >= n else None
+    for _ in range(iters):
+        G = seminmf._certified_gram(H)
+        if K is None or G is None:
+            Zt, P = seminmf._basis_t(X, H, G)
+            ZtX, ZtZ = Zt @ X, Zt @ Zt.T
+        else:
+            ZtX = np.linalg.solve(G, H @ K)
+            ZtZ = np.linalg.solve(G, H @ ZtX.T).T
+        H_basis, H = H, allocating_multiplicative_step(H, *allocating_multiplicative_terms(ZtX, ZtZ, H))
+    if K is None:
+        P = None
+    elif G is not None:
+        P = np.linalg.solve(G, H_basis).T
+        Zt = (X @ P).T
+    return SemiNmfResult(Z=Zt.T, H=H, iters=iters, P=P)
 
 
 def update_representation(X, Z, H):
     """Ding, Li & Jordan's semi-NMF multiplicative step of H for ||X - Z H||_F^2,
     with both products formed from Z."""
-    return multiplicative_step(H, *multiplicative_terms(Z.T @ X, Z.T @ Z, H))
+    return allocating_multiplicative_step(H, *allocating_multiplicative_terms(Z.T @ X, Z.T @ Z, H))
 
 
 def update_mapping(X, psi, hhat, psi_rank, hhat_rank):

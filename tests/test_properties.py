@@ -31,12 +31,13 @@ from mvclust.errors import RankDeficientError, RankDeficientWarning
 from mvclust.finetune import sweep_view, update_top
 from mvclust.fitting import ROW_SPACE_RATIO, objective_terms, row_space_factor
 from mvclust.metrics import hungarian
-from mvclust.seminmf import fit_seminmf, mp_pinv, multiplicative_step
+from mvclust.seminmf import fit_seminmf, mp_pinv
 from mvclust.spectral import cluster_graph, spectral_embed
 
 import conftest
 from conftest import (
     ChainCache,
+    allocating_multiplicative_step,
     blockwise_graph_term,
     brute_force_row_projection,
     csgraph_assignment,
@@ -129,6 +130,48 @@ class _PlantedStart:
         return 1.0 - self.H0
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    shape=st.sampled_from(["d < n", "d == n", "d > n"]),
+    width=st.floats(0.0, 1.0),
+    rank=st.integers(1, 40),
+    uncertified=st.booleans(),
+    tilt=st.sampled_from([None, 0.0, 1e-11]),
+    iters=st.integers(1, 20),
+    seed=SEEDS,
+)
+@example(n=30, shape="d > n", width=1.0, rank=2, uncertified=False, tilt=0.0, iters=5, seed=0)
+def test_fit_seminmf_work_arrays_give_the_allocating_rules_bits(
+    n, shape, width, rank, uncertified, tilt, iters, seed
+):
+    # the sweeps' work arrays change where the rule writes, not what it
+    # computes: Z, H, P and the warnings are the allocating oracle's, byte
+    # for byte, on the direct, kernel and pseudo-inverse routes. A start
+    # with two (nearly) collinear rows fails the Gram certificate, and an
+    # exactly collinear one makes mp_pinv warn
+    rng = np.random.default_rng(seed)
+    d = {"d < n": max(1, n - 1 - rng.integers(n)), "d == n": n, "d > n": n + 1 + rng.integers(2 * n)}[shape]
+    l = 1 + int(width * (n - 1))
+    r = min(rank, d, n)
+    X = rng.standard_normal((d, r)) @ rng.standard_normal((r, n))
+    with pytest.MonkeyPatch.context() as mp:
+        if uncertified:
+            mp.setattr(seminmf, "_certified_gram", lambda H: None)
+        if tilt is not None and l >= 2:
+            H0 = 0.1 + 0.9 * rng.random((l, n))
+            H0[1] = 0.5 * H0[0] + tilt * rng.standard_normal(n)
+            mp.setattr(np.random, "default_rng", lambda _seed: _PlantedStart(H0))
+        res, caught = _fit_outcome(fit_seminmf, X, l, iters, seed)
+        oracle, caught_oracle = _fit_outcome(conftest.allocating_fit_seminmf, X, l, iters, seed)
+    assert caught == caught_oracle
+    for got, want in [(res.Z, oracle.Z), (res.H, oracle.H), (res.P, oracle.P)]:
+        if want is None:
+            assert got is None
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(3, 10),
@@ -169,8 +212,8 @@ def test_fit_seminmf_ill_conditioned_start_takes_pinv(n, wide, width, tilt, iter
 def _update_top_four_splits(state, v):
     """The top update with every graph product sign-split, as it was written
     before the splits of provably nonnegative products were dropped; the
-    step itself is the shared `multiplicative_step` and the Gram-mix product
-    the shared G form (checked against the per-view sum below), so only the
+    step is the allocating copy of the rule and the Gram-mix product the
+    shared G form (checked against the per-view sum below), so only the
     splits are compared."""
 
     def split(A):
@@ -191,7 +234,7 @@ def _update_top_four_splits(state, v):
     gp, gm = split(2.0 * ((H @ G.T) @ G))
     num = xp + gram_m @ H + a_v * beta * (sp + stp + gm)
     den = xm + gram_p @ H + a_v * beta * (sm + stm + gp)
-    return multiplicative_step(H, num, den)
+    return allocating_multiplicative_step(H, num, den)
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,7 +5,14 @@ from mvclust import seminmf
 from mvclust.errors import RankDeficientError
 from mvclust.seminmf import fit_seminmf, mp_pinv, pos_neg_split
 
-from conftest import direct_fit_seminmf, planted_two_blocks, traced_peak, update_basis, update_representation
+from conftest import (
+    direct_fit_seminmf,
+    planted_two_blocks,
+    run_in_fresh_interpreter,
+    traced_peak,
+    update_basis,
+    update_representation,
+)
 
 
 def test_pos_neg_split_definition():
@@ -149,6 +156,32 @@ def test_fit_seminmf_holds_no_dxn_array():
     # l x n products only; a d x n residual per sweep took 2.04 X.nbytes
     X = np.random.default_rng(23).standard_normal((2000, 300))
     assert traced_peak(fit_seminmf, X, 10, 3, 0) / X.nbytes <= 0.25
+
+
+def test_fit_seminmf_sweeps_fault_no_pages_in():
+    # a sweep writes into the layer's work arrays. When it allocated its
+    # l x n temporaries instead, a fresh process's allocator returned them
+    # to the OS on free and the next sweep faulted them back in: about 350
+    # minor faults per sweep on this large-n-sized layer (l x n is 504 KB).
+    # A first fit takes the one-off faults (imports, BLAS buffers), so the
+    # two measured fits differ only by their sweeps
+    pytest.importorskip("resource")
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from mvclust.seminmf import fit_seminmf\n"
+        "X = np.random.default_rng(0).standard_normal((24, 3000))\n"
+        "def faults(sweeps):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    fit_seminmf(X, 21, sweeps, 0)\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "fit_seminmf(X, 21, 1, 0)\n"
+        "short = faults(10)\n"
+        "print((faults(60) - short) / 50)\n"
+    )
+    proc = run_in_fresh_interpreter(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 5
 
 
 @pytest.mark.parametrize("d", [20, 700], ids=["d<=n", "d>n"])
