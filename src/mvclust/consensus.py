@@ -33,10 +33,11 @@ MAX_VIEWS = 10
 # n x n and large enough for a full-speed matrix product.
 BLOCK_ROWS = 128
 
-# A threshold from Q's row sums is off by about eps * Vk * sum_j |Q_ij|,
-# while the graph's rows sum to 1: a graph with a row of |Q| summing to more
-# than this is held as its n x n array, projected relative to each row's
-# maximum. The views' gauge keeps Q's mean row sum near 1 in a fit.
+# A threshold from Q's row sums is off by about eps * Vk * sum_j Q_ij (the
+# tops are nonnegative, so Q is), while the graph's rows sum to 1: a graph
+# with a row of Q summing to more than this is held as its n x n array,
+# projected relative to each row's maximum. The views' gauge keeps Q's mean
+# row sum near 1 in a fit.
 ROW_SUM_LIMIT = 64.0
 
 # Most entries, as a share of the rows scanned, that the correction C holds:
@@ -182,13 +183,6 @@ class ConsensusGraph:
         out[rows[on]] = vals[on]
         return out
 
-    def _row_sums(self) -> Array:
-        """C 1."""
-        if isinstance(self.C, np.ndarray):
-            return self.C.sum(axis=1)
-        rows, _, vals = self._entries(0, self.shape[0])
-        return np.bincount(rows, weights=vals, minlength=self.shape[0])
-
     def row_blocks(self):
         """Yield (i, S[i:j]) BLOCK_ROWS rows at a time, in one reused buffer
         (see `gram_row_blocks`). A cut entry is Q_ij - theta_i plus its
@@ -246,7 +240,7 @@ class ConsensusGraph:
             raise MvclustError("S has a nonzero diagonal entry")
         # S 1 = G^T (G 1) - (n - 1) theta - q + C 1
         sums = self.G.T @ self.G.sum(axis=1) - (n - 1) * self.theta - self.q
-        sums += self._row_sums()
+        sums += self._matmat(np.ones(n))
         row_err = np.abs(sums - 1.0).max()
         if not row_err <= ROW_SUM_TOL:
             raise MvclustError(f"S row sums deviate from 1 by {row_err:.3e}")
@@ -394,27 +388,28 @@ def update_consensus_graph(alpha: Array, stacks) -> ConsensusGraph:
     through the projection kernel, which gives their theta_i, and C takes
     their cut entries. S is held as its n x n array instead, every row
     projected by the kernel block by block (`_dense_graph`), when a row
-    sum of |Q| exceeds ROW_SUM_LIMIT, or once C would hold more than
+    sum of Q exceeds ROW_SUM_LIMIT, or once C would hold more than
     CUT_SHARE of the entries of the rows scanned so far, judged also before
     each block is projected: a graph cut heavily throughout turns to the
-    array after its first block's row minima. A non-finite G, or a Q entry
-    or row sum that overflows, raises.
+    array after its first block's row minima. A negative or non-finite top,
+    or a Q entry or row sum that overflows, raises.
     """
     G = stacked_tops(alpha, stacks)
     n = G.shape[1]
     if n < 2:
         raise ValueError("graph projection needs at least 2 samples")
-    if not np.isfinite(G).all():
-        raise ValueError("graph projection needs finite tops")
+    # a NaN fails both comparisons
+    if not ((G >= 0) & (G < np.inf)).all():
+        raise ValueError("graph projection needs nonnegative finite tops")
     q = np.einsum("ij,ij->j", G, G)
-    # |Q_ij| <= sqrt(q_i q_j), so a finite q means a finite Q
+    # Q_ij <= sqrt(q_i q_j), so a finite q means a finite Q
     if not np.isfinite(q).all():
         raise ValueError("graph projection needs a finite Q")
-    theta = (G.T @ G.sum(axis=1) - q - 1.0) / (n - 1)
+    sums = G.T @ G.sum(axis=1)
+    theta = (sums - q - 1.0) / (n - 1)
     if not np.isfinite(theta).all():
         raise ValueError("graph projection needs finite row sums of Q")
-    absG = np.abs(G)
-    if (absG.T @ absG.sum(axis=1)).max() > ROW_SUM_LIMIT:
+    if sums.max() > ROW_SUM_LIMIT:
         return _dense_graph(G)
     cuts, count = [], 0
     for i, B in gram_row_blocks(G):

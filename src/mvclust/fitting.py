@@ -32,7 +32,7 @@ from numpy.linalg import lapack_lite
 from .consensus import MAX_VIEWS, update_consensus_graph, update_view_weights
 # no caller here; bench/worker.py wraps fitting.compute_Q by this name
 from .consensus import compute_Q  # noqa: F401
-from .errors import NonFiniteFactorError, RankDeficientError, TooManyViewsError
+from .errors import MvclustError, NonFiniteFactorError, RankDeficientError, TooManyViewsError
 from .finetune import sweep_view
 from .pretrain import initialize_state
 from .types import FitConfig, ModelState, MultiViewDataset, validate_dataset
@@ -225,8 +225,12 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     old graph is dropped before the graph step, so that a graph held as an
     n x n array is never held twice: if the step raises (Q overflows), the
     state is left with S None. Deterministic for a fixed (dataset, config).
+    One fit is one run: cfg.restarts other than 1 raises MvclustError, as
+    restarts are `fit_with_restarts`'s.
     """
     _validate_fit(ds, cfg)
+    if cfg.restarts != 1:
+        raise MvclustError(f"fit makes one run, got restarts={cfg.restarts}; use fit_with_restarts")
     t0 = time.perf_counter()
     state = initialize_state(row_space(ds), cfg)
     state.validate()

@@ -181,6 +181,10 @@ def test_cluster_wrong_last_layer_fails(tmp_path):
     ("synth", "--views", "1"),
     ("sweep", "--depth", "3"),
     ("cluster", "--normalize", "minmax"),
+    # text that is not a number
+    ("cluster", "--tol", "abc"),
+    ("cluster", "--max-iter", "2.5"),
+    ("sweep", "--layer-grid", "9,x"),
 ])
 def test_counts_below_one_rejected_at_parse_time(tmp_path, command, flag, value):
     data = make_dataset_dir(tmp_path)

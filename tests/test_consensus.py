@@ -5,6 +5,7 @@ from mvclust.consensus import (
     BLOCK_ROWS,
     CUT_SHARE,
     ROW_SUM_LIMIT,
+    ConsensusGraph,
     compute_Q,
     gram_similarity,
     project_to_simplex,
@@ -12,6 +13,7 @@ from mvclust.consensus import (
     update_view_weights,
     weight_qp,
 )
+from mvclust.errors import DimensionMismatchError
 
 from conftest import brute_force_row_projection, graph_from_tops, project_graph, random_state, traced_peak
 
@@ -289,3 +291,33 @@ def test_graph_step_rejects_an_overflowing_q():
     G = np.full((2, 2 * BLOCK_ROWS + 3), 1e200)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite Q"):
         graph_from_tops(G)
+
+
+@pytest.mark.parametrize(
+    "G, message",
+    [
+        (np.ones((2, 1)), "at least 2 samples"),
+        # every q_j = 1e308 is finite, and Q's row sums, 3e308, are not
+        (np.full((1, 3), 1e154), "finite row sums of Q"),
+        # the ROW_SUM_LIMIT test takes Q's row sums for |Q|'s, which only
+        # nonnegative tops make equal
+        (np.array([[0.5, -1e-300, 0.5]]), "nonnegative finite tops"),
+    ],
+    ids=["one sample", "row sums overflow", "negative top"],
+)
+def test_graph_step_rejects_tops_it_cannot_project(G, message):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+        graph_from_tops(G)
+
+
+def test_graph_parts_must_agree():
+    with pytest.raises(ValueError, match=r"theta \(4,\) and C \(4, 4\) do not match"):
+        ConsensusGraph(np.ones((1, 3)), np.zeros(4), np.zeros((4, 4)))
+    with pytest.raises(ValueError, match=r"C \(3, 4\) do not match"):
+        ConsensusGraph(np.ones((1, 3)), np.zeros(3), np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="a graph is a 2-D matrix, got ndim=1"):
+        ConsensusGraph.from_dense(np.ones(3))
+    graph = ConsensusGraph.from_dense(np.full((3, 3), 0.5) - 0.5 * np.eye(3))
+    assert graph.validate(3) is graph
+    with pytest.raises(DimensionMismatchError, match=r"shape \(3, 3\), expected \(4, 4\)"):
+        graph.validate(4)

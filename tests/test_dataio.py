@@ -20,6 +20,7 @@ from mvclust import (
 from mvclust.cli import main
 from mvclust.dataio import read_matrix
 from mvclust.errors import (
+    DimensionMismatchError,
     InfeasibleGeometryError,
     LabelRangeError,
     MissingFileError,
@@ -359,6 +360,11 @@ def test_synthetic_determinism_and_validity():
 def test_synthetic_infeasible_geometry():
     with pytest.raises(InfeasibleGeometryError):
         generate_synthetic(n=20, k=5, n_views=1, dims=(3,), separation=1.0, noise_sigma=0.1, seed=6)
+
+
+def test_synthetic_needs_one_dimension_per_view():
+    with pytest.raises(DimensionMismatchError, match="got 2 dimensions for 3 views"):
+        generate_synthetic(n=20, k=2, n_views=3, dims=(4, 5), separation=1.0, noise_sigma=0.1, seed=6)
 
 
 def test_synthetic_direct_kmeans_recovery():

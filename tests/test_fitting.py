@@ -20,6 +20,7 @@ from mvclust import (
 from mvclust.consensus import BLOCK_ROWS, compute_Q
 from mvclust.errors import (
     LayerSpecError,
+    MvclustError,
     NonFiniteFactorError,
     RankDeficientError,
     TooManyViewsError,
@@ -578,6 +579,20 @@ def test_a_constant_tall_view_fails_alike_before_any_qr(monkeypatch, view, entry
         f"view 1 is constant: all {ds.n} samples are the same vector, "
         "which carries no cluster structure; drop the view"
     )
+    assert calls == []
+
+
+def test_fit_rejects_restarts_before_any_work(monkeypatch):
+    # one fit is one run: restarts are fit_with_restarts's, and fit says so
+    # before any QR or pretraining rather than make one run of several
+    import mvclust.fitting as fitting
+
+    calls = []
+    monkeypatch.setattr(fitting, "row_space_factor", calls.append)
+    monkeypatch.setattr(fitting, "initialize_state", calls.append)
+    cfg = simple_config([6, 3], max_outer_iters=3, pretrain_iters=5, restarts=3)
+    with pytest.raises(MvclustError, match="restarts=3; use fit_with_restarts"):
+        fitting.fit(_tall_dataset(), cfg)
     assert calls == []
 
 

@@ -79,6 +79,8 @@ def test_accuracy_unequal_class_counts():
 def test_accuracy_length_mismatch():
     with pytest.raises(LengthMismatchError):
         accuracy([0, 1], [0, 1, 1])
+    with pytest.raises(LengthMismatchError, match="empty label sequences"):
+        accuracy([], [])
 
 
 def test_nmi_identical_nontrivial():

@@ -913,7 +913,7 @@ def test_graph_of_entries_matches_scipy(n, nnz, width, seed):
     for ours, theirs in (
         (graph.symmetric_matmat(X), oracle @ X + oracle.T @ X),
         (graph._diagonal(), oracle.diagonal()),
-        (graph._row_sums(), oracle.sum(axis=1)),
+        (graph._matmat(np.ones(n)), oracle.sum(axis=1)),
     ):
         assert ours.shape == theirs.shape
         assert np.abs(ours - theirs).max(initial=0.0) <= tol
@@ -926,6 +926,7 @@ def test_graph_of_entries_matches_scipy(n, nnz, width, seed):
         ([0, 3], [1, 0], "outside 3 x 3"),
         ([0, -1], [1, 0], "outside 3 x 3"),
         ([0, 1], [3, 0], "outside 3 x 3"),
+        ([0, 1], [1], "2 rows, 1 columns and 2 values"),
     ],
 )
 def test_graph_rejects_a_repeated_or_outside_entry(rows, cols, message):

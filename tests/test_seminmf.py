@@ -152,6 +152,11 @@ def test_fit_seminmf_rejects_wide_layer():
         fit_seminmf(np.ones((4, 3)), 4, iters=5, seed=0)
 
 
+def test_fit_seminmf_needs_a_sweep():
+    with pytest.raises(ValueError, match="iters must be >= 1"):
+        fit_seminmf(np.ones((4, 3)), 2, iters=0, seed=0)
+
+
 def test_fit_seminmf_holds_no_dxn_array():
     # l x n products only; a d x n residual per sweep took 2.04 X.nbytes
     X = np.random.default_rng(23).standard_normal((2000, 300))

@@ -337,3 +337,51 @@ def test_spectral_embed_raises_a_typed_error_when_its_budget_runs_out(monkeypatc
         spectral_embed(S, 3)
     monkeypatch.undo()
     _assert_matches_dense_oracle(S, 3)
+
+
+class _CountingRng:
+    """A generator that counts the single vectors drawn from it: the
+    eigen-solver draws one only to replace a dependent basis column."""
+
+    def __init__(self, rng):
+        self.rng, self.replacements = rng, 0
+
+    def standard_normal(self, size):
+        self.replacements += isinstance(size, (int, np.integer))
+        return self.rng.standard_normal(size)
+
+
+@pytest.fixture
+def solver_rngs(monkeypatch):
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        made.append(_CountingRng(default_rng(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(spectral.np.random, "default_rng", counting_rng)
+    return made
+
+
+@pytest.mark.parametrize("n", [30, 100])
+def test_the_eigensolver_replaces_every_dependent_column(solver_rngs, n):
+    # an operator that annihilates its blocks makes every new column
+    # dependent on the basis: each of the m - b columns after the start block
+    # is replaced by a random one, and the zero residual converges at once
+    b = 3 + spectral.BLOCK_EXTRA
+    m = min(n, spectral.KRYLOV_DEPTH * b)
+    first = spectral.top_eigenvectors(np.zeros_like, n, 3)
+    second = spectral.top_eigenvectors(np.zeros_like, n, 3)
+    assert [r.replacements for r in solver_rngs] == [m - b, m - b]
+    assert np.abs(first.T @ first - np.eye(3)).max() <= 1e-14
+    assert np.array_equal(first, second)
+
+
+def test_an_empty_graph_embeds_in_unit_rows(solver_rngs):
+    # every degree is floored, N is zero, and the basis is built from
+    # replaced columns alone
+    with pytest.warns(DegenerateGraphWarning, match="40 isolated sample"):
+        E = spectral_embed(np.zeros((40, 40)), 3)
+    assert [r.replacements for r in solver_rngs] == [40 - 3 - spectral.BLOCK_EXTRA]
+    assert np.abs(np.linalg.norm(E, axis=1) - 1.0).max() <= 1e-14

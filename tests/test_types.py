@@ -31,6 +31,13 @@ def test_validate_wellformed_two_views():
     assert out.n == 50 and out.num_views == 2 and out.view_dims == [10, 10]
 
 
+def test_a_dataset_needs_matrix_views_and_at_least_one():
+    with pytest.raises(DimensionMismatchError, match="expected a 2-D matrix, got ndim=1"):
+        MultiViewDataset(views=[np.ones((3, 4)), np.ones(4)])
+    with pytest.raises(DimensionMismatchError, match="dataset has no views"):
+        validate_dataset(MultiViewDataset(views=[]))
+
+
 def test_validate_sample_count_mismatch():
     rng = np.random.default_rng(0)
     ds = MultiViewDataset(views=[rng.random((10, 50)), rng.random((10, 49))])
@@ -110,6 +117,10 @@ def test_fit_config_validation():
             FitConfig(beta=1.0, layers=layers, tol_rel_objective=tol)
     with pytest.raises(MvclustError):
         FitConfig(beta=1.0, layers=layers, restarts=0)
+    with pytest.raises(MvclustError, match="pretrain_iters must be >= 1"):
+        FitConfig(beta=1.0, layers=layers, pretrain_iters=0)
+    # a sequence of widths is taken as its LayerSpec
+    assert FitConfig(beta=0.5, layers=[4, 2]).layers == layers
     FitConfig(beta=1.0, layers=layers, rng_seed=0)
     with pytest.raises(MvclustError):
         FitConfig(beta=1.0, layers=layers, rng_seed=-1)
