@@ -8,8 +8,9 @@ diagonal, for its simplex threshold theta_i. So S is stored as a
 `ConsensusGraph`, S = G^T G - theta 1^T - diag(q - theta) + C with q the
 diagonal of Q and C a sparse correction at the entries the projection cut
 to zero, held as those entries in compressed sparse row arrays, and no
-n x n array is formed: Q is scanned BLOCK_ROWS rows at a time for the cut
-entries, and every consumer reads the structure. A graph
+n x n array is formed: Q is scanned once, BLOCK_ROWS rows at a time, for
+the cut entries and the graph's smallest entry, and every consumer reads
+the structure. A graph
 that the structure would not hold cheaply or exactly is held as its n x n
 array (see `update_consensus_graph`). The view weights alpha solve a
 V-dimensional simplex-constrained quadratic program exactly, by trying
@@ -29,9 +30,10 @@ Array = np.ndarray
 # Most views the exact weight solver takes: 2^10 - 1 supports per solve.
 MAX_VIEWS = 10
 
-# Rows of Q formed at a time: one block is 128 x n floats, small next to
-# n x n and large enough for a full-speed matrix product.
-BLOCK_ROWS = 128
+# Rows of Q formed at a time: one block is 32 x n floats, small next to
+# n x n and, at n = 3000 (768 KB), small enough to stay in a core's L2
+# cache while it is reduced.
+BLOCK_ROWS = 32
 
 # A threshold from Q's row sums is off by about eps * Vk * sum_j Q_ij (the
 # tops are nonnegative, so Q is), while the graph's rows sum to 1: a graph
@@ -74,6 +76,28 @@ def gram_row_blocks(G: Array, out: Array | None = None):
         j = min(i + BLOCK_ROWS, n)
         dest = buf[: j - i] if out is None else out[i:j]
         yield i, np.matmul(G[:, i:j].T, G, out=dest)
+
+
+def _block_min(i: int, B: Array, rowmin: Array, theta: Array, entries) -> float:
+    """The smallest entry of rows i..i+m-1 of S = Q - theta 1^T - diag(q -
+    theta) + C, and 0, for S_ii = C_ii. B is Q's block with its diagonal at
+    +inf, rowmin B's row minima, theta all of S's thresholds, and entries
+    (row - i, col, value) C's entries in the block. Off C's entries S_ij is
+    fl(Q_ij - theta_i), which is below 0 exactly when Q_ij < theta_i: a row
+    without entries reads rowmin_i - theta_i, and a row with entries is
+    reduced again with them masked, while S is formed at the entries
+    themselves. Masks B's entries; a NaN anywhere comes out as NaN."""
+    rows, cols, vals = entries
+    low = rowmin - theta[i : i + B.shape[0]]
+    if not rows.size:
+        return low.min(initial=0.0)
+    at = B[rows, cols] - theta[i + rows]
+    at[cols == i + rows] = 0.0
+    at += vals
+    B[rows, cols] = np.inf
+    held = np.unique(rows)
+    low[held] = B[held].min(axis=1) - theta[i + held]
+    return np.minimum(low.min(initial=0.0), at.min())
 
 
 class ConsensusGraph:
@@ -134,6 +158,7 @@ class ConsensusGraph:
         for a in (self.G, self.theta, self.q, self.alpha):
             if a is not None:
                 a.flags.writeable = False
+        self._lowest = None  # S's smallest entry, once `min` has scanned
 
     @classmethod
     def from_dense(cls, S) -> "ConsensusGraph":
@@ -199,24 +224,21 @@ class ConsensusGraph:
             yield i, B
 
     def min(self) -> float:
-        """The smallest entry of S, from blocks of Q: off C's entries S_ij is
-        fl(Q_ij - theta_i), which is below 0 exactly when Q_ij < theta_i, so
-        only C's entries are formed as entries of S."""
-        if isinstance(self.C, np.ndarray):
-            return min(float(B.min()) for _, B in self.row_blocks())
-        lowest = 0.0  # S_ii = C_ii, which is 0 off C's entries
-        for i, B in gram_row_blocks(self.G):
-            m = B.shape[0]
-            rows, cols, vals = self._entries(i, m)
-            at = B[rows, cols] - self.theta[i + rows]
-            at[cols == i + rows] = 0.0
-            at += vals
-            B[np.arange(m), i + np.arange(m)] = np.inf
-            B[rows, cols] = np.inf
-            lowest = min(lowest, float((B.min(axis=1) - self.theta[i : i + m]).min()))
-            if at.size:
-                lowest = min(lowest, float(at.min()))
-        return lowest
+        """The smallest entry of S, NaN if any entry is NaN. Scanned once per
+        graph and kept (its parts are read-only); the graph step keeps the
+        value its own scan of Q took for the graph it returns. A structured
+        graph's blocks of Q are each reduced once (`_block_min`)."""
+        if self._lowest is None:
+            if isinstance(self.C, np.ndarray):
+                lowest = np.min([B.min() for _, B in self.row_blocks()])
+            else:
+                lowest = 0.0
+                for i, B in gram_row_blocks(self.G):
+                    m = B.shape[0]
+                    B[np.arange(m), i + np.arange(m)] = np.inf
+                    lowest = np.minimum(lowest, _block_min(i, B, B.min(axis=1), self.theta, self._entries(i, m)))
+            self._lowest = float(lowest)
+        return self._lowest
 
     def validate(self, n: int) -> "ConsensusGraph":
         """Check that S is an n x n feasible graph (nonnegative, zero
@@ -386,7 +408,9 @@ def update_consensus_graph(alpha: Array, stacks) -> ConsensusGraph:
     from G^T (G 1) - q in O(n Vk). So Q is formed BLOCK_ROWS rows at a time
     only to read each row's off-diagonal minimum; the rows that fail go
     through the projection kernel, which gives their theta_i, and C takes
-    their cut entries. S is held as its n x n array instead, every row
+    their cut entries. Each block, its thresholds and cuts then final, also
+    gives the graph's check its smallest entry (`_block_min`), which the
+    graph keeps, so its `validate` forms no block of Q. S is held as its n x n array instead, every row
     projected by the kernel block by block (`_dense_graph`), when a row
     sum of Q exceeds ROW_SUM_LIMIT, or once C would hold more than
     CUT_SHARE of the entries of the rows scanned so far, judged also before
@@ -411,33 +435,41 @@ def update_consensus_graph(alpha: Array, stacks) -> ConsensusGraph:
         raise ValueError("graph projection needs finite row sums of Q")
     if sums.max() > ROW_SUM_LIMIT:
         return _dense_graph(G)
-    cuts, count = [], 0
+    cuts, count, lowest = [], 0, 0.0
+    no_entries = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)
     for i, B in gram_row_blocks(G):
         m = B.shape[0]
         diag = i + np.arange(m)
         B[np.arange(m), diag] = np.inf
-        fail = np.flatnonzero(B.min(axis=1) <= theta[diag])
-        if not fail.size:
-            continue
-        rows, P = diag[fail], B[fail]
-        # Michelot's thresholds only rise, so these rows cut at least their
-        # entries at or below theta_i: checked before the block is projected
-        limit = CUT_SHARE * n * (i + m)
-        if count + np.count_nonzero(P <= theta[rows, None]) > limit:
-            break
-        t, shift = _project_graph_block(P, rows)
-        theta[rows] = shift + t
-        # a kept entry is fl(Q_ij - theta_i) >= 0; a cut one is that plus
-        # its correction -fl(Q_ij - theta_i): exactly 0
-        D = B[fail] - theta[rows, None]
-        r, c = np.nonzero(D < 0)
-        cuts.append((rows[r], c, -D[r, c]))
-        count += r.size
-        if count > limit:
-            break
+        rowmin = B.min(axis=1)
+        fail = np.flatnonzero(rowmin <= theta[diag])
+        entries = no_entries
+        if fail.size:
+            rows, P = diag[fail], B[fail]
+            # Michelot's thresholds only rise, so these rows cut at least
+            # their entries at or below theta_i: checked before the block is
+            # projected
+            limit = CUT_SHARE * n * (i + m)
+            if count + np.count_nonzero(P <= theta[rows, None]) > limit:
+                break
+            t, shift = _project_graph_block(P, rows)
+            theta[rows] = shift + t
+            # a kept entry is fl(Q_ij - theta_i) >= 0; a cut one is that
+            # plus its correction -fl(Q_ij - theta_i): exactly 0
+            D = B[fail] - theta[rows, None]
+            r, c = np.nonzero(D < 0)
+            entries = (fail[r], c, -D[r, c])
+            cuts.append((rows[r], c, entries[2]))
+            count += r.size
+            if count > limit:
+                break
+        # the block's theta and C are final: the graph's check reads it now
+        lowest = np.minimum(lowest, _block_min(i, B, rowmin, theta, entries))
     else:
         rows, cols, vals = (np.concatenate(a) for a in zip(*cuts)) if cuts else ([], [], [])
-        return ConsensusGraph(G, theta, (rows, cols, vals), alpha=alpha)
+        graph = ConsensusGraph(G, theta, (rows, cols, vals), alpha=alpha)
+        graph._lowest = float(lowest)
+        return graph
     del cuts  # before the n x n array is allocated
     return _dense_graph(G)
 

@@ -79,7 +79,7 @@ def random_state(
 
 
 def blockwise_graph_term(state) -> float:
-    """||Q - S||_F^2 summed over blocks of 128 rows, each read directly
+    """||Q - S||_F^2 summed over blocks of BLOCK_ROWS rows, each read directly
     (test oracle for the graph term from the graph's structure).
 
     With S = G_S^T G_S - theta 1^T - diag(q_S - theta) + C, a block of

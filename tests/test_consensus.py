@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvclust import FitConfig, LayerSpec, fit, generate_synthetic
 from mvclust.consensus import (
     BLOCK_ROWS,
     CUT_SHARE,
@@ -13,7 +14,7 @@ from mvclust.consensus import (
     update_view_weights,
     weight_qp,
 )
-from mvclust.errors import DimensionMismatchError
+from mvclust.errors import DimensionMismatchError, MvclustError
 
 from conftest import brute_force_row_projection, graph_from_tops, project_graph, random_state, traced_peak
 
@@ -257,7 +258,7 @@ def test_graph_step_holds_some_graphs_as_arrays(case, monkeypatch):
     else:
         # the first block passes the check before its projection and fails
         # the one after it, as Michelot's thresholds rise
-        G = np.random.default_rng(11).random((3, n)) ** 2
+        G = np.random.default_rng(7).random((3, n)) ** 2
         G /= np.sqrt((G.T @ G.sum(axis=1)).mean())
         assert (G.T @ G.sum(axis=1)).max() <= ROW_SUM_LIMIT
     graph = graph_from_tops(G)
@@ -321,3 +322,72 @@ def test_graph_parts_must_agree():
     assert graph.validate(3) is graph
     with pytest.raises(DimensionMismatchError, match=r"shape \(3, 3\), expected \(4, 4\)"):
         graph.validate(4)
+
+
+def _tops_cut_in_the_first_block(n):
+    """Tops whose Q has row sums above 1 in the first block only, with one
+    zero column: rows 0..BLOCK_ROWS-1 have theta_i > 0 and cut that column,
+    every later row has theta_i < 0 and keeps all its entries."""
+    G = 1.0 + 0.1 * np.random.default_rng(3).random((3, n))
+    G[:, :BLOCK_ROWS] *= 1.5
+    sums = G.T @ G.sum(axis=1)
+    G /= np.sqrt((sums[:BLOCK_ROWS].min() + sums[BLOCK_ROWS:].max()) / 2)
+    G[:, n - 1] = 0.0
+    return G
+
+
+def test_graph_step_checks_every_block_it_forms(monkeypatch):
+    import mvclust.consensus
+
+    blocks, checked = [], []
+    gram_row_blocks, block_min = mvclust.consensus.gram_row_blocks, mvclust.consensus._block_min
+
+    def counted_blocks(G, out=None):
+        blocks.append([])
+        for i, B in gram_row_blocks(G, out):
+            blocks[-1].append(i)
+            yield i, B
+
+    def counted_min(i, B, rowmin, theta, entries):
+        checked.append(i)
+        return block_min(i, B, rowmin, theta, entries)
+
+    monkeypatch.setattr(mvclust.consensus, "gram_row_blocks", counted_blocks)
+    monkeypatch.setattr(mvclust.consensus, "_block_min", counted_min)
+    n = 3 * BLOCK_ROWS + 5
+    graph = graph_from_tops(_tops_cut_in_the_first_block(n))
+    indptr = graph.C[0]
+    # blocks with cut rows and blocks without
+    assert indptr[BLOCK_ROWS] == BLOCK_ROWS == indptr[-1]
+    assert blocks == [list(range(0, n, BLOCK_ROWS))] and checked == blocks[0]
+    graph.validate(n)
+    assert len(blocks) == 1 and len(checked) == len(blocks[0])
+
+    # a fit forms Q once per graph: the initial graph's and one per iteration
+    blocks.clear()
+    n = 100
+    ds = generate_synthetic(n=n, k=3, n_views=2, dims=[6, 5], separation=10.0, noise_sigma=0.5, seed=0)
+    cfg = FitConfig(
+        beta=0.5, layers=LayerSpec([3]), max_outer_iters=3, pretrain_iters=5, tol_rel_objective=0.0, rng_seed=0
+    )
+    assert fit(ds, cfg).iters_run == 3
+    assert blocks == [list(range(0, n, BLOCK_ROWS))] * 4
+
+
+def test_graph_check_reads_the_final_thresholds():
+    # the step's own graph passes; the same parts with one uncut row's
+    # theta_i raised above that row's smallest off-diagonal Q_ij do not (that
+    # Q_ij is at the zero column: exactly 0 however Q is formed)
+    n = 3 * BLOCK_ROWS + 5
+    G = _tops_cut_in_the_first_block(n)
+    graph = graph_from_tops(G)
+    assert graph.validate(n).min() == 0.0
+    i = 2 * BLOCK_ROWS + 1
+    Q = gram_similarity(G)
+    theta = graph.theta.copy()
+    theta[i] = np.nextafter(np.delete(Q[i], i).min(), np.inf)
+    indptr, indices, data = graph.C
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    raised = ConsensusGraph(graph.G, theta, (rows, indices, data))
+    with pytest.raises(MvclustError, match="negative or NaN entry"):
+        raised.validate(n)

@@ -411,7 +411,7 @@ def test_objective_terms_holds_one_graph_residual():
 
 def test_fit_holds_few_nxn_arrays():
     # S is held as the tops, its thresholds and a sparse correction, and Q and
-    # S are read a block of 128 rows at a time: about 0.14 arrays of n x n
+    # S are read a block of 32 rows at a time: about 0.05 arrays of n x n
     # floats at the peak (1.07 with S held whole, 2.26 with Q formed whole)
     n = 2000
     ds = generate_synthetic(n=n, k=3, n_views=2, dims=[6, 5], separation=10.0, noise_sigma=0.5, seed=0)
@@ -420,8 +420,8 @@ def test_fit_holds_few_nxn_arrays():
 
 
 def test_fit_holds_one_nxn_array():
-    # no n x n array is held: one block of 128 rows at a time and the kernel's
-    # rows for the rows the projection cuts, about 0.17 arrays of n x n floats
+    # no n x n array is held: one block of 32 rows at a time and the kernel's
+    # rows for the rows the projection cuts, about 0.07 arrays of n x n floats
     # at the peak (1.07 with S held whole and overwritten in place)
     n = 2000
     ds = generate_synthetic(n=n, k=3, n_views=3, dims=[12, 10, 9], separation=10.0, noise_sigma=0.5, seed=1)
@@ -443,7 +443,7 @@ def test_an_outer_iteration_allocates_no_nxn_array():
 
 def test_restarts_hold_no_nxn_array():
     # the best restart's graph is kept beside the running one's, and neither
-    # is an n x n array: about 0.17 arrays of n x n floats (2.07 with S whole)
+    # is an n x n array: about 0.07 arrays of n x n floats (2.07 with S whole)
     n = 2000
     ds = generate_synthetic(n=n, k=3, n_views=3, dims=[12, 10, 9], separation=10.0, noise_sigma=0.5, seed=1)
     cfg = simple_config([6, 3], max_outer_iters=3, pretrain_iters=5, restarts=2)

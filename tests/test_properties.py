@@ -454,6 +454,38 @@ def test_blocked_graph_step_matches_dense_projection(n, rows, scale, zero_cols, 
     assert np.abs(S - oracle).max() <= 1e-12 * max(1.0, dense.max())
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]),
+    rows=st.integers(1, 6),
+    cut=st.integers(0, 1),
+    row_sum=st.sampled_from([0.9, 1.1, 1.3]),
+    diagonal=st.booleans(),
+    seed=SEEDS,
+)
+def test_graph_step_keeps_the_smallest_entry_a_scan_finds(n, rows, cut, row_sum, diagonal, seed):
+    rng = np.random.default_rng(seed)
+    G = 0.5 + rng.random((rows, n))
+    # Q's row sums are about row_sum: above 1 each row cuts the sample whose
+    # top is zero, and below 1 only the rows whose sum is above 1 do
+    G *= np.sqrt(row_sum / (G.T @ G.sum(axis=1)).mean())
+    G[:, rng.permutation(n)[: min(cut, n - 1)]] = 0.0
+    graph = graph_from_tops(G)
+    assert not isinstance(graph.C, np.ndarray)
+    indptr, indices, data = graph.C
+    if n > 2 and row_sum > 1:
+        assert (data.size > 0) == (cut > 0)
+    entries = [np.repeat(np.arange(n), np.diff(indptr)), indices, data]
+    if diagonal:
+        # S_ii = C_ii = 0 held as entries: the same graph, whose rows now
+        # hold entries on the diagonal
+        held = rng.permutation(n)[: rng.integers(1, n + 1)]
+        entries = [np.append(a, b) for a, b in zip(entries, (held, held, np.zeros(held.size)))]
+    scanned = ConsensusGraph(graph.G, graph.theta, tuple(entries))
+    assert graph.validate(n).min() == scanned.validate(n).min() == graph.dense().min()
+    assert scanned.dense().min() == graph.min()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     p=st.integers(2, 50),

@@ -171,6 +171,22 @@ def test_model_state_rejects_a_nan_graph_entry():
             check()
 
 
+@pytest.mark.parametrize("row", [5, 200])
+def test_a_nan_graph_entry_past_the_first_block_is_kept(row):
+    # the smallest entry is taken over every block and every entry value,
+    # so a NaN comes out as NaN wherever it sits
+    n = 300
+    S = np.full((n, n), 1.0 / (n - 1))
+    np.fill_diagonal(S, 0.0)
+    S[row, row + 1] = np.nan
+    graph = ConsensusGraph.from_dense(S)
+    assert np.isnan(graph.min())
+    with pytest.raises(MvclustError, match="negative or NaN entry"):
+        graph.validate(n)
+    structured = ConsensusGraph(np.ones((1, n)), np.zeros(n), ([row], [row + 1], [np.nan]))
+    assert np.isnan(structured.min())
+
+
 @pytest.mark.parametrize("part", ["G", "theta", "C"])
 def test_model_state_rejects_a_non_finite_graph_structure(part):
     state = random_state(seed=6)
