@@ -450,7 +450,9 @@ def test_restarts_hold_no_nxn_array():
     assert traced_peak(fit_with_restarts, ds, cfg) / (8 * n * n) <= 0.25
 
 
-@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 3])
+# one short block, two full blocks and a short one, and two sizes that end
+# in a short block after several full ones
+@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 3, 127, 259])
 def test_blocked_graph_term_matches_dense_residual(n):
     state = random_state(dims=(5, 7), n=n, seed=n)
     _, graph = objective_terms(state)
