@@ -26,7 +26,7 @@ from .dataio import (
     save_dataset,
     save_report,
 )
-from .fitting import FitResult, RestartSummary, fit, fit_with_restarts
+from .fitting import FitResult, RestartSummary, fit
 from .metrics import accuracy, nmi, purity
 from .spectral import Partition, cluster_graph, kmeans
 from .types import FactorStack, FitConfig, LayerSpec, ModelState, MultiViewDataset, validate_dataset
@@ -46,7 +46,6 @@ __all__ = [
     "accuracy",
     "cluster_graph",
     "fit",
-    "fit_with_restarts",
     "generate_synthetic",
     "kmeans",
     "load_dataset",

@@ -28,7 +28,7 @@ from .dataio import (
     save_report,
 )
 from .errors import MvclustError
-from .fitting import FitResult, fit_with_restarts, row_space, validate_views
+from .fitting import FitResult, fit, row_space, validate_views
 from .metrics import accuracy, nmi, purity
 from .spectral import cluster_graph
 from .types import FitConfig, LayerSpec, MultiViewDataset
@@ -153,7 +153,7 @@ def _make_config(args, layers: list[int], beta: float) -> FitConfig:
 def _fit_and_cluster(ds, cfg: FitConfig, k: int, kmeans_restarts: int):
     """Keep the restart with the lowest final objective and cluster its
     graph with that run's seed."""
-    result = fit_with_restarts(ds, cfg)
+    result = fit(ds, cfg)
     return result, cluster_graph(result.state.S, k, restarts=kmeans_restarts, seed=result.seed)
 
 

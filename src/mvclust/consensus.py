@@ -225,19 +225,11 @@ class ConsensusGraph:
 
     def min(self) -> float:
         """The smallest entry of S, NaN if any entry is NaN. Scanned once per
-        graph and kept (its parts are read-only); the graph step keeps the
-        value its own scan of Q took for the graph it returns. A structured
-        graph's blocks of Q are each reduced once (`_block_min`)."""
+        graph over `row_blocks` and kept (its parts are read-only); the graph
+        step keeps the value its own scan of Q took for the graph it returns
+        (`_block_min`)."""
         if self._lowest is None:
-            if isinstance(self.C, np.ndarray):
-                lowest = np.min([B.min() for _, B in self.row_blocks()])
-            else:
-                lowest = 0.0
-                for i, B in gram_row_blocks(self.G):
-                    m = B.shape[0]
-                    B[np.arange(m), i + np.arange(m)] = np.inf
-                    lowest = np.minimum(lowest, _block_min(i, B, B.min(axis=1), self.theta, self._entries(i, m)))
-            self._lowest = float(lowest)
+            self._lowest = float(np.min([B.min() for _, B in self.row_blocks()]))
         return self._lowest
 
     def validate(self, n: int) -> "ConsensusGraph":

@@ -32,7 +32,7 @@ from numpy.linalg import lapack_lite
 from .consensus import MAX_VIEWS, update_consensus_graph, update_view_weights
 # no caller here; bench/worker.py wraps fitting.compute_Q by this name
 from .consensus import compute_Q  # noqa: F401
-from .errors import MvclustError, NonFiniteFactorError, RankDeficientError, TooManyViewsError
+from .errors import NonFiniteFactorError, RankDeficientError, TooManyViewsError
 from .finetune import sweep_view
 from .pretrain import initialize_state
 from .types import FitConfig, ModelState, MultiViewDataset, validate_dataset
@@ -132,7 +132,7 @@ def _validate_fit(ds: MultiViewDataset, cfg: FitConfig) -> None:
     validate_views(ds)
     # the last layer width is the cluster count; with labels present it must
     # match their class count. No layer may be wider than n: checked here,
-    # before any QR, so that fit and fit_with_restarts reject it alike
+    # before any QR
     cfg.layers.validate(k=ds.k, min_view_dim=min(ds.view_dims), n=ds.n)
 
 
@@ -175,8 +175,8 @@ def objective_terms(
 
 @dataclass
 class RestartSummary:
-    """One restart of `fit_with_restarts`. A failed restart has no objective
-    or iteration count, and `error` names its exception."""
+    """One run of `fit`. A failed run has no objective or iteration count,
+    and `error` names its exception."""
 
     seed: int
     final_objective: float | None
@@ -209,30 +209,61 @@ class FitResult:
 
 
 def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
-    """Run the full alternating optimization from a pretrained start.
+    """Run the alternating optimization from a pretrained start once per
+    restart, with seeds cfg.rng_seed, cfg.rng_seed + 1, ..., and keep the run
+    with the lowest final objective (the first of a tie), with every run's
+    summary attached. A run that raises is logged and recorded in its
+    summary; only when every run fails is the last error raised again.
 
     Convergence is declared when the relative objective change stays below
     cfg.tol_rel_objective for CONVERGENCE_WINDOW consecutive iterations.
     `on_iteration(state, iteration, objective_value)` is called after every
-    outer iteration when given. The state it sees is that of `row_space(ds)`:
-    a view with d >= ROW_SPACE_RATIO * n is its n x n factor R there, and
-    Z_1 is in R's coordinates. The returned state holds the caller's view
-    arrays and Z_1 = X P in feature space. The S the callback sees is an
-    immutable `ConsensusGraph` that records the weights it was projected
-    with, which the next graph step replaces rather than changes;
-    `state.S.dense()` gives its n x n array. A factor that turns non-finite
-    in a view's sweep raises NonFiniteFactorError naming the iteration. The
-    old graph is dropped before the graph step, so that a graph held as an
-    n x n array is never held twice: if the step raises (Q overflows), the
-    state is left with S None. Deterministic for a fixed (dataset, config).
-    One fit is one run: cfg.restarts other than 1 raises MvclustError, as
-    restarts are `fit_with_restarts`'s.
+    outer iteration of every run when given. The state it sees is that of
+    `row_space(ds)`: a view with d >= ROW_SPACE_RATIO * n is its n x n
+    factor R there, taken once for all the runs, and Z_1 is in R's
+    coordinates. The returned state holds the caller's view arrays and
+    Z_1 = X P in feature space; only the kept run is lifted. The S the
+    callback sees is an immutable `ConsensusGraph` that records the weights
+    it was projected with, which the next graph step replaces rather than
+    changes; `state.S.dense()` gives its n x n array. A factor that turns
+    non-finite in a view's sweep raises NonFiniteFactorError naming the
+    iteration. The old graph is dropped before the graph step, so that a
+    graph held as an n x n array is never held twice: if the step raises
+    (Q overflows), the state is left with S None. Deterministic for a fixed
+    (dataset, config).
     """
     _validate_fit(ds, cfg)
-    if cfg.restarts != 1:
-        raise MvclustError(f"fit makes one run, got restarts={cfg.restarts}; use fit_with_restarts")
+    rs = row_space(ds)
+    best: FitResult | None = None
+    summaries: list[RestartSummary] = []
+    for r in range(cfg.restarts):
+        seed = cfg.rng_seed + r
+        t0 = time.perf_counter()
+        try:
+            res = _run(rs, replace(cfg, rng_seed=seed), on_iteration)
+        except Exception as e:  # one failed run leaves the others to run
+            log.warning("restart with seed %d failed", seed, exc_info=True)
+            error = e
+            wall = time.perf_counter() - t0
+            summaries.append(RestartSummary(seed, None, None, False, wall, error=f"{type(e).__name__}: {e}"))
+            continue
+        summaries.append(
+            RestartSummary(res.seed, res.final_objective, res.iters_run, res.converged, res.wall_time)
+        )
+        if best is None or res.final_objective < best.final_objective:
+            best = res
+    if best is None:
+        raise error
+    best.restart_summaries = summaries
+    _lift(ds, best.state)
+    return best
+
+
+def _run(rs: MultiViewDataset, cfg: FitConfig, on_iteration) -> FitResult:
+    """One run of `fit` from cfg.rng_seed on the row-space dataset rs; its
+    state is left in rs's coordinates."""
     t0 = time.perf_counter()
-    state = initialize_state(row_space(ds), cfg)
+    state = initialize_state(rs, cfg)
     state.validate()
     # a row-space view's ||R||^2 is its ||X||^2
     views_sq = [squared_norm(X) for X in state.views]
@@ -277,7 +308,7 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
             converged = True
             break
     return FitResult(
-        state=_lift(ds, state),
+        state=state,
         objective_history=np.asarray(history),
         converged=converged,
         wall_time=time.perf_counter() - t0,
@@ -285,40 +316,8 @@ def fit(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
     )
 
 
+# bench/worker.py calls and times the fit by this name. A def, not an alias of
+# the function object, so that its call goes through `fit` as the module
+# holds it, and a wrapper put there sees the fit.
 def fit_with_restarts(ds: MultiViewDataset, cfg: FitConfig, on_iteration=None) -> FitResult:
-    """Run cfg.restarts fits with seeds seed, seed+1, ...; keep the lowest
-    final objective. Summaries of every run are attached to the result.
-
-    A restart that raises is logged and recorded in its summary, and the
-    others still run; only when every restart fails is the last error
-    raised again. Every restart fits `row_space(ds)`, so each tall view's
-    QR is taken once, and only the kept fit is lifted to ds's views."""
-    _validate_fit(ds, cfg)
-    rs = row_space(ds)
-    best: FitResult | None = None
-    summaries: list[RestartSummary] = []
-    for r in range(cfg.restarts):
-        run_cfg = replace(cfg, rng_seed=cfg.rng_seed + r, restarts=1)
-        t0 = time.perf_counter()
-        try:
-            res = fit(rs, run_cfg, on_iteration=on_iteration)
-        except Exception as e:  # one failed restart leaves the others to run
-            log.warning("restart with seed %d failed", run_cfg.rng_seed, exc_info=True)
-            error = e
-            summaries.append(
-                RestartSummary(
-                    run_cfg.rng_seed, None, None, False, time.perf_counter() - t0,
-                    error=f"{type(e).__name__}: {e}",
-                )
-            )
-            continue
-        summaries.append(
-            RestartSummary(res.seed, res.final_objective, res.iters_run, res.converged, res.wall_time)
-        )
-        if best is None or res.final_objective < best.final_objective:
-            best = res
-    if best is None:
-        raise error
-    best.restart_summaries = summaries
-    _lift(ds, best.state)
-    return best
+    return fit(ds, cfg, on_iteration)

@@ -175,7 +175,7 @@ def test_criterion_6_planted_recovery():
                 beta=beta, layers=mv.LayerSpec([21, 9, 3]), max_outer_iters=150,
                 pretrain_iters=100, restarts=5, rng_seed=1,
             )
-            res = mv.fit_with_restarts(ds, cfg)
+            res = mv.fit(ds, cfg)
             part = mv.cluster_graph(res.state.S, 3, restarts=10, seed=1)
             acc = mv.accuracy(part, ds.labels)
             score = (acc, mv.nmi(part, ds.labels))

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mvclust import FitConfig, LayerSpec, MultiViewDataset, fit_with_restarts, generate_synthetic
+from mvclust import FitConfig, LayerSpec, MultiViewDataset, fit, generate_synthetic
 from mvclust.cli import DEFAULT_BETA_GRID, build_parser, main, parse_beta
 
 from conftest import hierarchical_dataset
@@ -122,7 +122,7 @@ def test_cluster_normalize_none_fits_the_views_as_given(tmp_path):
     cfg = FitConfig(
         beta=0.5, layers=LayerSpec([6, 3]), max_outer_iters=3, pretrain_iters=10, restarts=2, rng_seed=4
     )
-    expected = fit_with_restarts(load_dataset(data), cfg).objective_history
+    expected = fit(load_dataset(data), cfg).objective_history
     assert histories["none"] == expected.tolist()
     assert histories["none"] != histories["sample"]
 
@@ -467,13 +467,13 @@ def test_an_unwritable_out_fails_before_any_fit(tmp_path, monkeypatch, caplog, c
 
     data = make_dataset_dir(tmp_path)
     fits = []
-    fit_with_restarts = cli.fit_with_restarts
+    fit = cli.fit
 
     def counted(*args, **kwargs):
         fits.append(args)
-        return fit_with_restarts(*args, **kwargs)
+        return fit(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "fit_with_restarts", counted)
+    monkeypatch.setattr(cli, "fit", counted)
     if target == "a directory":
         out = tmp_path / "outdir"
         out.mkdir()

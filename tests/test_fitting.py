@@ -13,14 +13,12 @@ from mvclust import (
     accuracy,
     cluster_graph,
     fit,
-    fit_with_restarts,
     generate_synthetic,
     normalize_views,
 )
 from mvclust.consensus import BLOCK_ROWS, compute_Q
 from mvclust.errors import (
     LayerSpecError,
-    MvclustError,
     NonFiniteFactorError,
     RankDeficientError,
     TooManyViewsError,
@@ -190,20 +188,27 @@ def test_fit_convergence_flag():
 
 
 def test_restarts_one_equals_fit():
+    # restarts 1 is one run from rng_seed, summarized
+    import mvclust.fitting as fitting
+
     ds = _small_dataset(seed=5)
     cfg = simple_config([4, 3], max_outer_iters=6, pretrain_iters=20, restarts=1, rng_seed=11)
-    single = fit(ds, cfg)
-    multi = fit_with_restarts(ds, cfg)
-    assert np.array_equal(single.objective_history, multi.objective_history)
-    assert len(multi.restart_summaries) == 1
-    assert multi.restart_summaries[0].seed == 11
-    assert single.seed == multi.seed == 11
+    res = fit(ds, cfg)
+    run = fitting._run(fitting.row_space(ds), cfg, None)
+    assert np.array_equal(res.objective_history, run.objective_history)
+    assert np.array_equal(res.state.alpha, run.state.alpha)
+    [summary] = res.restart_summaries
+    assert (summary.seed, summary.final_objective, summary.iters_run, summary.converged, summary.error) == (
+        11, res.final_objective, res.iters_run, res.converged, None
+    )
+    assert summary.wall_time == res.wall_time
+    assert res.seed == 11
 
 
 def test_restarts_pick_minimum_objective():
     ds = _small_dataset(seed=6)
     cfg = simple_config([4, 3], max_outer_iters=6, pretrain_iters=20, restarts=5, rng_seed=0)
-    res = fit_with_restarts(ds, cfg)
+    res = fit(ds, cfg)
     finals = [s.final_objective for s in res.restart_summaries]
     assert len(finals) == 5
     assert res.final_objective == min(finals)
@@ -218,7 +223,7 @@ def test_restarts_tie_returns_a_tied_run(monkeypatch):
 
     calls = []
 
-    def fake_fit(ds, cfg, on_iteration=None):
+    def fake_run(rs, cfg, on_iteration):
         calls.append(cfg.rng_seed)
         state = random_state(seed=0)
         return fitting.FitResult(
@@ -229,10 +234,10 @@ def test_restarts_tie_returns_a_tied_run(monkeypatch):
             seed=cfg.rng_seed,
         )
 
-    monkeypatch.setattr(fitting, "fit", fake_fit)
+    monkeypatch.setattr(fitting, "_run", fake_run)
     ds = _small_dataset(seed=7)
     cfg = simple_config([4, 3], restarts=3, rng_seed=20)
-    res = fitting.fit_with_restarts(ds, cfg)
+    res = fitting.fit(ds, cfg)
     finals = [s.final_objective for s in res.restart_summaries]
     assert finals == [2.5, 2.5, 2.5]
     assert res.final_objective == 2.5
@@ -447,7 +452,7 @@ def test_restarts_hold_no_nxn_array():
     n = 2000
     ds = generate_synthetic(n=n, k=3, n_views=3, dims=[12, 10, 9], separation=10.0, noise_sigma=0.5, seed=1)
     cfg = simple_config([6, 3], max_outer_iters=3, pretrain_iters=5, restarts=2)
-    assert traced_peak(fit_with_restarts, ds, cfg) / (8 * n * n) <= 0.25
+    assert traced_peak(fit, ds, cfg) / (8 * n * n) <= 0.25
 
 
 # one short block, two full blocks and a short one, and two sizes that end
@@ -584,18 +589,18 @@ def test_a_constant_tall_view_fails_alike_before_any_qr(monkeypatch, view, entry
     assert calls == []
 
 
-def test_fit_rejects_restarts_before_any_work(monkeypatch):
-    # one fit is one run: restarts are fit_with_restarts's, and fit says so
-    # before any QR or pretraining rather than make one run of several
+def test_the_benchmarks_fit_name_calls_fit(monkeypatch):
+    # bench/worker.py calls fitting.fit_with_restarts and times fitting.fit:
+    # the old name must look fit up in the module, so that a wrapper put
+    # there sees the call
     import mvclust.fitting as fitting
 
     calls = []
-    monkeypatch.setattr(fitting, "row_space_factor", calls.append)
-    monkeypatch.setattr(fitting, "initialize_state", calls.append)
-    cfg = simple_config([6, 3], max_outer_iters=3, pretrain_iters=5, restarts=3)
-    with pytest.raises(MvclustError, match="restarts=3; use fit_with_restarts"):
-        fitting.fit(_tall_dataset(), cfg)
-    assert calls == []
+    monkeypatch.setattr(fitting, "fit", lambda *args: calls.append(args) or "result")
+    ds, cfg, on_iteration = _small_dataset(), simple_config([4, 3]), print
+    assert fitting.fit_with_restarts(ds, cfg, on_iteration) == "result"
+    assert fitting.fit_with_restarts(ds, cfg) == "result"
+    assert calls == [(ds, cfg, on_iteration), (ds, cfg, None)]
 
 
 def test_a_view_with_some_equal_samples_still_fits():
@@ -728,7 +733,9 @@ def test_restarts_take_each_tall_views_qr_once(monkeypatch):
         return row_space_factor(X)
 
     monkeypatch.setattr(fitting, "row_space_factor", counted)
-    res = fitting.fit_with_restarts(ds, cfg)
+    res = fitting.fit(ds, cfg)
+    # fit runs cfg.restarts seeds on one row space: each tall view's QR once
+    assert [s.seed for s in res.restart_summaries] == [0, 1, 2]
     assert calls == [(3 * n, n)] * 2
     # every restart is the fit that takes its own QRs, bit for bit
     for summary in res.restart_summaries:
@@ -742,8 +749,8 @@ def test_restarts_take_each_tall_views_qr_once(monkeypatch):
 
 
 def test_a_fit_of_the_row_space_takes_no_qr_and_is_the_fit_of_the_views(monkeypatch):
-    # fit_with_restarts fits row_space(ds) per restart and lifts only the
-    # kept fit: that fit takes no QR, holds R, and lifts to the fit of ds
+    # fit fits row_space(ds) per restart and lifts only the kept run: a fit
+    # of the row space takes no QR, holds R, and lifts to the fit of ds
     import mvclust.fitting as fitting
 
     ds = _tall_dataset()
@@ -793,8 +800,8 @@ def test_a_tall_views_qr_holds_one_copy_of_it():
 
 @pytest.mark.parametrize("dims, layers", [((60, 70), (25, 3)), ((10, 70), (8, 25, 3))])
 def test_a_layer_wider_than_n_fails_alike_before_any_qr(monkeypatch, dims, layers):
-    # with a tall view the restarts fit R, whose dimension is n; both entry
-    # points check the layers against ds's n before taking any QR
+    # with a tall view the restarts fit R, whose dimension is n; fit, under
+    # either name, checks the layers against ds's n before taking any QR
     import mvclust.fitting as fitting
 
     rng = np.random.default_rng(0)
@@ -830,7 +837,7 @@ def test_one_failed_restart_leaves_the_others(caplog):
     ds = _small_dataset(seed=6)
     cfg = simple_config([4, 3], max_outer_iters=4, pretrain_iters=20, restarts=3, rng_seed=10)
     with caplog.at_level(logging.WARNING, logger="mvclust.fitting"):
-        res = fit_with_restarts(ds, cfg, on_iteration=_fail_at(2, restarts_to_fail=1))
+        res = fit(ds, cfg, on_iteration=_fail_at(2, restarts_to_fail=1))
     assert [r.getMessage() for r in caplog.records] == ["restart with seed 10 failed"]
     failed, *done = res.restart_summaries
     assert (failed.seed, failed.final_objective, failed.iters_run, failed.converged) == (10, None, None, False)
@@ -844,4 +851,4 @@ def test_one_failed_restart_leaves_the_others(caplog):
 def test_every_failed_restart_raises_the_last_error():
     cfg = simple_config([4, 3], max_outer_iters=3, pretrain_iters=20, restarts=2)
     with pytest.raises(RuntimeError, match="^injected failure 2$"):
-        fit_with_restarts(_small_dataset(seed=6), cfg, on_iteration=_fail_at(1, restarts_to_fail=2))
+        fit(_small_dataset(seed=6), cfg, on_iteration=_fail_at(1, restarts_to_fail=2))

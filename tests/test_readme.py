@@ -36,7 +36,7 @@ def test_command_line_examples_parse():
 
 def test_library_example_names_are_public():
     names = set(re.findall(r"\bmv\.(\w+)", code_block("Library")))
-    assert "fit_with_restarts" in names
+    assert "fit" in names
     assert sorted(names - set(mvclust.__all__)) == []
 
 
