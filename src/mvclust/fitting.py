@@ -127,7 +127,11 @@ def validate_views(ds: MultiViewDataset) -> None:
 
 
 def _validate_fit(ds: MultiViewDataset, cfg: FitConfig) -> None:
-    """The dataset's and the layers' checks that precede any work of a fit."""
+    """The config's, the dataset's and the layers' checks that precede any
+    work of a fit."""
+    # a FitConfig changed after it was made is checked again: restarts 0
+    # would leave no run to return
+    cfg.validate()
     validate_dataset(ds)
     validate_views(ds)
     # the last layer width is the cluster count; with labels present it must

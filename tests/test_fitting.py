@@ -19,6 +19,7 @@ from mvclust import (
 from mvclust.consensus import BLOCK_ROWS, compute_Q
 from mvclust.errors import (
     LayerSpecError,
+    MvclustError,
     NonFiniteFactorError,
     RankDeficientError,
     TooManyViewsError,
@@ -601,6 +602,22 @@ def test_the_benchmarks_fit_name_calls_fit(monkeypatch):
     assert fitting.fit_with_restarts(ds, cfg, on_iteration) == "result"
     assert fitting.fit_with_restarts(ds, cfg) == "result"
     assert calls == [(ds, cfg, on_iteration), (ds, cfg, None)]
+
+
+def test_fit_rejects_restarts_before_any_work(monkeypatch):
+    # a FitConfig is checked when made, not frozen: restarts set to 0 after
+    # would be a fit of no runs, which fit refuses before any QR or
+    # pretraining rather than end with no run to return
+    import mvclust.fitting as fitting
+
+    calls = []
+    monkeypatch.setattr(fitting, "row_space_factor", calls.append)
+    monkeypatch.setattr(fitting, "initialize_state", calls.append)
+    cfg = simple_config([6, 3], max_outer_iters=3, pretrain_iters=5, restarts=3)
+    cfg.restarts = 0
+    with pytest.raises(MvclustError, match="restarts must be >= 1"):
+        fitting.fit(_tall_dataset(), cfg)
+    assert calls == []
 
 
 def test_a_view_with_some_equal_samples_still_fits():
